@@ -99,7 +99,7 @@ def test_plan_events_disabled(benchmark, plan_workload, query_name):
     benchmark.group = "audit-plan-%s" % query_name
     benchmark(
         lambda: plan.execute(
-            document, runtime=PlanRuntime(store=store), ordered=True
+            document, runtime=PlanRuntime(store=store)
         )
     )
 
@@ -175,7 +175,7 @@ def test_audit_overhead(plan_workload, engine_workload, request, tmp_path):
 
         def run_plan():
             return plan.execute(
-                document, runtime=PlanRuntime(store=store), ordered=True
+                document, runtime=PlanRuntime(store=store)
             )
 
         measured_s = _best_mean(run_plan, repetitions)

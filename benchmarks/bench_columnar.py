@@ -1,20 +1,20 @@
-"""Columnar (set-at-a-time) execution vs the object-tree plan backend.
+"""Columnar (set-at-a-time) plan execution vs the reference interpreter.
 
 The workload is the descendant-heavy shape that dominates Section 6:
 the naive-baseline rewrites of Adex Q1-Q3 (every child axis relaxed to
 ``//``, an ``[@accessibility = "1"]`` qualifier on the last step) plus
 two deep structural ``//``-chains, evaluated on the largest generated
-dataset (D4).  Three backends answer each query:
+dataset (D4).  Two evaluators answer each query:
 
-* ``interpreter`` — the node-at-a-time reference evaluator;
-* ``plan`` — the compiled object-tree plans (the previous serving
-  path: same traversal as the interpreter, compiled operators);
-* ``columnar`` — the same plans executing set-at-a-time over the
+* ``interpreter`` — the node-at-a-time reference evaluator
+  (:class:`XPathEvaluator`, also the engine's fallback when a NodeTable
+  cannot be built);
+* ``columnar`` — the compiled plans executing set-at-a-time over the
   :class:`~repro.xmlmodel.store.NodeTable` (interval joins on sorted
-  row frontiers).
+  row frontiers), the engine's one plan backend.
 
 ``test_columnar_speedup`` asserts the acceptance bar — >= 3x geometric
-mean over the plan backend with node-for-node identical results — and
+mean over the interpreter with node-for-node identical results — and
 writes ``BENCH_columnar.json`` (per-query wall times, visit counts,
 geomeans) next to the repository root for machine consumption.
 """
@@ -78,24 +78,12 @@ def test_interpreter_backend(benchmark, workload, query_name):
 
 
 @pytest.mark.parametrize("query_name", QUERY_NAMES)
-def test_plan_backend(benchmark, workload, query_name):
-    document, _, _, plans = workload
-    plan = plans[query_name]
-    benchmark.group = "columnar-%s" % query_name
-    benchmark(
-        lambda: plan.execute(document, runtime=PlanRuntime(), ordered=True)
-    )
-
-
-@pytest.mark.parametrize("query_name", QUERY_NAMES)
 def test_columnar_backend(benchmark, workload, query_name):
     document, store, _, plans = workload
     plan = plans[query_name]
     benchmark.group = "columnar-%s" % query_name
     benchmark(
-        lambda: plan.execute(
-            document, runtime=PlanRuntime(store=store), ordered=True
-        )
+        lambda: plan.execute(document, runtime=PlanRuntime(store=store))
     )
 
 
@@ -106,17 +94,13 @@ def test_node_table_build(benchmark, workload):
 
 
 def test_backends_agree(workload):
-    """All three backends return the same nodes in the same order."""
+    """Both evaluators return the same nodes in the same order."""
     document, store, queries, plans = workload
     for name, query in queries.items():
         expected = XPathEvaluator().evaluate(query, document, ordered=True)
-        via_plan = plans[name].execute(
-            document, runtime=PlanRuntime(), ordered=True
-        )
         via_columnar = plans[name].execute(
-            document, runtime=PlanRuntime(store=store), ordered=True
+            document, runtime=PlanRuntime(store=store)
         )
-        assert [id(n) for n in via_plan] == [id(n) for n in expected], name
         assert [id(n) for n in via_columnar] == [
             id(n) for n in expected
         ], name
@@ -137,8 +121,8 @@ def _geomean(ratios):
 
 
 def test_columnar_speedup(workload, request):
-    """Acceptance bar: >= 3x geometric mean over the object-tree plan
-    backend on the descendant-heavy workload, identical node sets.
+    """Acceptance bar: >= 3x geometric mean over the interpreter on
+    the descendant-heavy workload, identical node sets.
     Also emits ``BENCH_columnar.json``."""
     if request.config.getoption("--quick", default=False):
         pytest.skip(
@@ -154,45 +138,32 @@ def test_columnar_speedup(workload, request):
         def run_interpreter():
             return XPathEvaluator().evaluate(query, document, ordered=True)
 
-        def run_plan():
-            return plan.execute(
-                document, runtime=PlanRuntime(), ordered=True
-            )
-
         def run_columnar():
-            return plan.execute(
-                document, runtime=PlanRuntime(store=store), ordered=True
-            )
+            return plan.execute(document, runtime=PlanRuntime(store=store))
 
         results = run_columnar()
         assert [id(n) for n in results] == [
-            id(n) for n in run_plan()
+            id(n) for n in run_interpreter()
         ], name
 
-        plan_runtime = PlanRuntime()
-        plan.execute(document, runtime=plan_runtime, ordered=True)
+        interpreter = XPathEvaluator()
+        interpreter.evaluate(query, document, ordered=True)
         columnar_runtime = PlanRuntime(store=store)
-        plan.execute(document, runtime=columnar_runtime, ordered=True)
+        plan.execute(document, runtime=columnar_runtime)
 
         interpreter_s = _best_mean(run_interpreter, repetitions)
-        plan_s = _best_mean(run_plan, repetitions)
         columnar_s = _best_mean(run_columnar, repetitions)
         per_query[name] = {
             "query": str(query),
             "result_count": len(results),
             "interpreter_ms": interpreter_s * 1e3,
-            "plan_ms": plan_s * 1e3,
             "columnar_ms": columnar_s * 1e3,
-            "speedup_vs_plan": plan_s / columnar_s,
             "speedup_vs_interpreter": interpreter_s / columnar_s,
             "visits": {
-                "plan": plan_runtime.visits,
+                "interpreter": interpreter.visits,
                 "columnar": columnar_runtime.visits,
             },
         }
-    geomean_vs_plan = _geomean(
-        [cell["speedup_vs_plan"] for cell in per_query.values()]
-    )
     geomean_vs_interpreter = _geomean(
         [cell["speedup_vs_interpreter"] for cell in per_query.values()]
     )
@@ -202,8 +173,7 @@ def test_columnar_speedup(workload, request):
         "document_nodes": document.size(),
         "node_table_rows": store.size,
         "queries": per_query,
-        "geomean_speedup_vs_plan": geomean_vs_plan,
         "geomean_speedup_vs_interpreter": geomean_vs_interpreter,
     }
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    assert geomean_vs_plan >= 3.0, per_query
+    assert geomean_vs_interpreter >= 3.0, per_query

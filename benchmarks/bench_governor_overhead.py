@@ -106,7 +106,7 @@ def test_plan_ungoverned(benchmark, plan_workload, query_name):
     benchmark.group = "governor-plan-%s" % query_name
     benchmark(
         lambda: plan.execute(
-            document, runtime=PlanRuntime(store=store), ordered=True
+            document, runtime=PlanRuntime(store=store)
         )
     )
 
@@ -120,7 +120,6 @@ def test_plan_governed(benchmark, plan_workload, query_name):
         lambda: plan.execute(
             document,
             runtime=PlanRuntime(store=store, budget=GENEROUS.budget()),
-            ordered=True,
         )
     )
 
@@ -180,14 +179,13 @@ def test_governor_overhead(plan_workload, engine_workload, request):
 
         def run_ungoverned():
             return plan.execute(
-                document, runtime=PlanRuntime(store=store), ordered=True
+                document, runtime=PlanRuntime(store=store)
             )
 
         def run_governed():
             return plan.execute(
                 document,
                 runtime=PlanRuntime(store=store, budget=GENEROUS.budget()),
-                ordered=True,
             )
 
         ungoverned_s = _best_mean(run_ungoverned, repetitions)

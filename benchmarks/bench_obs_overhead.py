@@ -8,8 +8,8 @@ workload as ``bench_columnar.py`` (naive Adex Q1-Q3 + two structural
 ``//``-chains on D4):
 
 * ``disabled`` — the default serving path: no collector attached,
-  metrics off.  Compared against the *pre-instrumentation* columnar
-  wall times checked into ``BENCH_columnar.json``; the acceptance bar
+  metrics off.  Compared against the columnar wall times checked into
+  ``BENCH_columnar.json``; the acceptance bar
   is a geometric-mean overhead below 3%.
 * ``traced`` — ``ExecutionOptions(trace=True)`` equivalent: a
   :class:`~repro.obs.profile.ProfileCollector` attached to the
@@ -77,7 +77,7 @@ def test_disabled_instrumentation(benchmark, workload, query_name):
     benchmark.group = "obs-%s" % query_name
     benchmark(
         lambda: plan.execute(
-            document, runtime=PlanRuntime(store=store), ordered=True
+            document, runtime=PlanRuntime(store=store)
         )
     )
 
@@ -91,7 +91,6 @@ def test_traced_execution(benchmark, workload, query_name):
         lambda: plan.execute(
             document,
             runtime=PlanRuntime(store=store, profile=ProfileCollector()),
-            ordered=True,
         )
     )
 
@@ -101,13 +100,12 @@ def test_traced_results_identical(workload):
     document, store, plans = workload
     for name, plan in plans.items():
         plain = plan.execute(
-            document, runtime=PlanRuntime(store=store), ordered=True
+            document, runtime=PlanRuntime(store=store)
         )
         collector = ProfileCollector()
         traced = plan.execute(
             document,
             runtime=PlanRuntime(store=store, profile=collector),
-            ordered=True,
         )
         assert [id(n) for n in traced] == [id(n) for n in plain], name
         assert len(collector) > 0, name
@@ -129,7 +127,7 @@ def _geomean(ratios):
 
 def test_disabled_overhead(workload, request):
     """Acceptance bar: disabled instrumentation costs < 3% (geomean)
-    against the pre-instrumentation columnar wall times recorded in
+    against the columnar wall times recorded in
     ``BENCH_columnar.json``.  Also emits ``BENCH_obs.json``."""
     if request.config.getoption("--quick", default=False):
         pytest.skip(
@@ -147,14 +145,13 @@ def test_disabled_overhead(workload, request):
 
         def run_disabled():
             return plan.execute(
-                document, runtime=PlanRuntime(store=store), ordered=True
+                document, runtime=PlanRuntime(store=store)
             )
 
         def run_traced():
             return plan.execute(
                 document,
                 runtime=PlanRuntime(store=store, profile=ProfileCollector()),
-                ordered=True,
             )
 
         disabled_s = _best_mean(run_disabled, repetitions)

@@ -11,7 +11,7 @@ nurse and as doctor plus the paper's Adex Q1-Q4 as the buyer):
   concurrent QPS must beat sequential QPS (the engine's shared caches
   must scale across threads rather than serialize them).
 * **batch** — ``engine.query_batch`` (one pass, shared scan cache)
-  against the per-query loop on repeated columnar query sets; the bar
+  against the per-query loop on repeated query sets; the bar
   is a geometric-mean speedup above 1 (batching must pay for itself).
 * **soak** — the full replay with the security canary sampling at
   100%: the acceptance bar is **zero canary violations**, i.e. the
@@ -29,7 +29,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.options import ExecutionOptions
 from repro.serving.replay import (
     mixed_workload,
     replay,
@@ -105,25 +104,24 @@ def _canonical(values):
 
 
 def test_batch_beats_loop(catalog, request):
-    """query_batch on repeated columnar query sets vs the per-query
-    loop, per-set speedups aggregated by geometric mean."""
+    """query_batch on repeated query sets vs the per-query loop,
+    per-set speedups aggregated by geometric mean."""
     engine, document = catalog.resolve("hospital")
-    columnar = ExecutionOptions(strategy="columnar")
     # repeated queries make the shared scan cache representative of
     # the server coalescing same-document tenant traffic
     batch = (list(HOSPITAL_QUERY_TEXTS.values()) * BATCH_ROUNDS)
     # warm all caches so the measurement isolates execution
     for text in set(batch):
-        engine.query("nurse", text, document, options=columnar)
+        engine.query("nurse", text, document)
 
     def run_loop():
         return [
-            engine.query("nurse", text, document, options=columnar)
+            engine.query("nurse", text, document)
             for text in batch
         ]
 
     def run_batch():
-        return engine.query_batch("nurse", batch, document, options=columnar)
+        return engine.query_batch("nurse", batch, document)
 
     # answers agree exactly
     assert [_canonical(r) for r in run_batch()] == [

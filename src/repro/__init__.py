@@ -25,8 +25,9 @@ Quickstart::
     document = DocumentGenerator(dtd, seed=1).generate()
     result = engine.query("nurse", "//patient/name", document)
     print(result.report.summary())              # stages, cache, timings
-    fast = ExecutionOptions(use_index=True)     # plan cache is on by default
-    result = engine.query("nurse", "//patient/name", document, options=fast)
+    traced = ExecutionOptions(trace=True)       # per-operator stats
+    result = engine.query("nurse", "//patient/name", document, options=traced)
+    print(result.report.profile.render())       # EXPLAIN ANALYZE tree
 
 The subpackages are usable on their own:
 
@@ -62,7 +63,7 @@ pay for observability, robustness, or serving imports.
 
 from typing import TYPE_CHECKING
 
-__version__ = "2.3.0"
+__version__ = "3.0.0"
 
 #: Exported name → defining submodule.  The single source of truth for
 #: both ``__getattr__`` and ``__all__``.
@@ -96,8 +97,6 @@ _EXPORTS = {
     "parse_document": "repro.xmlmodel",
     "serialize": "repro.xmlmodel",
     "pretty_print": "repro.xmlmodel",
-    "DocumentIndex": "repro.xmlmodel",
-    "build_index": "repro.xmlmodel",
     "NodeTable": "repro.xmlmodel",
     "build_node_table": "repro.xmlmodel",
     # dtd

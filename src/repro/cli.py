@@ -5,7 +5,7 @@
     repro view-dtd  DTD.dtd  SPEC.txt  [--bind name=value ...]
     repro rewrite   DTD.dtd  SPEC.txt  QUERY [--bind ...] [--no-optimize]
     repro query     DTD.dtd  SPEC.txt  DOC.xml QUERY [--bind ...]
-                    [--no-optimize] [--explain] [--use-index] [--no-cache]
+                    [--no-optimize] [--explain] [--no-cache]
                     [--strategy virtual|columnar|materialized]
                     [--trace] [--metrics] [--json]
                     [--audit-log PATH] [--slow-ms MS]
@@ -177,7 +177,6 @@ def cmd_query(arguments) -> int:
     options = ExecutionOptions(
         strategy=arguments.strategy,
         optimize=not arguments.no_optimize,
-        use_index=arguments.use_index,
         use_cache=not arguments.no_cache,
         trace=arguments.trace,
         slow_query_threshold=(
@@ -799,13 +798,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy",
         choices=["virtual", "columnar", "materialized"],
         default="virtual",
-        help="virtual (rewrite; default), columnar (rewrite + "
-        "set-at-a-time NodeTable execution), or materialized view",
-    )
-    query_cmd.add_argument(
-        "--use-index",
-        action="store_true",
-        help="build a document index for //label fast paths",
+        help="virtual (rewrite; default; 'columnar' is its legacy "
+        "name) or materialized view",
     )
     query_cmd.add_argument(
         "--no-cache",

@@ -29,10 +29,10 @@ boolean keywords were removed in 2.0; see ``docs/api.md``).
 
 Thread safety: one engine may serve queries from many threads
 concurrently (see ``docs/serving.md``).  Every expensive per-key
-artifact — compiled plans, NodeTables, DocumentIndexes, materialized
-view trees, unfolded rewriters — is *immutable after build* and built
-under a single per-key lock, so concurrent first requests for the
-same artifact serialize on its build while requests for other keys
+artifact — compiled plans, NodeTables, materialized view trees,
+unfolded rewriters — is *immutable after build* and built under a
+single per-key lock, so concurrent first requests for the same
+artifact serialize on its build while requests for other keys
 proceed; once built, readers share the structure without locking.
 Administrative mutation (``register_policy``, ``drop_policy``,
 ``invalidate``) takes the engine's admin lock; queries in flight keep
@@ -70,7 +70,6 @@ from repro.core.materialize import materialize, materialize_subtree
 from repro.core.optimize import Optimizer
 from repro.core.options import (
     DEFAULT_OPTIONS,
-    STRATEGY_COLUMNAR,
     STRATEGY_MATERIALIZED,
     STRATEGY_VIRTUAL,
     ExecutionOptions,
@@ -91,9 +90,9 @@ from repro.xpath.plan import PlanRuntime, compile_path
 
 class _KeyedLocks:
     """One build lock per cache key.  Concurrent first requests for
-    the same expensive artifact (a NodeTable, a DocumentIndex, a
-    materialized view tree, an unfolded rewriter) serialize on their
-    key's lock and build once; requests for different keys build in
+    the same expensive artifact (a NodeTable, a materialized view
+    tree, an unfolded rewriter) serialize on their key's lock and
+    build once; requests for different keys build in
     parallel.  Lock objects are tiny and keys are bounded by the
     engine's own caches, so entries are only pruned on
     :meth:`SecureQueryEngine.invalidate`."""
@@ -269,12 +268,16 @@ class QueryResult(List):
 
 
 class _Policy:
-    __slots__ = ("name", "spec", "view", "rewriters", "materialized")
+    __slots__ = (
+        "name", "spec", "view", "recursive", "rewriters", "materialized"
+    )
 
     def __init__(self, name: str, spec: AccessSpec, view: SecurityView):
         self.name = name
         self.spec = spec
         self.view = view
+        # a DTD reachability walk: computed once here, never per query
+        self.recursive = view.is_recursive()
         self.rewriters: Dict[Optional[int], Rewriter] = {}
         # id(document) -> (document, materialized view tree); the
         # strong document reference keeps the id stable
@@ -313,10 +316,7 @@ class SecureQueryEngine:
         self._policies: Dict[str, _Policy] = {}
         self._optimizer = Optimizer(dtd)
         self._plan_cache = PlanCache(plan_cache_size)
-        # id(document) -> (document, DocumentIndex); shared by policies
-        self._indexes: Dict[int, tuple] = {}
-        # id(document) -> (document, NodeTable); the columnar twin of
-        # _indexes — registered side by side so both invalidate together
+        # id(document) -> (document, NodeTable); shared by policies
         self._stores: Dict[int, tuple] = {}
         # audit-event fan-out; inert (one attribute check per emit
         # site) until a sink is attached
@@ -421,17 +421,15 @@ class SecureQueryEngine:
     ) -> QueryResult:
         """Answer a view query on ``document``.
 
-        Execution knobs (strategy, optimizer, projection, index, plan
-        cache) are grouped in ``options``, an
+        Execution knobs (strategy, optimizer, projection, plan cache)
+        are grouped in ``options``, an
         :class:`~repro.core.options.ExecutionOptions`:
 
         * ``strategy="virtual"`` (default, the paper's approach) — the
-          view stays virtual; the query is rewritten over the document;
-        * ``strategy="columnar"`` — same rewriting pipeline, but plans
-          execute set-at-a-time over a cached columnar
-          :class:`~repro.xmlmodel.store.NodeTable` (built per document,
-          dropped by :meth:`invalidate`); fastest on descendant-heavy
-          queries, identical answers to ``"virtual"``;
+          view stays virtual; the query is rewritten over the document
+          and its compiled plan runs set-at-a-time over a cached
+          columnar :class:`~repro.xmlmodel.store.NodeTable` (built per
+          document, dropped by :meth:`invalidate`);
         * ``strategy="materialized"`` — the view tree is materialized
           (cached per document until :meth:`invalidate`) and the query
           runs directly on it.
@@ -461,17 +459,15 @@ class SecureQueryEngine:
         Answers (and reports, and raised errors) are identical to
         ``[engine.query(policy, q, document, options) for q in
         queries]`` — the batch is an optimization, not a semantic
-        change.  Under ``strategy="columnar"`` the batch shares one
-        postings scan cache: plans that reach the same label with the
-        same row frontier (the common ``//a`` prefix case) reuse the
-        first plan's scan instead of re-slicing the posting lists (see
+        change.  The batch shares one postings scan cache: plans that
+        reach the same label with the same row frontier (the common
+        ``//a`` prefix case) reuse the first plan's scan instead of
+        re-slicing the posting lists (see
         :class:`~repro.xpath.plan.PlanRuntime`).  The serving layer
         uses this to coalesce same-document requests
         (:class:`~repro.serving.server.QueryServer`)."""
         options = self._resolve_options(options)
-        scan_cache = (
-            {} if options.strategy == STRATEGY_COLUMNAR else None
-        )
+        scan_cache: dict = {}
         record("batch.calls")
         record("batch.queries", len(queries))
         return [
@@ -632,8 +628,8 @@ class SecureQueryEngine:
         return report
 
     def invalidate(self, policy: Optional[str] = None) -> None:
-        """Drop cached materialized views, document indexes, and
-        compiled query plans (call after document or policy updates).
+        """Drop cached materialized views, NodeTables, and compiled
+        query plans (call after document or policy updates).
         Without ``policy``, caches of all policies clear.
 
         Safe to call with queries in flight: in-flight executions keep
@@ -643,7 +639,6 @@ class SecureQueryEngine:
             names = [policy] if policy is not None else list(self._policies)
             for name in names:
                 self._policy(name).materialized.clear()
-            self._indexes.clear()
             self._stores.clear()
             self._plan_cache.invalidate(policy)
             self._build_locks.clear()
@@ -662,7 +657,7 @@ class SecureQueryEngine:
 
     def metrics(self) -> dict:
         """A snapshot of the process-wide metrics registry (plan-cache
-        traffic, NodeTable/index builds, stage latencies, result
+        traffic, NodeTable builds, stage latencies, result
         cardinalities).  Recording is off by default — call
         :func:`repro.obs.enable_metrics` first; see
         ``docs/observability.md``."""
@@ -716,8 +711,8 @@ class SecureQueryEngine:
     def introspect(self) -> dict:
         """One JSON-safe report of what this engine's caches hold and
         cost: plan cache (entries, bytes, hit/eviction counters),
-        columnar NodeTables, DocumentIndexes, and materialized view
-        trees, each with entry counts and byte estimates (see
+        columnar NodeTables, and materialized view trees, each with
+        entry counts and byte estimates (see
         :mod:`repro.obs.introspect`)."""
         from repro.obs.introspect import engine_report
 
@@ -934,7 +929,7 @@ class SecureQueryEngine:
                 raise error
 
     def _rewriter(self, entry: _Policy, document) -> Rewriter:
-        if not entry.view.is_recursive():
+        if not entry.recursive:
             height = None
         else:
             height = self._unfold_height(entry, document)
@@ -963,38 +958,12 @@ class SecureQueryEngine:
             )
         return document if isinstance(document, int) else document.height()
 
-    def _index_for(self, document, policy: str = ""):
-        """The (cached) :class:`DocumentIndex` of ``document`` — or
-        ``None`` when the build fails and the degradation policy allows
-        the ``index.build`` seam to fall back to subtree scans."""
-        from repro.xmlmodel.index import DocumentIndex
-
-        cached = self._indexes.get(id(document))
-        if cached is not None and cached[0] is document:
-            return cached[1]
-        with self._build_locks(("index", id(document))):
-            cached = self._indexes.get(id(document))
-            if cached is not None and cached[0] is document:
-                return cached[1]
-            if self._seam_open("index.build"):
-                return None
-            try:
-                fault_trip("index.build")
-                index = DocumentIndex(document)
-            except Exception as error:
-                self._seam_failed("index.build")
-                if self._degrade("index.build", policy, error):
-                    return None
-                raise
-            self._seam_ok("index.build")
-            self._indexes[id(document)] = (document, index)
-        return index
-
     def _store_for(self, document, policy: str = ""):
         """The (cached) columnar :class:`NodeTable` of ``document`` —
         or ``None`` when the build fails and the degradation policy
-        allows the ``store.build`` seam to fall back to the object
-        backend (``PlanRuntime(store=None)`` runs tree walks)."""
+        allows the ``store.build`` seam to fall back to the interpreter
+        (``PlanRuntime(store=None)`` hands every plan to
+        :class:`~repro.xpath.evaluator.XPathEvaluator`)."""
         from repro.xmlmodel.store import NodeTable
 
         cached = self._stores.get(id(document))
@@ -1083,41 +1052,23 @@ class SecureQueryEngine:
         query,
         document,
         optimize: bool,
-        strategy: str = STRATEGY_VIRTUAL,
-        use_index: bool = False,
         use_cache: bool = True,
         tracer: Optional[Tracer] = None,
         trace_id: str = "",
     ):
         """The cached compilation of ``query`` under ``entry``'s
-        policy: ``(CompiledQuery, cache_hit)``.  The key carries the
-        execution shape (``strategy``, ``use_index``) so a warm cache
-        never serves a plan entry primed for a different backend.
-        With ``use_cache=False`` the cache is neither consulted nor
+        policy: ``(CompiledQuery, cache_hit)``.  With
+        ``use_cache=False`` the cache is neither consulted nor
         primed (compilation still runs, once per call).  Stage spans
         open on ``tracer`` (a private one if the caller has none); the
         measured durations feed the entry's ``timings``."""
         query_text = query if isinstance(query, str) else str(query)
         height = (
-            self._unfold_height(entry, document)
-            if entry.view.is_recursive()
-            else None
+            self._unfold_height(entry, document) if entry.recursive else None
         )
-        key = (entry.name, query_text, optimize, height, strategy, use_index)
+        key = (entry.name, query_text, optimize, height)
         if use_cache:
-            if self._seam_open("plan_cache.get"):
-                cached = None  # breaker open: skip the lookup outright
-            else:
-                try:
-                    fault_trip("plan_cache.get")
-                    cached = self._plan_cache.get(key)
-                except Exception as error:
-                    self._seam_failed("plan_cache.get")
-                    if not self._degrade("plan_cache.get", entry.name, error):
-                        raise
-                    cached = None  # degraded: treat as a miss, compile fresh
-                else:
-                    self._seam_ok("plan_cache.get")
+            cached = self._plan_cache.get(key)
             if cached is not None:
                 return cached, True
         if tracer is None:
@@ -1146,24 +1097,13 @@ class SecureQueryEngine:
             optimized,
             rewriter.view,
             timings,
-            strategy=strategy,
-            use_index=use_index,
         )
         # computed once per compilation (from the already-parsed AST)
         # and carried by the cache entry, so warm requests pay a field
         # read, never a re-parse or re-mask
         compiled.fingerprint = query_fingerprint(parsed)
-        if use_cache and not self._seam_open("plan_cache.put"):
-            try:
-                fault_trip("plan_cache.put")
-                self._plan_cache.put(key, compiled)
-            except Exception as error:
-                self._seam_failed("plan_cache.put")
-                if not self._degrade("plan_cache.put", entry.name, error):
-                    raise
-                # degraded: this compilation just goes uncached
-            else:
-                self._seam_ok("plan_cache.put")
+        if use_cache:
+            self._plan_cache.put(key, compiled)
         return compiled, False
 
     def _whole_query_plan(
@@ -1191,10 +1131,9 @@ class SecureQueryEngine:
         compiled: CompiledQuery,
         tracer: Optional[Tracer] = None,
     ):
-        """Per-view-target plans for projected evaluation, mirroring
-        the uncached :meth:`_evaluate_projected` exactly: text targets
-        run the raw rewritten path; element targets run the optimized
-        one."""
+        """Per-view-target plans for projected evaluation: text
+        targets run the raw rewritten path; element targets run the
+        optimized one."""
         if compiled.projected is not None:
             return compiled.projected
         with compiled.build_lock:
@@ -1245,15 +1184,6 @@ class SecureQueryEngine:
         tracer: Optional[Tracer] = None,
         trace_id: str = "",
     ):
-        if not options.use_cache and options.strategy == STRATEGY_VIRTUAL:
-            # the pre-plan-cache interpreter pipeline, kept verbatim as
-            # the benchmarking baseline; columnar runs have no
-            # interpreter equivalent, so they stay on the plan path
-            # below (with the cache bypassed).
-            return self._execute_uncached(
-                policy, query, document, options, tracer=tracer,
-                trace_id=trace_id,
-            )
         entry = self._policy(policy)
         if tracer is None:
             tracer = Tracer()
@@ -1270,8 +1200,6 @@ class SecureQueryEngine:
                 query,
                 document,
                 options.optimize,
-                strategy=options.strategy,
-                use_index=options.use_index,
                 use_cache=options.use_cache,
                 tracer=tracer,
                 trace_id=trace_id,
@@ -1280,16 +1208,7 @@ class SecureQueryEngine:
                 # the deadline covers compilation too
                 budget.checkpoint()
             runtime = PlanRuntime(
-                (
-                    self._index_for(document, policy)
-                    if options.use_index
-                    else None
-                ),
-                store=(
-                    self._store_for(document, policy)
-                    if options.strategy == STRATEGY_COLUMNAR
-                    else None
-                ),
+                self._store_for(document, policy),
                 profile=collector,
                 budget=budget,
                 scan_cache=scan_cache,
@@ -1302,9 +1221,7 @@ class SecureQueryEngine:
                     )
                 else:
                     plan = self._whole_query_plan(compiled, tracer)
-                    results = plan.execute(
-                        document, runtime=runtime, ordered=True
-                    )
+                    results = plan.execute(document, runtime=runtime)
                     if budget is not None:
                         budget.charge_results(len(results))
             evaluate_span.set(results=len(results), visits=runtime.visits)
@@ -1381,8 +1298,7 @@ class SecureQueryEngine:
                 if budget is not None:
                     budget.charge_results(len(projected))
                 continue
-            raw = plan.execute(document, runtime=runtime, ordered=True)
-            for node in raw:
+            for node in plan.execute(document, runtime=runtime):
                 if id(node) in seen:
                     continue
                 seen.add(id(node))
@@ -1390,124 +1306,6 @@ class SecureQueryEngine:
                     materialize_subtree(
                         document,
                         compiled.view,
-                        entry.spec,
-                        target,
-                        node,
-                        budget=budget,
-                    )
-                )
-                if budget is not None:
-                    budget.charge_results(len(projected))
-        return projected
-
-    def _execute_uncached(
-        self,
-        policy,
-        query,
-        document,
-        options: ExecutionOptions,
-        tracer: Optional[Tracer] = None,
-        trace_id: str = "",
-    ):
-        """The pre-plan-cache interpreter pipeline (kept verbatim as
-        the ``use_cache=False`` baseline the benchmarks compare
-        against)."""
-        entry = self._policy(policy)
-        if tracer is None:
-            tracer = Tracer()
-        budget = self._budget_for(options)
-        timings: Dict[str, float] = {}
-        with tracer.span(
-            "query", policy=policy, strategy=STRATEGY_VIRTUAL
-        ) as query_span:
-            with tracer.span("parse") as span:
-                parsed = self._parse(entry, query, trace_id)
-            timings["parse"] = span.duration
-            rewriter = self._rewriter(entry, document)
-            with tracer.span("rewrite") as span:
-                rewritten = rewriter.rewrite(parsed)
-            timings["rewrite"] = span.duration
-            if options.optimize:
-                with tracer.span("optimize") as span:
-                    optimized = self._optimizer.optimize(rewritten)
-                timings["optimize"] = span.duration
-            else:
-                optimized = rewritten
-            if budget is not None:
-                budget.checkpoint()
-            evaluator = XPathEvaluator(
-                index=(
-                    self._index_for(document, policy)
-                    if options.use_index
-                    else None
-                ),
-                budget=budget,
-            )
-            with tracer.span("evaluate") as span:
-                if options.project:
-                    results = self._evaluate_projected(
-                        entry, rewriter, parsed, document, evaluator,
-                        budget=budget,
-                    )
-                else:
-                    results = evaluator.evaluate(
-                        optimized, document, ordered=True
-                    )
-                    if budget is not None:
-                        budget.charge_results(len(results))
-            timings["evaluate"] = span.duration
-        report = QueryReport(
-            policy,
-            parsed,
-            rewritten,
-            optimized,
-            len(results),
-            evaluator.visits,
-            strategy=STRATEGY_VIRTUAL,
-            cache_hit=False,
-            timings=timings,
-            total_seconds=query_span.duration,
-            fingerprint=query_fingerprint(parsed),
-        )
-        self._record_query_metrics(report)
-        return results, report
-
-    def _evaluate_projected(
-        self, entry, rewriter, parsed, document, evaluator, budget=None
-    ):
-        """Uncached projected evaluation (see :meth:`_execute_projected`
-        for the plan-based equivalent)."""
-        if isinstance(parsed, Absolute):
-            per_target = rewriter._rw(parsed.inner, "#document")
-            wrap_absolute = True
-        else:
-            per_target = rewriter._rw(parsed, rewriter.view.root_key)
-            wrap_absolute = False
-        projected = []
-        seen = set()
-        for target, path in sorted(per_target.items()):
-            if target.startswith("#text"):
-                raw = evaluator.evaluate(
-                    Absolute(path) if wrap_absolute else path, document
-                )
-                for node in raw:
-                    if id(node) not in seen:
-                        seen.add(id(node))
-                        projected.append(node.value)
-                if budget is not None:
-                    budget.charge_results(len(projected))
-                continue
-            document_path = Absolute(path) if wrap_absolute else path
-            optimized_path = self._optimizer.optimize(document_path)
-            raw = evaluator.evaluate(optimized_path, document, ordered=True)
-            for node in raw:
-                if id(node) in seen:
-                    continue
-                seen.add(id(node))
-                projected.append(
-                    materialize_subtree(
-                        document,
-                        rewriter.view,
                         entry.spec,
                         target,
                         node,

@@ -1,7 +1,7 @@
 """Execution options for :meth:`repro.core.engine.SecureQueryEngine.query`.
 
 Historically ``query()`` grew a flag per feature (``optimize``,
-``project``, ``strategy``, ``use_index``); :class:`ExecutionOptions`
+``project``, ``strategy``, ...); :class:`ExecutionOptions`
 collapses them into one immutable value object so call sites read as
 intent (``ExecutionOptions(strategy="materialized")``) and new knobs
 do not widen the method signature.  The 1.x per-call boolean keywords
@@ -18,19 +18,22 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-#: The paper's approach: the view stays virtual, queries are rewritten.
+#: The paper's approach: the view stays virtual, queries are rewritten
+#: and run as compiled plans over the document's columnar
+#: :class:`~repro.xmlmodel.store.NodeTable`.
 STRATEGY_VIRTUAL = "virtual"
 #: Materialize the view tree per document and query it directly.
 STRATEGY_MATERIALIZED = "materialized"
-#: Virtual views with set-at-a-time execution over the columnar
-#: :class:`~repro.xmlmodel.store.NodeTable` (same answers as
-#: ``"virtual"``, interval-join axis kernels instead of tree walks).
-STRATEGY_COLUMNAR = "columnar"
 
-_STRATEGIES = (STRATEGY_VIRTUAL, STRATEGY_MATERIALIZED, STRATEGY_COLUMNAR)
+_STRATEGIES = (STRATEGY_VIRTUAL, STRATEGY_MATERIALIZED)
 
-#: Legacy spelling of :data:`STRATEGY_VIRTUAL` (the seed API's name).
-_LEGACY_STRATEGY_ALIASES = {"rewrite": STRATEGY_VIRTUAL}
+#: Legacy spellings of :data:`STRATEGY_VIRTUAL`: the seed API's name,
+#: and the 2.x name of the columnar backend, which 3.0 made the only
+#: plan backend.
+_LEGACY_STRATEGY_ALIASES = {
+    "rewrite": STRATEGY_VIRTUAL,
+    "columnar": STRATEGY_VIRTUAL,
+}
 
 
 @dataclass(frozen=True)
@@ -38,12 +41,10 @@ class ExecutionOptions:
     """How one query should be executed.
 
     ``strategy``
-        ``"virtual"`` (default; the paper's rewriting approach — the
-        legacy spelling ``"rewrite"`` is accepted),
-        ``"columnar"`` (the same rewriting pipeline, but plans execute
-        set-at-a-time over a cached columnar
-        :class:`~repro.xmlmodel.store.NodeTable` — fastest on
-        descendant-heavy queries; see ``docs/performance.md``), or
+        ``"virtual"`` (default; the paper's rewriting approach, run as
+        compiled plans over a cached columnar
+        :class:`~repro.xmlmodel.store.NodeTable` — the legacy
+        spellings ``"rewrite"`` and ``"columnar"`` are accepted) or
         ``"materialized"`` (query a cached materialized view tree).
     ``optimize``
         Run the DTD-aware optimizer on the rewritten query.
@@ -51,15 +52,10 @@ class ExecutionOptions:
         Return view-projected copies (dummies relabeled, hidden
         descendants removed).  With ``False``, raw document nodes are
         returned — callers must not expose them to users.
-    ``use_index``
-        Build (and cache) a
-        :class:`~repro.xmlmodel.index.DocumentIndex` so residual
-        ``//label`` steps evaluate via binary search.
     ``use_cache``
         Serve parse/rewrite/optimize/compile results from the engine's
-        plan cache.  With ``False`` the engine runs the uncached
-        interpreter pipeline (the pre-plan-cache behaviour, kept for
-        benchmarking baselines).
+        plan cache.  With ``False`` the cache is neither consulted nor
+        primed: the query compiles afresh and runs the same plan path.
     ``trace``
         Collect per-operator execution stats (rows in/out, chosen
         kernels, qualifier short-circuits) into an EXPLAIN ANALYZE
@@ -91,7 +87,6 @@ class ExecutionOptions:
     strategy: str = STRATEGY_VIRTUAL
     optimize: bool = True
     project: bool = True
-    use_index: bool = False
     use_cache: bool = True
     trace: bool = False
     slow_query_threshold: Optional[float] = None
@@ -103,8 +98,8 @@ class ExecutionOptions:
             from repro.errors import SecurityError
 
             raise SecurityError(
-                "unknown strategy %r (use 'virtual', 'columnar', or "
-                "'materialized')" % (self.strategy,)
+                "unknown strategy %r (use 'virtual' or 'materialized')"
+                % (self.strategy,)
             )
         object.__setattr__(self, "strategy", normalized)
         threshold = self.slow_query_threshold
@@ -141,7 +136,6 @@ class ExecutionOptions:
             "strategy": self.strategy,
             "optimize": self.optimize,
             "project": self.project,
-            "use_index": self.use_index,
             "use_cache": self.use_cache,
             "trace": self.trace,
             "slow_query_threshold": self.slow_query_threshold,
@@ -151,7 +145,8 @@ class ExecutionOptions:
     @classmethod
     def from_dict(cls, payload: dict) -> "ExecutionOptions":
         """Inverse of :meth:`to_dict`; missing keys take the engine
-        defaults, unknown keys are ignored (forward compatibility)."""
+        defaults, unknown keys are ignored (forward compatibility, and
+        retired 2.x keys)."""
         from repro.robustness.governor import QueryLimits
 
         limits = payload.get("limits")
@@ -159,7 +154,6 @@ class ExecutionOptions:
             strategy=payload.get("strategy", STRATEGY_VIRTUAL),
             optimize=payload.get("optimize", True),
             project=payload.get("project", True),
-            use_index=payload.get("use_index", False),
             use_cache=payload.get("use_cache", True),
             trace=payload.get("trace", False),
             slow_query_threshold=payload.get("slow_query_threshold"),

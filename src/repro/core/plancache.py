@@ -18,11 +18,8 @@ counters for observability; the engine wires invalidation into
 For recursive views the rewritten query additionally depends on the
 unfolding depth (the document height, Section 4.2), so the engine
 appends that depth to the key; it is ``None`` for the common
-non-recursive case.  The key further carries the *execution shape* —
-the chosen strategy (``virtual`` vs ``columnar``) and whether a
-document index is attached — so flipping ``--strategy`` or
-``--use-index`` on a warm cache can never serve a plan entry primed
-for the other backend.
+non-recursive case.  Plans have a single (columnar) execution backend,
+so the key carries nothing about how the entry will be executed.
 
 The cache is thread-safe: an LRU lookup *mutates* the recency order
 (``move_to_end``), so even read-mostly serving traffic hits the
@@ -44,26 +41,22 @@ from repro.obs.metrics import record as _metric_record
 
 class CompiledQuery:
     """One cached compilation: the pipeline stages for a single
-    ``(policy, query, optimize, strategy, use_index)`` combination.
+    ``(policy, query, optimize, height)`` combination.
 
     ``plan`` (whole-query execution) and ``projected`` (per-view-target
     plans for projected results) are built lazily by the engine on the
     first execution that needs them, so a cache entry never compiles
     plans a workload does not use.  ``timings`` maps stage names
     (``parse``, ``rewrite``, ``optimize``, ``compile``) to seconds
-    spent building this entry.  ``strategy`` and ``use_index`` record
-    the execution shape the entry was compiled for; both are part of
-    the cache key.  ``build_lock`` serializes the lazy plan builds so
-    concurrent first executions of a shared entry compile once and
-    then share the immutable plan."""
+    spent building this entry.  ``build_lock`` serializes the lazy
+    plan builds so concurrent first executions of a shared entry
+    compile once and then share the immutable plan."""
 
     __slots__ = (
         "policy",
         "query_text",
         "optimize",
         "height",
-        "strategy",
-        "use_index",
         "parsed",
         "rewritten",
         "optimized",
@@ -87,15 +80,11 @@ class CompiledQuery:
         optimized,
         view,
         timings: Dict[str, float],
-        strategy: str = "virtual",
-        use_index: bool = False,
     ):
         self.policy = policy
         self.query_text = query_text
         self.optimize = optimize
         self.height = height
-        self.strategy = strategy
-        self.use_index = use_index
         self.parsed = parsed
         self.rewritten = rewritten
         self.optimized = optimized
@@ -114,8 +103,6 @@ class CompiledQuery:
             self.query_text,
             self.optimize,
             self.height,
-            self.strategy,
-            self.use_index,
         )
 
     def __repr__(self):
@@ -186,8 +173,7 @@ class PlanCacheStats:
 class PlanCache:
     """Bounded LRU cache of :class:`CompiledQuery` entries.
 
-    Keys are ``(policy, query_text, optimize_flag, height, strategy,
-    use_index)`` tuples (the cache itself is key-agnostic — only the
+    Keys are ``(policy, query_text, optimize_flag, height)`` tuples (the cache itself is key-agnostic — only the
     leading policy component matters, for invalidation).  A
     ``capacity`` of 0 disables caching (every lookup misses, stores
     are dropped) without the engine needing a special case."""

@@ -37,9 +37,8 @@ Zero-dependency layers, all off or near-free by default:
   (:mod:`repro.xpath.fingerprint`), behind ``GET /debug/workload``
   and ``repro workload top``;
 * :mod:`repro.obs.introspect` — cache/memory byte accounting for the
-  engine's plan cache, NodeTables, DocumentIndexes, and materialized
-  view trees, behind ``engine.introspect()`` and ``GET
-  /debug/cachez``.
+  engine's plan cache, NodeTables, and materialized view trees,
+  behind ``engine.introspect()`` and ``GET /debug/cachez``.
 
 See ``docs/observability.md`` and ``docs/audit.md`` for usage and
 overhead guidance.

@@ -2,8 +2,7 @@
 
 Every serving-path cache in :class:`~repro.core.engine.SecureQueryEngine`
 trades memory for latency — the plan cache, the per-document columnar
-:class:`~repro.xmlmodel.store.NodeTable` and
-:class:`~repro.xmlmodel.index.DocumentIndex`, and the per-policy
+:class:`~repro.xmlmodel.store.NodeTable`, and the per-policy
 materialized view trees.  A view-selection policy (and an operator
 sizing a deployment) needs to see that trade: entry counts, byte
 costs, and hit/eviction counters, in one JSON-safe report.
@@ -83,8 +82,7 @@ def plan_cache_report(cache) -> Dict[str, object]:
 def engine_report(engine) -> Dict[str, object]:
     """The one-stop cache report of a
     :class:`~repro.core.engine.SecureQueryEngine`: plan cache, columnar
-    NodeTables, DocumentIndexes, and per-policy materialized view
-    trees, each with entry counts and byte estimates, plus a
+    NodeTables, and per-policy materialized view trees, each with entry counts and byte estimates, plus a
     ``total_bytes`` roll-up."""
     plan_cache = plan_cache_report(engine.plan_cache)
 
@@ -93,13 +91,6 @@ def engine_report(engine) -> Dict[str, object]:
         "entries": len(stores),
         "rows": sum(store.size for _, store in stores),
         "bytes": sum(store.nbytes() for _, store in stores),
-    }
-
-    indexes = list(engine._indexes.values())
-    document_indexes = {
-        "entries": len(indexes),
-        "elements": sum(index.size() for _, index in indexes),
-        "bytes": sum(index.nbytes() for _, index in indexes),
     }
 
     materialized_entries = 0
@@ -121,7 +112,6 @@ def engine_report(engine) -> Dict[str, object]:
     report = {
         "plan_cache": plan_cache,
         "node_tables": node_tables,
-        "document_indexes": document_indexes,
         "materialized_views": materialized,
     }
     report["total_bytes"] = report_total_bytes(report)

@@ -2,8 +2,8 @@
 
 One :class:`MetricsRegistry` (the module-level default returned by
 :func:`metrics_registry`) aggregates engine activity across queries:
-plan-cache hits/misses/evictions/invalidations, NodeTable and
-DocumentIndex builds, per-stage latencies, result cardinalities.
+plan-cache hits/misses/evictions/invalidations, NodeTable builds,
+per-stage latencies, result cardinalities.
 ``snapshot()`` returns a plain-dict point-in-time copy (JSON-safe, for
 benchmark harnesses and dashboards); ``reset()`` zeroes everything.
 

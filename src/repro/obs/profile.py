@@ -2,7 +2,7 @@
 
 A compiled plan (:mod:`repro.xpath.plan`) is a tree of operators whose
 runtime choices — posting merge-join vs child-link walk, interval join
-vs subtree scan, object-backend fallback — are invisible from the
+vs interval scan, interpreter fallback — are invisible from the
 outside.  When a query runs with ``ExecutionOptions(trace=True)`` the
 engine attaches a :class:`ProfileCollector` to the plan runtime; every
 operator then reports each invocation (frontier rows in, rows out, the
@@ -74,7 +74,7 @@ class OperatorStats:
 
 class ProfileCollector:
     """Gathers :class:`OperatorStats` keyed by operator identity, plus
-    plan-level events (e.g. ``object-backend-fallback``).
+    plan-level events (e.g. ``interpreter-fallback``).
 
     The collector holds no reference to the operators themselves; the
     plan stays alive for the duration of the execution, so ``id()``

@@ -1,15 +1,12 @@
 """Graceful-degradation policy: which optimizations may fail *soft*.
 
-The engine's execution accelerators are all optional layers over a
+The engine's one execution accelerator is an optional layer over a
 correct slow path:
 
 ===================  =======================  ======================
 seam                 failure                  fallback
 ===================  =======================  ======================
-``store.build``      columnar NodeTable       object-tree backend
-``index.build``      DocumentIndex            subtree scans
-``plan_cache.get``   cache lookup             uncached compile
-``plan_cache.put``   cache prime              uncached next time
+``store.build``      columnar NodeTable       reference interpreter
 ===================  =======================  ======================
 
 A :class:`DegradationPolicy` decides, per seam, whether a failure
@@ -20,8 +17,8 @@ fallback path) or propagates (strict mode — what you want in tests,
 where a store build crashing is a bug, not weather).
 
 Answers on a degraded path are **identical** to the optimized path by
-construction — every fallback is the reference implementation the
-accelerated kernels are tested against — so degradation trades only
+construction — the fallback is the reference implementation the
+columnar kernels are tested against — so degradation trades only
 latency, never correctness or the security guarantee.
 """
 
@@ -33,19 +30,15 @@ __all__ = ["DegradationPolicy", "SEAM_FALLBACKS"]
 
 #: seam name -> human-readable fallback label (event payloads, docs).
 SEAM_FALLBACKS: Dict[str, str] = {
-    "store.build": "object-backend",
-    "index.build": "scan",
-    "plan_cache.get": "uncached-compile",
-    "plan_cache.put": "uncached-compile",
+    "store.build": "interpreter",
 }
 
 
 class DegradationPolicy:
     """Which seams may degrade.  The default allows every known seam
     (serve degraded rather than fail); ``DegradationPolicy(strict=True)``
-    allows none.  Individual seams can be overridden by keyword, e.g.
-    ``DegradationPolicy(strict=True, store_build=True)`` or
-    ``DegradationPolicy(plan_cache=False)``."""
+    allows none.  The seam can be overridden by keyword, e.g.
+    ``DegradationPolicy(strict=True, store_build=True)``."""
 
     __slots__ = ("_allowed",)
 
@@ -53,15 +46,9 @@ class DegradationPolicy:
         self,
         strict: bool = False,
         store_build: Optional[bool] = None,
-        index_build: Optional[bool] = None,
-        plan_cache: Optional[bool] = None,
     ):
-        default = not strict
         self._allowed = {
-            "store.build": default if store_build is None else store_build,
-            "index.build": default if index_build is None else index_build,
-            "plan_cache.get": default if plan_cache is None else plan_cache,
-            "plan_cache.put": default if plan_cache is None else plan_cache,
+            "store.build": not strict if store_build is None else store_build,
         }
 
     def allows(self, seam: str) -> bool:

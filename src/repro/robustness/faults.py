@@ -12,8 +12,6 @@ With no plan installed, :func:`trip` costs one global load and one
 Instrumented sites (see ``docs/robustness.md`` for the full table):
 
 * ``store.build`` — columnar NodeTable construction;
-* ``index.build`` — DocumentIndex construction;
-* ``plan_cache.get`` / ``plan_cache.put`` — plan-cache traffic;
 * ``materialize`` — view (subtree) materialization;
 * ``admission.admit`` — the serving layer's admission gate;
 * ``serving.resolve`` — catalog document-ref resolution;
@@ -54,9 +52,6 @@ __all__ = [
 #: The instrumented seam names (for validation and docs).
 SITES = (
     "store.build",
-    "index.build",
-    "plan_cache.get",
-    "plan_cache.put",
     "materialize",
     "admission.admit",
     "serving.resolve",

@@ -35,7 +35,7 @@ Stdlib-only (:mod:`http.server`), the endpoints:
     Filters: ``?tenant=``, ``?n=`` (top-K per tenant).
 ``GET /debug/cachez``
     Cache/memory introspection per catalog engine: plan cache,
-    NodeTables, DocumentIndexes, materialized views — entries, byte
+    NodeTables, materialized views — entries, byte
     estimates, hit/eviction counters.
 ``GET /debug/vars``
     Process vars: version, uptime, worker/queue/admission state,

@@ -363,8 +363,7 @@ class CircuitBreaker(object):
 class BreakerBoard(object):
     """A registry of named :class:`CircuitBreaker` instances sharing
     one configuration — the engine keys one per degradation seam
-    (``store.build``, ``index.build``, ``plan_cache.get``,
-    ``plan_cache.put``), created on first failure-capable use."""
+    (``store.build``), created on first failure-capable use."""
 
     def __init__(self, clock: Callable[[], float] = monotonic, **defaults):
         self._defaults = defaults

@@ -10,7 +10,6 @@ avoid shadowing the standard library.
 from repro.xmlmodel.nodes import XMLElement, XMLText, new_document, subtree_copy
 from repro.xmlmodel.parser import parse_document, parse_fragment
 from repro.xmlmodel.serialize import serialize, pretty_print
-from repro.xmlmodel.index import DocumentIndex, build_index
 from repro.xmlmodel.store import NodeTable, build_node_table
 
 __all__ = [
@@ -22,8 +21,6 @@ __all__ = [
     "parse_fragment",
     "serialize",
     "pretty_print",
-    "DocumentIndex",
-    "build_index",
     "NodeTable",
     "build_node_table",
 ]

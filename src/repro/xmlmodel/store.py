@@ -25,10 +25,9 @@ that makes structural joins possible:
 * ``first_child[r]`` / ``next_sibling[r]`` encode the child axis as a
   linked scan over rows (``-1`` terminates).
 
-The table is immutable with respect to the document, exactly like
-:class:`~repro.xmlmodel.index.DocumentIndex`: rebuild after structural
-updates (the engine caches both per document and drops both in
-``invalidate``).  ``nodes[r]`` maps a row back to the original node
+The table is immutable with respect to the document: rebuild after
+structural updates (the engine caches one per document and drops it
+in ``invalidate``).  ``nodes[r]`` maps a row back to the original node
 object, so columnar results are the *same* objects the interpreter
 returns.
 """

@@ -68,20 +68,14 @@ class XPathEvaluator:
     One evaluator instance may be reused across queries; ``visits``
     accumulates until :meth:`reset_counters` is called.
 
-    Pass a :class:`repro.xmlmodel.index.DocumentIndex` to enable the
-    indexed fast path for ``//label`` patterns (two binary searches
-    instead of a subtree scan).  Queries over nodes outside the indexed
-    tree silently fall back to scanning.
-
     Pass a :class:`repro.robustness.governor.Budget` to enforce a
     deadline and work budgets cooperatively: every ``_eval`` dispatch
     checkpoints, and the unbounded descendant walk ticks per node, so
     runaway queries terminate with a typed error instead of hanging.
     """
 
-    def __init__(self, index=None, budget=None):
+    def __init__(self, budget=None):
         self.visits = 0
-        self.index = index
         self.budget = budget
 
     def reset_counters(self) -> None:
@@ -129,10 +123,6 @@ class XPathEvaluator:
         if isinstance(path, Slash):
             return self._eval(path.right, self._eval(path.left, contexts))
         if isinstance(path, Descendant):
-            if self.index is not None:
-                fast = self._descendant_fast_path(path.inner, contexts)
-                if fast is not None:
-                    return fast
             return self._eval(path.inner, self._descendants_or_self(contexts))
         if isinstance(path, Union):
             merged: List = []
@@ -220,46 +210,6 @@ class XPathEvaluator:
                 if child.is_text and id(child) not in seen:
                     seen.add(id(child))
                     results.append(child)
-        return results
-
-    def _descendant_fast_path(self, inner, contexts: List):
-        """Indexed evaluation of ``//label`` (optionally qualified):
-        None when the pattern or the contexts do not qualify."""
-        label, qualifiers = _peel_label(inner)
-        if label is None:
-            return None
-        ordered = []
-        seen = set()
-        for node in contexts:
-            if node.is_text:
-                continue
-            if isinstance(node, _VirtualDocumentNode):
-                # the document node sits above the indexed root: its
-                # label-descendants are the root's, plus the root itself
-                root = node.children[0]
-                if not self.index.covers(root):
-                    return None
-                hits = self.index.descendants_with_label(root, label)
-                if root.label == label:
-                    hits = [root] + hits
-            elif not self.index.covers(node):
-                return None  # context outside the indexed tree
-            else:
-                hits = self.index.descendants_with_label(node, label)
-            for element in hits:
-                position = self.index.position(element)
-                if position not in seen:
-                    seen.add(position)
-                    ordered.append((position, element))
-        self.visits += len(ordered)
-        ordered.sort(key=lambda pair: pair[0])
-        results = [element for _, element in ordered]
-        for qualifier in qualifiers:
-            results = [
-                element
-                for element in results
-                if self._test(qualifier, element)
-            ]
         return results
 
     def _descendants_or_self(self, contexts: List) -> List:
@@ -354,22 +304,9 @@ def _document_order(results: List) -> List:
     return sorted(results, key=lambda node: order.get(id(node), -1))
 
 
-def _peel_label(inner):
-    """Decompose ``Label`` / ``Label[q1][q2]...`` into (label name,
-    qualifiers); (None, ()) when the shape does not match."""
-    qualifiers = []
-    current = inner
-    while isinstance(current, Qualified):
-        qualifiers.append(current.qualifier)
-        current = current.path
-    if isinstance(current, Label):
-        return current.name, tuple(reversed(qualifiers))
-    return None, ()
-
-
-def evaluate(path: Path, context, ordered: bool = False, index=None, budget=None) -> List:
+def evaluate(path: Path, context, ordered: bool = False, budget=None) -> List:
     """Module-level convenience wrapper."""
-    return XPathEvaluator(index=index, budget=budget).evaluate(
+    return XPathEvaluator(budget=budget).evaluate(
         path, context, ordered=ordered
     )
 

@@ -7,47 +7,35 @@ cache amortizes rewriting per policy, not per request), so this module
 compiles a :class:`~repro.xpath.ast.Path` once into a tree of step
 *operators* whose dispatch is resolved ahead of time.
 
-Every operator carries **two** execution methods:
-
-* ``run(rt, contexts)`` — the object-tree backend: node-at-a-time over
-  linked ``XMLElement`` objects, bit-for-bit compatible with the
-  interpreter (results, discovery order, *and* the ``visits`` counter);
-* ``run_rows(rt, rows)`` — the columnar backend: set-at-a-time over
-  sorted row-id frontiers of a
-  :class:`~repro.xmlmodel.store.NodeTable`.  Child and descendant
-  steps are merge/interval joins against label posting lists,
-  ``//label`` chains collapse into successive posting slices over
-  merged disjoint intervals, unions are sorted merges, and a frontier
-  is always sorted and duplicate-free — so results arrive in document
-  order with no per-node identity bookkeeping.
+Operators execute set-at-a-time over sorted row-id frontiers of a
+:class:`~repro.xmlmodel.store.NodeTable` (``run_rows`` / ``test_row``).
+Child and descendant steps are merge/interval joins against label
+posting lists, ``//label`` chains collapse into successive posting
+slices over merged disjoint intervals, unions are sorted merges, and a
+frontier is always sorted and duplicate-free — so results arrive in
+document order with no per-node identity bookkeeping.
 
 Design constraints:
 
-* **Semantics parity.**  Each ``run`` operator mirrors the
-  corresponding interpreter branch exactly — including duplicate
-  elimination by node identity, discovery order, and the ``visits``
-  work counter the benchmark harness relies on.  ``CompiledPlan.execute``
-  and ``XPathEvaluator.evaluate`` return identical node lists *and*
-  identical visit counts for the same input.  The columnar backend
-  returns the *same node objects in the same (document) order*; its
-  ``visits`` counter measures columnar work (rows scanned/emitted), so
-  it is comparable across columnar runs but not with the interpreter.
-* **Index awareness.**  A plan is compiled once and executed against
-  many documents.  Whether a :class:`~repro.xmlmodel.index.DocumentIndex`
-  or a :class:`~repro.xmlmodel.store.NodeTable` is available is a
-  property of the *execution*, not the plan: the descendant operator
-  precomputes its ``//label`` fast-path shape at compile time and
-  consults the runtime's index/store when one is attached, falling
-  back to a subtree walk otherwise (or when a context node lies
-  outside the indexed tree).
+* **Semantics parity.**  ``CompiledPlan.execute`` returns the *same
+  node objects in the same (document) order* as
+  ``XPathEvaluator.evaluate(..., ordered=True)``.  The ``visits``
+  counter measures columnar work (rows scanned/emitted), so it is
+  comparable across plan runs but not with the interpreter.
+* **One backend, one fallback.**  A plan is compiled once and executed
+  against many documents; the NodeTable is a property of the
+  *execution*, not the plan.  When the runtime carries no store (its
+  build failed or its breaker is open) or a context node lies outside
+  the store's tree, the plan hands its source path to the reference
+  interpreter, whose visits join the runtime's counter.
 * **Shared accounting.**  A single :class:`PlanRuntime` may be passed
   through several ``execute`` calls (the engine's projected evaluation
   runs one plan per view target); ``visits`` accumulates across them.
 
-Row-space conventions of the columnar backend: frontiers are ascending
-duplicate-free lists of row ids; the virtual document node above the
-root (context of absolute paths) is the pseudo-row ``-1``, whose
-subtree interval is the whole table and whose only child is row 0.
+Row-space conventions: frontiers are ascending duplicate-free lists of
+row ids; the virtual document node above the root (context of
+absolute paths) is the pseudo-row ``-1``, whose subtree interval is
+the whole table and whose only child is row 0.
 """
 
 from __future__ import annotations
@@ -82,22 +70,16 @@ from repro.xpath.ast import (
     Union,
     Wildcard,
 )
-from repro.xpath.evaluator import (
-    _VirtualDocumentNode,
-    _document_order,
-    _peel_label,
-)
+from repro.xpath.evaluator import XPathEvaluator, _VirtualDocumentNode
 
 
 class PlanRuntime:
-    """Per-execution state: the optional document index, the optional
-    columnar :class:`~repro.xmlmodel.store.NodeTable`, the optional
-    per-operator profile collector, and the accumulated visit counter.
+    """Per-execution state: the columnar
+    :class:`~repro.xmlmodel.store.NodeTable` (``None`` sends every
+    execution to the interpreter fallback), the optional per-operator
+    profile collector, and the accumulated visit counter.
 
-    Attaching a ``store`` selects the columnar backend for every
-    execution whose context nodes the store covers; the object-tree
-    backend remains the fallback for foreign contexts.  Attaching a
-    ``profile`` (an :class:`~repro.obs.profile.ProfileCollector`)
+    Attaching a ``profile`` (an :class:`~repro.obs.profile.ProfileCollector`)
     makes every operator report frontier sizes, chosen kernels, and
     qualifier short-circuits at batch granularity; with ``profile``
     left ``None`` the only instrumentation cost is one attribute check
@@ -106,28 +88,26 @@ class PlanRuntime:
     Attaching a ``budget`` (a :class:`~repro.robustness.governor.Budget`)
     makes every operator run a cooperative limit checkpoint at the
     same batch granularity (plus a strided per-node wall-clock check
-    inside the unbounded descendant walks), raising typed
+    inside the unbounded descendant scans), raising typed
     ``E_DEADLINE``/``E_BUDGET`` errors; left ``None``, the cost is the
     same single attribute check as an absent profile.
 
     Attaching a ``scan_cache`` (a plain dict, shared across the
-    runtimes of one batch) memoizes the columnar postings scans: a
-    child or ``//label`` step keyed by ``(kind, label, frontier)``
-    returns its previous output frontier without touching the posting
-    lists again.  Sound because a posting slice is a pure function of
-    the store, the label, and the input frontier — plans from
-    *different* queries that reach the same label with the same
-    frontier (the common ``//a/...`` prefix case in a batch) share one
-    scan.  The cache holds row ids, which are deterministic for a
-    given document (preorder), so entries stay valid even across a
-    NodeTable rebuild of the same document mid-batch."""
+    runtimes of one batch) memoizes the postings scans: a child or
+    ``//label`` step keyed by ``(kind, label, frontier)`` returns its
+    previous output frontier without touching the posting lists again.
+    Sound because a posting slice is a pure function of the store, the
+    label, and the input frontier — plans from *different* queries
+    that reach the same label with the same frontier (the common
+    ``//a/...`` prefix case in a batch) share one scan.  The cache
+    holds row ids, which are deterministic for a given document
+    (preorder), so entries stay valid even across a NodeTable rebuild
+    of the same document mid-batch."""
 
-    __slots__ = ("index", "store", "visits", "profile", "budget",
-                 "scan_cache")
+    __slots__ = ("store", "visits", "profile", "budget", "scan_cache")
 
-    def __init__(self, index=None, store=None, profile=None, budget=None,
+    def __init__(self, store=None, profile=None, budget=None,
                  scan_cache=None):
-        self.index = index
         self.store = store
         self.visits = 0
         self.profile = profile
@@ -156,9 +136,6 @@ _CHILD_JOIN_FANOUT = 4
 class _Op:
     __slots__ = ()
 
-    def run(self, rt: PlanRuntime, contexts: List) -> List:
-        raise NotImplementedError
-
     def run_rows(self, rt: PlanRuntime, rows: List[int]) -> List[int]:
         """Columnar execution: map a sorted duplicate-free frontier of
         :class:`~repro.xmlmodel.store.NodeTable` rows to the sorted
@@ -175,9 +152,6 @@ def _strip_virtual(rows: List[int]) -> List[int]:
 class EmptyOp(_Op):
     __slots__ = ()
 
-    def run(self, rt, contexts):
-        return []
-
     def run_rows(self, rt, rows):
         return []
 
@@ -186,9 +160,6 @@ class SelfOp(_Op):
     """``.`` — the epsilon path."""
 
     __slots__ = ()
-
-    def run(self, rt, contexts):
-        return contexts
 
     def run_rows(self, rt, rows):
         return rows
@@ -199,31 +170,6 @@ class LabelOp(_Op):
 
     def __init__(self, name: str):
         self.name = name
-
-    def run(self, rt, contexts):
-        name = self.name
-        results: List = []
-        seen = set()
-        for node in contexts:
-            if node.is_text:
-                continue
-            for child in node.children:
-                rt.visits += 1
-                if (
-                    child.is_element
-                    and child.label == name
-                    and id(child) not in seen
-                ):
-                    seen.add(id(child))
-                    results.append(child)
-        budget = rt.budget
-        if budget is not None:
-            budget.checkpoint(rt.visits, len(results))
-        if rt.profile is not None:
-            rt.profile.record(
-                self, len(contexts), len(results), kernel="object-walk"
-            )
-        return results
 
     def run_rows(self, rt, rows):
         """Child step as a merge join between the frontier and the
@@ -307,26 +253,6 @@ class LabelOp(_Op):
 class WildcardOp(_Op):
     __slots__ = ()
 
-    def run(self, rt, contexts):
-        results: List = []
-        seen = set()
-        for node in contexts:
-            if node.is_text:
-                continue
-            for child in node.children:
-                rt.visits += 1
-                if child.is_element and id(child) not in seen:
-                    seen.add(id(child))
-                    results.append(child)
-        budget = rt.budget
-        if budget is not None:
-            budget.checkpoint(rt.visits, len(results))
-        if rt.profile is not None:
-            rt.profile.record(
-                self, len(contexts), len(results), kernel="object-walk"
-            )
-        return results
-
     def run_rows(self, rt, rows):
         store = rt.store
         rows_in = len(rows)
@@ -360,26 +286,6 @@ class WildcardOp(_Op):
 class TextOp(_Op):
     __slots__ = ()
 
-    def run(self, rt, contexts):
-        results: List = []
-        seen = set()
-        for node in contexts:
-            if node.is_text:
-                continue
-            for child in node.children:
-                rt.visits += 1
-                if child.is_text and id(child) not in seen:
-                    seen.add(id(child))
-                    results.append(child)
-        budget = rt.budget
-        if budget is not None:
-            budget.checkpoint(rt.visits, len(results))
-        if rt.profile is not None:
-            rt.profile.record(
-                self, len(contexts), len(results), kernel="object-walk"
-            )
-        return results
-
     def run_rows(self, rt, rows):
         store = rt.store
         rows_in = len(rows)
@@ -408,28 +314,6 @@ class TextOp(_Op):
 class ParentOp(_Op):
     __slots__ = ()
 
-    def run(self, rt, contexts):
-        results: List = []
-        seen = set()
-        for node in contexts:
-            parent = node.parent
-            rt.visits += 1
-            if (
-                parent is not None
-                and not isinstance(parent, _VirtualDocumentNode)
-                and id(parent) not in seen
-            ):
-                seen.add(id(parent))
-                results.append(parent)
-        budget = rt.budget
-        if budget is not None:
-            budget.checkpoint(rt.visits, len(results))
-        if rt.profile is not None:
-            rt.profile.record(
-                self, len(contexts), len(results), kernel="object-walk"
-            )
-        return results
-
     def run_rows(self, rt, rows):
         store = rt.store
         parent = store.parent
@@ -441,7 +325,7 @@ class ParentOp(_Op):
                 continue
             up = parent[row]
             # the root's parent is the virtual document node: excluded,
-            # matching the object backend
+            # matching the interpreter
             if up != VIRTUAL_ROW and up not in seen:
                 seen.add(up)
                 out.append(up)
@@ -461,17 +345,15 @@ class SlashOp(_Op):
         self.left = left
         self.right = right
 
-    def run(self, rt, contexts):
-        return self.right.run(rt, self.left.run(rt, contexts))
-
     def run_rows(self, rt, rows):
         return self.right.run_rows(rt, self.left.run_rows(rt, rows))
 
 
 class DescendantOp(_Op):
-    """``//p``: walks descendant-or-self, or — when the inner path has
-    the ``label[q1][q2]...`` shape and an index is attached — answers
-    via two binary searches per context."""
+    """``//p``: when the inner path has the ``label[q1][q2]...`` shape,
+    slices the label's posting list with two binary searches per
+    context span; otherwise scans the spans and runs ``inner`` on the
+    descendant-or-self frontier."""
 
     __slots__ = ("inner", "fast_label", "fast_qualifiers")
 
@@ -479,87 +361,6 @@ class DescendantOp(_Op):
         self.inner = inner
         self.fast_label = fast_label
         self.fast_qualifiers = tuple(fast_qualifiers)
-
-    def run(self, rt, contexts):
-        budget = rt.budget
-        if rt.index is not None and self.fast_label is not None:
-            fast = self._fast(rt, contexts)
-            if fast is not None:
-                if budget is not None:
-                    budget.checkpoint(rt.visits, len(fast))
-                if rt.profile is not None:
-                    rt.profile.record(
-                        self, len(contexts), len(fast), kernel="index-posting"
-                    )
-                return fast
-        results = self.inner.run(rt, self._descendants_or_self(rt, contexts))
-        if budget is not None:
-            budget.checkpoint(rt.visits, len(results))
-        if rt.profile is not None:
-            rt.profile.record(
-                self, len(contexts), len(results), kernel="subtree-walk"
-            )
-        return results
-
-    def _fast(self, rt, contexts):
-        index = rt.index
-        label = self.fast_label
-        ordered = []
-        seen = set()
-        for node in contexts:
-            if node.is_text:
-                continue
-            if isinstance(node, _VirtualDocumentNode):
-                root = node.children[0]
-                if not index.covers(root):
-                    return None
-                hits = index.descendants_with_label(root, label)
-                if root.label == label:
-                    hits = [root] + hits
-            elif not index.covers(node):
-                return None  # context outside the indexed tree
-            else:
-                hits = index.descendants_with_label(node, label)
-            for element in hits:
-                position = index.position(element)
-                if position not in seen:
-                    seen.add(position)
-                    ordered.append((position, element))
-        rt.visits += len(ordered)
-        ordered.sort(key=lambda pair: pair[0])
-        results = [element for _, element in ordered]
-        for qualifier in self.fast_qualifiers:
-            results = [
-                element
-                for element in results
-                if qualifier.test(rt, element)
-            ]
-        return results
-
-    @staticmethod
-    def _descendants_or_self(rt, contexts):
-        budget = rt.budget
-        results: List = []
-        seen = set()
-        for origin in contexts:
-            if origin.is_text:
-                continue
-            if id(origin) in seen:
-                continue
-            stack = [origin]
-            while stack:
-                node = stack.pop()
-                if id(node) in seen:
-                    continue
-                seen.add(id(node))
-                results.append(node)
-                rt.visits += 1
-                if budget is not None:
-                    budget.tick()
-                for child in reversed(node.children):
-                    if child.is_element:
-                        stack.append(child)
-        return results
 
     def run_rows(self, rt, rows):
         """``//``-step as an interval join: the (nested-or-disjoint)
@@ -689,23 +490,6 @@ class UnionOp(_Op):
     def __init__(self, branches):
         self.branches = tuple(branches)
 
-    def run(self, rt, contexts):
-        merged: List = []
-        seen = set()
-        for branch in self.branches:
-            for node in branch.run(rt, contexts):
-                if id(node) not in seen:
-                    seen.add(id(node))
-                    merged.append(node)
-        budget = rt.budget
-        if budget is not None:
-            budget.checkpoint(rt.visits, len(merged))
-        if rt.profile is not None:
-            rt.profile.record(
-                self, len(contexts), len(merged), kernel="object-walk"
-            )
-        return merged
-
     def run_rows(self, rt, rows):
         """Union as a sorted merge of the branch frontiers."""
         outputs = [branch.run_rows(rt, rows) for branch in self.branches]
@@ -734,21 +518,6 @@ class FilterOp(_Op):
     def __init__(self, path: _Op, qualifier: "_QOp"):
         self.path = path
         self.qualifier = qualifier
-
-    def run(self, rt, contexts):
-        qualifier = self.qualifier
-        candidates = self.path.run(rt, contexts)
-        results = [
-            node
-            for node in candidates
-            if not node.is_text and qualifier.test(rt, node)
-        ]
-        budget = rt.budget
-        if budget is not None:
-            budget.checkpoint(rt.visits, len(results))
-        if rt.profile is not None:
-            rt.profile.record(self, len(candidates), len(results))
-        return results
 
     def run_rows(self, rt, rows):
         """Batched qualification: the qualifier runs once per candidate
@@ -779,22 +548,6 @@ class AbsoluteOp(_Op):
     def __init__(self, inner: _Op):
         self.inner = inner
 
-    def run(self, rt, contexts):
-        roots = []
-        seen = set()
-        for node in contexts:
-            root = node
-            while root.parent is not None:
-                root = root.parent
-            if id(root) not in seen:
-                seen.add(id(root))
-                roots.append(root)
-        shims = [_VirtualDocumentNode(root) for root in roots]
-        results = self.inner.run(rt, shims)
-        if rt.profile is not None:
-            rt.profile.record(self, len(contexts), len(results))
-        return results
-
     def run_rows(self, rt, rows):
         # all covered rows share one tree, so the root set collapses to
         # the single virtual document pseudo-row
@@ -824,9 +577,6 @@ def _merge_sorted(outputs: List[List[int]]) -> List[int]:
 class _QOp:
     __slots__ = ()
 
-    def test(self, rt: PlanRuntime, node) -> bool:
-        raise NotImplementedError
-
     def test_row(self, rt: PlanRuntime, row: int) -> bool:
         """Columnar qualification of one candidate row; nested paths
         run through the columnar kernels."""
@@ -839,9 +589,6 @@ class BoolQOp(_QOp):
     def __init__(self, value: bool):
         self.value = value
 
-    def test(self, rt, node):
-        return self.value
-
     def test_row(self, rt, row):
         return self.value
 
@@ -851,12 +598,6 @@ class ExistsQOp(_QOp):
 
     def __init__(self, path: _Op):
         self.path = path
-
-    def test(self, rt, node):
-        passed = bool(self.path.run(rt, [node]))
-        if rt.profile is not None:
-            rt.profile.record(self, 1, 1 if passed else 0)
-        return passed
 
     def test_row(self, rt, row):
         passed = bool(self.path.run_rows(rt, [row]))
@@ -871,22 +612,6 @@ class EqualsQOp(_QOp):
     def __init__(self, path: _Op, value):
         self.path = path
         self.value = value
-
-    def test(self, rt, node):
-        value = self.value
-        if isinstance(value, Param):
-            raise XPathEvaluationError(
-                "unbound parameter $%s during evaluation" % value.name
-            )
-        passed = False
-        for selected in self.path.run(rt, [node]):
-            rt.visits += 1
-            if selected.string_value() == value:
-                passed = True
-                break
-        if rt.profile is not None:
-            rt.profile.record(self, 1, 1 if passed else 0)
-        return passed
 
     def test_row(self, rt, row):
         value = self.value
@@ -914,18 +639,6 @@ class AttrQOp(_QOp):
     def __init__(self, path: _Op, name: str):
         self.path = path
         self.name = name
-
-    def test(self, rt, node):
-        name = self.name
-        passed = False
-        for selected in self.path.run(rt, [node]):
-            rt.visits += 1
-            if selected.is_element and name in selected.attributes:
-                passed = True
-                break
-        if rt.profile is not None:
-            rt.profile.record(self, 1, 1 if passed else 0)
-        return passed
 
     def test_row(self, rt, row):
         name = self.name
@@ -955,26 +668,6 @@ class AttrEqualsQOp(_QOp):
         self.path = path
         self.name = name
         self.value = value
-
-    def test(self, rt, node):
-        value = self.value
-        if isinstance(value, Param):
-            raise XPathEvaluationError(
-                "unbound parameter $%s during evaluation" % value.name
-            )
-        name = self.name
-        passed = False
-        for selected in self.path.run(rt, [node]):
-            rt.visits += 1
-            if (
-                selected.is_element
-                and selected.attributes.get(name) == value
-            ):
-                passed = True
-                break
-        if rt.profile is not None:
-            rt.profile.record(self, 1, 1 if passed else 0)
-        return passed
 
     def test_row(self, rt, row):
         value = self.value
@@ -1009,13 +702,6 @@ class AndQOp(_QOp):
         self.left = left
         self.right = right
 
-    def test(self, rt, node):
-        if not self.left.test(rt, node):
-            if rt.profile is not None:
-                rt.profile.short_circuit(self)
-            return False
-        return self.right.test(rt, node)
-
     def test_row(self, rt, row):
         if not self.left.test_row(rt, row):
             if rt.profile is not None:
@@ -1031,13 +717,6 @@ class OrQOp(_QOp):
         self.left = left
         self.right = right
 
-    def test(self, rt, node):
-        if self.left.test(rt, node):
-            if rt.profile is not None:
-                rt.profile.short_circuit(self)
-            return True
-        return self.right.test(rt, node)
-
     def test_row(self, rt, row):
         if self.left.test_row(rt, row):
             if rt.profile is not None:
@@ -1052,9 +731,6 @@ class NotQOp(_QOp):
     def __init__(self, inner: _QOp):
         self.inner = inner
 
-    def test(self, rt, node):
-        return not self.inner.test(rt, node)
-
     def test_row(self, rt, row):
         return not self.inner.test_row(rt, row)
 
@@ -1068,6 +744,19 @@ class NotQOp(_QOp):
 # profile collectors — which key operator stats by identity — attribute
 # work to one plan position each.  Plans are cached, so the extra
 # allocations happen once per distinct query.
+
+
+def _peel_label(inner):
+    """Decompose ``Label`` / ``Label[q1][q2]...`` into (label name,
+    qualifiers); (None, ()) when the shape does not match."""
+    qualifiers = []
+    current = inner
+    while isinstance(current, Qualified):
+        qualifiers.append(current.qualifier)
+        current = current.path
+    if isinstance(current, Label):
+        return current.name, tuple(reversed(qualifiers))
+    return None, ()
 
 
 def _compile_path(path: Path) -> _Op:
@@ -1135,8 +824,8 @@ class CompiledPlan:
     """An executable plan for one :class:`~repro.xpath.ast.Path`.
 
     A plan is immutable and document-independent: compile once per
-    (rewritten, optimized) query, execute against any document, with
-    or without an attached index."""
+    (rewritten, optimized) query, execute against any document's
+    NodeTable."""
 
     __slots__ = ("path", "_op", "operator_count")
 
@@ -1160,54 +849,50 @@ class CompiledPlan:
     def execute(
         self,
         context,
-        index=None,
-        ordered: bool = False,
         runtime: Optional[PlanRuntime] = None,
         store=None,
     ) -> List:
-        """Evaluate the plan at a context node (or list of nodes).
+        """Evaluate the plan at a context node (or list of nodes);
+        results come back duplicate-free in document order.
 
-        Pass a :class:`PlanRuntime` to share visit accounting (and an
-        index or columnar store) across several plan executions;
-        otherwise a fresh runtime wrapping ``index``/``store`` is used.
+        Pass a :class:`PlanRuntime` to share visit accounting (and the
+        store) across several plan executions; otherwise a fresh
+        runtime wrapping ``store`` is used.
 
-        With a :class:`~repro.xmlmodel.store.NodeTable` attached the
-        plan runs on the columnar backend — set-at-a-time kernels over
-        sorted row frontiers — and falls back to the object backend
+        The plan runs its columnar kernels over the runtime's
+        :class:`~repro.xmlmodel.store.NodeTable`.  Without a store, or
         for contexts the store does not cover (e.g. nodes of a
-        different tree)."""
-        rt = runtime if runtime is not None else PlanRuntime(index, store)
+        different tree), the reference interpreter answers instead."""
+        rt = runtime if runtime is not None else PlanRuntime(store)
         contexts = context if isinstance(context, list) else [context]
-        if rt.store is not None:
-            rows = self._rows_for(rt.store, contexts)
-            if rows is not None:
-                nodes = rt.store.nodes
-                return [
-                    nodes[row]
-                    for row in self._op.run_rows(rt, rows)
-                    if row != VIRTUAL_ROW
-                ]
-            # a context outside the store's tree: the whole execution
-            # falls back to the object backend (observable — it is the
-            # usual reason a "columnar" run is unexpectedly slow)
-            if rt.profile is not None:
-                rt.profile.event("object-backend-fallback")
-            _metric_record("columnar.object_backend_fallbacks")
-        results = self._op.run(rt, contexts)
-        results = [
-            node
-            for node in results
-            if not isinstance(node, _VirtualDocumentNode)
+        store = rt.store
+        rows = self._rows_for(store, contexts) if store is not None else None
+        if rows is None:
+            return self._interpret(rt, contexts)
+        nodes = store.nodes
+        return [
+            nodes[row]
+            for row in self._op.run_rows(rt, rows)
+            if row != VIRTUAL_ROW
         ]
-        if ordered and results:
-            results = self._order(results, rt.index)
+
+    def _interpret(self, rt: PlanRuntime, contexts: List) -> List:
+        """The fallback: the reference interpreter evaluates the plan's
+        source path (observable — it is the usual reason a query runs
+        unexpectedly slow)."""
+        if rt.profile is not None:
+            rt.profile.event("interpreter-fallback")
+        _metric_record("plan.interpreter_fallbacks")
+        evaluator = XPathEvaluator(budget=rt.budget)
+        results = evaluator.evaluate(self.path, contexts, ordered=True)
+        rt.visits += evaluator.visits
         return results
 
     @staticmethod
     def _rows_for(store, contexts) -> Optional[List[int]]:
         """Map context nodes to a sorted duplicate-free row frontier;
         ``None`` when any context lies outside the store's tree (the
-        caller then falls back to the object backend)."""
+        caller then falls back to the interpreter)."""
         rows = set()
         for node in contexts:
             if isinstance(node, _VirtualDocumentNode):
@@ -1221,12 +906,6 @@ class CompiledPlan:
                     return None
                 rows.add(row)
         return sorted(rows)
-
-    @staticmethod
-    def _order(results: List, index) -> List:
-        if index is not None and all(index.covers(node) for node in results):
-            return index.document_order_sort(results)
-        return _document_order(results)
 
 
 # ---------------------------------------------------------------------------

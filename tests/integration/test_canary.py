@@ -94,7 +94,7 @@ class TestInjectedLeak:
         # warm the cache so the compiled entry (and its per-target
         # projected plans) exist ...
         engine.query("nurse", self.QUERY, document)
-        key = ("nurse", self.QUERY, True, None, "virtual", False)
+        key = ("nurse", self.QUERY, True, None)
         compiled = engine._plan_cache.get(key)
         assert compiled is not None and compiled.projected
         # ... then swap every projected plan for the leaky one,

@@ -14,7 +14,13 @@ from repro.core.engine import SecureQueryEngine
 from repro.core.options import ExecutionOptions
 from repro.errors import FaultInjected, ReproError
 from repro.obs import RingBufferSink
-from repro.robustness import FaultPlan, FaultSpec, FaultySink, QueryLimits
+from repro.robustness import (
+    SEAM_FALLBACKS,
+    FaultPlan,
+    FaultSpec,
+    FaultySink,
+    QueryLimits,
+)
 from repro.robustness.faults import SITES, active_plan
 from repro.workloads.adex import adex_document, adex_dtd, adex_spec
 from repro.workloads.hospital import hospital_document, hospital_dtd, nurse_spec
@@ -104,10 +110,7 @@ class TestSeamFaults:
         engine, policy, document, queries = WORKLOADS[workload]()
         canary = engine.enable_canary(sample_rate=1.0)
         plan = FaultPlan(
-            FaultSpec("store.build", every=1),
-            FaultSpec("index.build", every=1),
-            FaultSpec("plan_cache.get", every=1),
-            FaultSpec("plan_cache.put", every=1),
+            *(FaultSpec(seam, every=1) for seam in SEAM_FALLBACKS),
             name="total-accelerator-outage",
         )
         with plan:
@@ -115,8 +118,11 @@ class TestSeamFaults:
         # every degradable accelerator down: answers must not change
         assert chaotic == baseline
         assert canary.violations == 0
+        if strategy != "materialized":  # the one path that builds a store
+            assert plan.fired() >= 1
+            assert not engine._stores
 
-    @pytest.mark.parametrize("site", ["store.build", "plan_cache.get"])
+    @pytest.mark.parametrize("site", ["store.build", "materialize"])
     def test_rate_faults_replay_deterministically(self, site):
         def one_run():
             engine, policy, document, queries = hospital_setup()

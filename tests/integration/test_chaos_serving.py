@@ -186,7 +186,7 @@ class TestChaosDeterminism:
 
 
 class TestBreakersUnderChaos:
-    def test_plan_cache_breaker_opens_and_recloses(self):
+    def test_store_build_breaker_opens_and_recloses(self):
         from repro.serving.resilience import BreakerBoard
 
         catalog = standard_catalog(seed=0)
@@ -203,15 +203,12 @@ class TestBreakersUnderChaos:
         )
         try:
             with QueryServer(catalog, workers=1) as server:
-                with FaultPlan(
-                    FaultSpec("plan_cache.get", every=1),
-                    FaultSpec("plan_cache.put", every=1),
-                ):
+                with FaultPlan(FaultSpec("store.build", every=1)):
                     for _ in range(4):
                         assert server.query(request, timeout=30).ok
-                # repeated seam failures opened the breakers
+                # repeated seam failures opened the breaker
                 opened = board.open_names()
-                assert "plan_cache.get" in opened
+                assert "store.build" in opened
                 # fault gone: wait out the backoff, probes re-close
                 deadline = threading.Event()
                 for _ in range(50):
@@ -220,7 +217,7 @@ class TestBreakersUnderChaos:
                     deadline.wait(0.06)
                     assert server.query(request, timeout=30).ok
                 assert board.open_names() == ()
-                assert board.breaker("plan_cache.get").reclosed >= 1
+                assert board.breaker("store.build").reclosed >= 1
         finally:
             engine.breakers = saved
 
@@ -239,7 +236,7 @@ class TestBreakersUnderChaos:
         request = QueryRequest(
             policy="nurse", query="//patient/name", document="hospital"
         )
-        plan = FaultPlan(FaultSpec("plan_cache.get", every=1))
+        plan = FaultPlan(FaultSpec("store.build", every=1))
         try:
             with QueryServer(catalog, workers=1) as server:
                 with plan:
@@ -247,8 +244,8 @@ class TestBreakersUnderChaos:
                         assert server.query(request, timeout=30).ok
                 # only the first call paid the failing seam; the rest
                 # short-circuited without tripping the fault site
-                assert plan.calls("plan_cache.get") == 1
-                assert board.breaker("plan_cache.get").short_circuits >= 4
+                assert plan.calls("store.build") == 1
+                assert board.breaker("store.build").short_circuits >= 4
         finally:
             engine.breakers = saved
 

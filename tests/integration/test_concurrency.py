@@ -42,8 +42,7 @@ OPTION_MATRIX = (
     ExecutionOptions(),
     ExecutionOptions(strategy="columnar"),
     ExecutionOptions(strategy="materialized"),
-    ExecutionOptions(use_index=True),
-    ExecutionOptions(strategy="columnar", use_index=True),
+    ExecutionOptions(project=False),
     ExecutionOptions(use_cache=False),
 )
 
@@ -121,12 +120,12 @@ class TestConcurrentQuerying:
         _hammer(worker)
 
     def test_cold_cache_stampede_builds_once_each(self):
-        """All threads racing the same cold (store, index, plan) keys:
+        """All threads racing the same cold (store, plan) keys:
         answers agree and the immutable-after-build caches hold exactly
         one artifact per key afterwards."""
         engine = _build_engine()
         document = hospital_document(seed=3, max_branch=4)
-        options = ExecutionOptions(strategy="columnar", use_index=True)
+        options = ExecutionOptions()
         expected = _canonical(
             _build_engine().query(
                 "nurse", "//patient//bill", document, options=options
@@ -141,7 +140,7 @@ class TestConcurrentQuerying:
 
         _hammer(worker)
         assert len(engine._stores) == 1
-        assert len(engine._indexes) == 1
+        assert len(engine.plan_cache) == 1
 
     def test_query_batch_from_many_threads(self):
         engine = _build_engine()
@@ -195,7 +194,7 @@ class TestAdminRaces:
         engine stays usable afterwards."""
         engine = _build_engine()
         document = hospital_document(seed=7, max_branch=4)
-        options = ExecutionOptions(strategy="columnar", use_index=True)
+        options = ExecutionOptions()
         expected = _canonical(
             _build_engine().query(
                 "nurse", "//patient/name", document, options=options

@@ -1,11 +1,25 @@
-"""Property: the columnar backend is answer-preserving.
+"""Property: the default plan path answers exactly like its references.
 
-For random DAG DTDs, random Y/N policies, random conforming documents,
-and random fragment-``C`` queries (with qualifiers), executing
-set-at-a-time over the :class:`~repro.xmlmodel.store.NodeTable` returns
-exactly the interpreter's node list — node-for-node, in document order
-— both at the raw plan layer and through the engine.  The workload
-queries (Adex Q1-Q4, the hospital suite) are pinned explicitly."""
+The engine runs every view query as a compiled plan over the
+document's columnar :class:`~repro.xmlmodel.store.NodeTable`.  Three
+references pin its answers:
+
+* the interpreter (:class:`~repro.xpath.evaluator.XPathEvaluator`) for
+  the rewritten document query — node-for-node, in document order;
+* the materialization oracle — the view query evaluated over the
+  materialized view tree ``Tv``, the paper's definition of the answer;
+* the engine's own degraded path — the interpreter fallback taken when
+  a ``store.build`` fault leaves the query without a NodeTable.
+
+Random DAG DTDs, random Y/N policies, random conforming documents, and
+random fragment-``C`` queries (with qualifiers) exercise the plan and
+engine layers.  The workload queries (Adex Q1-Q4, the hospital suite)
+are pinned on every surface: direct, batch, ``execute_request``,
+``QueryServer``, and HTTP."""
+
+import json
+import threading
+import urllib.request
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +28,10 @@ from hypothesis import strategies as st
 from repro.core.engine import SecureQueryEngine
 from repro.core.options import ExecutionOptions
 from repro.dtd.generator import DocumentGenerator
+from repro.robustness.faults import FaultPlan, FaultSpec
+from repro.serving.httpd import make_http_server
+from repro.serving.protocol import QueryRequest
+from repro.serving.server import EngineCatalog, QueryServer
 from repro.workloads.adex import adex_engine
 from repro.workloads.documents import dataset
 from repro.workloads.hospital import nurse_engine
@@ -29,10 +47,9 @@ from tests.property.strategies import (
     path_strategy,
 )
 
-VIRTUAL = ExecutionOptions()
-COLUMNAR = ExecutionOptions(strategy="columnar")
-VIRTUAL_RAW = ExecutionOptions(project=False)
-COLUMNAR_RAW = ExecutionOptions(project=False, strategy="columnar")
+COLUMNAR = ExecutionOptions(strategy="columnar")  # the legacy alias
+RAW = ExecutionOptions(project=False)
+MATERIALIZED = ExecutionOptions(strategy="materialized")
 
 
 def _rendered(values):
@@ -57,7 +74,7 @@ def test_columnar_plan_matches_interpreter(data):
     expected = XPathEvaluator().evaluate(query, document, ordered=True)
     store = build_node_table(document)
     actual = compile_path(query).execute(
-        document, runtime=PlanRuntime(store=store), ordered=True
+        document, runtime=PlanRuntime(store=store)
     )
     assert [id(node) for node in actual] == [id(node) for node in expected]
 
@@ -79,7 +96,7 @@ def test_columnar_plan_matches_interpreter_at_inner_contexts(data):
     )
     store = build_node_table(document)
     actual = compile_path(query).execute(
-        list(contexts), runtime=PlanRuntime(store=store), ordered=True
+        list(contexts), runtime=PlanRuntime(store=store)
     )
     assert [id(node) for node in actual] == [id(node) for node in expected]
 
@@ -87,8 +104,11 @@ def test_columnar_plan_matches_interpreter_at_inner_contexts(data):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_columnar_engine_is_answer_preserving(data):
-    """Engine layer: random policy + random query, columnar answers ==
-    virtual answers (projected renderings and raw node identities)."""
+    """Engine layer: random policy + random query.  The default path
+    equals the materialization oracle (as a set of renderings), its raw
+    answer is the interpreter's node list for the rewritten query, and
+    the legacy ``"columnar"`` alias and the ``store.build``-degraded
+    interpreter path both return the default answer exactly."""
     dtd = data.draw(dag_dtd_strategy())
     spec = data.draw(annotation_strategy(dtd))
     seed = data.draw(st.integers(0, 500))
@@ -99,56 +119,92 @@ def test_columnar_engine_is_answer_preserving(data):
     engine = SecureQueryEngine(dtd)
     engine.register_policy("p", spec)
 
-    virtual = engine.query("p", query, document, VIRTUAL)
-    columnar = engine.query("p", query, document, COLUMNAR)
-    assert _rendered(columnar) == _rendered(virtual)
-    assert columnar.report.strategy == "columnar"
-    assert columnar.report.result_count == virtual.report.result_count
+    default = engine.query("p", query, document)
+    oracle = engine.query("p", query, document, MATERIALIZED)
+    assert sorted(_rendered(default)) == sorted(_rendered(oracle))
+    alias = engine.query("p", query, document, COLUMNAR)
+    assert _rendered(alias) == _rendered(default)
+    assert alias.report.strategy == "virtual"
 
-    raw_virtual = engine.query("p", query, document, VIRTUAL_RAW)
-    raw_columnar = engine.query("p", query, document, COLUMNAR_RAW)
-    assert [id(node) for node in raw_columnar] == [
-        id(node) for node in raw_virtual
-    ]
+    raw = engine.query("p", query, document, RAW)
+    expected = XPathEvaluator().evaluate(
+        raw.report.optimized, document, ordered=True
+    )
+    assert [id(node) for node in raw] == [id(node) for node in expected]
+
+    degraded = SecureQueryEngine(dtd)
+    degraded.register_policy("p", spec)
+    with FaultPlan(FaultSpec("store.build", every=1)):
+        fallback = degraded.query("p", query, document)
+    assert not degraded._stores
+    assert _rendered(fallback) == _rendered(default)
+
+
+def _post(base, payload):
+    request = urllib.request.Request(
+        base + "/query",
+        data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    with urllib.request.urlopen(request, timeout=30) as reply:
+        return json.loads(reply.read())
+
+
+def _served(engine, document):
+    """(engine, document, QueryServer, HTTP base URL) for one workload,
+    torn down after the module."""
+    catalog = EngineCatalog().add("doc", engine, document)
+    server = QueryServer(catalog, workers=2)
+    server.start()
+    httpd = make_http_server(server, port=0)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    base = "http://127.0.0.1:%d" % httpd.server_address[1]
+    try:
+        yield engine, document, server, base
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5)
+        server.stop()
 
 
 @pytest.fixture(scope="module")
 def adex():
-    return adex_engine(), dataset("D1", scale=0.05)
+    yield from _served(adex_engine(), dataset("D1", scale=0.05))
 
 
 @pytest.fixture(scope="module")
 def hospital():
     from repro.workloads.hospital import hospital_document
 
-    return nurse_engine(), hospital_document(seed=13, max_branch=4)
+    yield from _served(nurse_engine(), hospital_document(seed=13, max_branch=4))
+
+
+def _every_surface_agrees(served, query):
+    """The default answer equals the materialization oracle, and every
+    serving surface returns it in the same order."""
+    engine, document, server, base = served
+    policy = engine.policies()[0]
+    direct = _rendered(engine.query(policy, query, document))
+    oracle = _rendered(engine.query(policy, query, document, MATERIALIZED))
+    assert sorted(direct) == sorted(oracle)
+    batch = engine.query_batch(policy, [query, query], document)
+    assert [_rendered(result) for result in batch] == [direct, direct]
+    request = QueryRequest(policy=policy, query=query, document="doc")
+    assert list(engine.execute_request(request, document).results) == direct
+    response = server.query(request, timeout=30)
+    assert response.ok and list(response.results) == direct
+    body = _post(base, {"policy": policy, "query": query, "document": "doc"})
+    assert body["ok"] and body["results"] == direct
 
 
 @pytest.mark.parametrize("name", sorted(ADEX_QUERY_TEXTS))
 def test_adex_queries_agree(adex, name):
-    engine, document = adex
-    policy = engine.policies()[0]
-    query = ADEX_QUERY_TEXTS[name]
-    virtual = engine.query(policy, query, document, VIRTUAL)
-    columnar = engine.query(policy, query, document, COLUMNAR)
-    assert _rendered(columnar) == _rendered(virtual), name
-    raw_virtual = engine.query(policy, query, document, VIRTUAL_RAW)
-    raw_columnar = engine.query(policy, query, document, COLUMNAR_RAW)
-    assert [id(node) for node in raw_columnar] == [
-        id(node) for node in raw_virtual
-    ], name
+    _every_surface_agrees(adex, ADEX_QUERY_TEXTS[name])
 
 
 @pytest.mark.parametrize("name", sorted(HOSPITAL_QUERY_TEXTS))
 def test_hospital_queries_agree(hospital, name):
-    engine, document = hospital
-    policy = engine.policies()[0]
-    query = HOSPITAL_QUERY_TEXTS[name]
-    virtual = engine.query(policy, query, document, VIRTUAL)
-    columnar = engine.query(policy, query, document, COLUMNAR)
-    assert _rendered(columnar) == _rendered(virtual), name
-    raw_virtual = engine.query(policy, query, document, VIRTUAL_RAW)
-    raw_columnar = engine.query(policy, query, document, COLUMNAR_RAW)
-    assert [id(node) for node in raw_columnar] == [
-        id(node) for node in raw_virtual
-    ], name
+    _every_surface_agrees(hospital, HOSPITAL_QUERY_TEXTS[name])

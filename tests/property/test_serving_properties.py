@@ -130,14 +130,14 @@ def test_execute_batch_matches_individual_requests(queries, seed):
     st.booleans(),
     st.sampled_from(["virtual", "columnar", "materialized"]),
 )
-def test_request_round_trip_total(label, tenant, use_index, strategy):
+def test_request_round_trip_total(label, tenant, use_cache, strategy):
     """to_dict/from_dict is the identity for any representable request."""
     request = QueryRequest(
         policy="nurse",
         query="//%s" % label,
         document="hospital",
         tenant=tenant,
-        options=ExecutionOptions(strategy=strategy, use_index=use_index),
+        options=ExecutionOptions(strategy=strategy, use_cache=use_cache),
         request_id=tenant[::-1],
     )
     assert QueryRequest.from_dict(request.to_dict()) == request

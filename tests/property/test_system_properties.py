@@ -213,27 +213,3 @@ def test_optimize_equivalence_random_queries(query, seed):
     expected = sorted(id(n) for n in evaluator.evaluate(query, document))
     actual = sorted(id(n) for n in evaluator.evaluate(optimized, document))
     assert expected == actual
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.data())
-def test_indexed_evaluation_equivalent(data):
-    """The indexed fast path never changes an answer."""
-    from repro.xmlmodel.index import build_index
-
-    dtd = data.draw(dag_dtd_strategy())
-    seed = data.draw(st.integers(0, 300))
-    document = DocumentGenerator(dtd, seed=seed, max_branch=3).generate()
-    query = data.draw(
-        path_strategy(labels=tuple(dtd.element_types), max_leaves=5)
-    )
-    index = build_index(document)
-    plain = XPathEvaluator()
-    fast = XPathEvaluator(index=index)
-    expected = [
-        id(node) for node in plain.evaluate(query, document, ordered=True)
-    ]
-    actual = [
-        id(node) for node in fast.evaluate(query, document, ordered=True)
-    ]
-    assert expected == actual

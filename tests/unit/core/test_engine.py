@@ -227,9 +227,9 @@ class TestRecursivePolicies:
 
 
 class TestColumnarStrategy:
-    """``strategy="columnar"`` answers exactly like the default
-    virtual strategy — same projected copies, same raw node identities
-    — while running set-at-a-time over the cached NodeTable."""
+    """``strategy="columnar"`` is the legacy name of the default
+    virtual strategy: same projected copies, same raw node identities,
+    both running set-at-a-time over the cached NodeTable."""
 
     QUERIES = (
         "//patient/name",
@@ -256,7 +256,7 @@ class TestColumnarStrategy:
                 value if isinstance(value, str) else serialize(value)
                 for value in via_virtual
             ], text
-            assert via_columnar.report.strategy == "columnar"
+            assert via_columnar.report.strategy == "virtual"
 
     def test_raw_answers_are_identical_nodes(self, engine, document):
         from repro.core.options import ExecutionOptions
@@ -302,7 +302,9 @@ class TestColumnarStrategy:
         engine.invalidate("nurse")
         assert not engine._stores
 
-    def test_explain_reports_columnar(self, engine, document):
+    def test_explain_reports_columnar_alias_as_virtual(
+        self, engine, document
+    ):
         from repro.core.options import ExecutionOptions
 
         report = engine.explain(
@@ -311,5 +313,73 @@ class TestColumnarStrategy:
             document,
             options=ExecutionOptions(strategy="columnar"),
         )
-        assert report.strategy == "columnar"
-        assert "columnar" in report.summary()
+        assert report.strategy == "virtual"
+        assert "columnar" not in report.summary()
+
+
+class TestOneBackendGuards:
+    """Counted, not timed: the default path builds one NodeTable per
+    document, never sorts through the interpreter, and never re-walks
+    the view DTD for recursion on a warm query."""
+
+    QUERIES = (
+        "//patient/name",
+        "//treatment",
+        "//patient/name/text()",
+        "(//patient/name | //treatment)",
+    )
+
+    def test_one_node_table_per_document(
+        self, engine, document, monkeypatch
+    ):
+        import repro.xmlmodel.store as store_module
+        import repro.xpath.evaluator as evaluator_module
+
+        builds = []
+        sorts = []
+        table_class = store_module.NodeTable
+        document_order = evaluator_module._document_order
+
+        class CountingTable(table_class):
+            def __init__(self, root):
+                builds.append(root)
+                super().__init__(root)
+
+        def counting_order(results):
+            sorts.append(len(results))
+            return document_order(results)
+
+        monkeypatch.setattr(store_module, "NodeTable", CountingTable)
+        monkeypatch.setattr(
+            evaluator_module, "_document_order", counting_order
+        )
+        other = hospital_document(seed=8, max_branch=4)
+        raw = ExecutionOptions(project=False)
+        for _ in range(3):
+            for text in self.QUERIES:
+                for target in (document, other):
+                    engine.query("nurse", text, target)
+                    engine.query("doctor", text, target, options=raw)
+            engine.query_batch("nurse", list(self.QUERIES), document)
+        assert [id(root) for root in builds] == [id(document), id(other)]
+        assert sorts == []
+
+    def test_warm_queries_never_recompute_recursion(
+        self, engine, document, monkeypatch
+    ):
+        from repro.core.view import SecurityView
+
+        for text in self.QUERIES:  # register-time and cold work done
+            engine.query("nurse", text, document)
+        calls = []
+        is_recursive = SecurityView.is_recursive
+
+        def counting(view):
+            calls.append(view)
+            return is_recursive(view)
+
+        monkeypatch.setattr(SecurityView, "is_recursive", counting)
+        for _ in range(5):
+            for text in self.QUERIES:
+                assert engine.query("nurse", text, document).report.cache_hit
+        assert calls == []

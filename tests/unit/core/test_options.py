@@ -2,6 +2,7 @@
 ``QueryResult``, and the 2.0 removal of the pre-1.1 boolean keywords
 (``options=ExecutionOptions(...)`` is the only spelling now)."""
 
+import dataclasses
 import warnings
 
 import pytest
@@ -34,24 +35,28 @@ class TestExecutionOptions:
         options = ExecutionOptions()
         assert options.strategy == "virtual"
         assert options.optimize and options.project and options.use_cache
-        assert not options.use_index
         assert options == DEFAULT_OPTIONS
+        assert [field.name for field in dataclasses.fields(options)] == [
+            "strategy", "optimize", "project", "use_cache", "trace",
+            "slow_query_threshold", "limits",
+        ]
 
     def test_legacy_strategy_alias_normalized(self):
         assert ExecutionOptions(strategy="rewrite").strategy == "virtual"
+        assert ExecutionOptions(strategy="columnar").strategy == "virtual"
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(SecurityError):
             ExecutionOptions(strategy="magic")
 
     def test_with_copies(self):
-        options = ExecutionOptions().with_(use_index=True)
-        assert options.use_index
-        assert not DEFAULT_OPTIONS.use_index
+        options = ExecutionOptions().with_(use_cache=False)
+        assert not options.use_cache
+        assert DEFAULT_OPTIONS.use_cache
 
     def test_frozen(self):
         with pytest.raises(Exception):
-            ExecutionOptions().use_index = True
+            ExecutionOptions().use_cache = False
 
 
 class TestQueryResult:
@@ -177,8 +182,8 @@ class TestOptionsWireShape:
         from repro.robustness.governor import QueryLimits
 
         options = ExecutionOptions(
-            strategy="columnar",
-            use_index=True,
+            strategy="materialized",
+            use_cache=False,
             trace=True,
             slow_query_threshold=0.25,
             limits=QueryLimits(deadline_seconds=0.5, max_results=10),
@@ -190,6 +195,6 @@ class TestOptionsWireShape:
 
     def test_unknown_keys_ignored(self):
         options = ExecutionOptions.from_dict(
-            {"strategy": "columnar", "future_knob": 42}
+            {"strategy": "columnar", "use_index": True, "future_knob": 42}
         )
-        assert options.strategy == "columnar"
+        assert options.strategy == "virtual"

@@ -241,11 +241,11 @@ class TestRegistryCounters:
 
 
 class TestExecutionShapeKeys:
-    """The hardened cache key carries the execution shape (strategy,
-    index availability): flipping either on a warm cache must compile
-    fresh instead of serving a plan primed for the other backend."""
+    """Plans have one execution backend, so the cache key carries no
+    execution shape: the legacy ``"columnar"`` strategy is the virtual
+    strategy and shares its entries."""
 
-    def test_strategy_flip_on_warm_cache_misses(self, engine, document):
+    def test_columnar_alias_hits_the_virtual_entry(self, engine, document):
         from repro.xmlmodel.serialize import serialize
 
         virtual = engine.query("nurse", "//patient/name", document)
@@ -256,51 +256,23 @@ class TestExecutionShapeKeys:
             document,
             options=ExecutionOptions(strategy="columnar"),
         )
-        assert not columnar.report.cache_hit
-        assert columnar.report.strategy == "columnar"
+        assert columnar.report.cache_hit
+        assert columnar.report.strategy == "virtual"
         assert [serialize(node) for node in columnar] == [
             serialize(node) for node in virtual
         ]
-        # each shape now hits its own entry
-        assert engine.query(
-            "nurse", "//patient/name", document
-        ).report.cache_hit
-        warm = engine.query(
-            "nurse",
-            "//patient/name",
-            document,
-            options=ExecutionOptions(strategy="columnar"),
-        )
-        assert warm.report.cache_hit
-        assert warm.report.strategy == "columnar"
 
-    def test_index_flip_on_warm_cache_misses(self, engine, document):
-        engine.query("nurse", "//patient", document)
-        indexed = engine.query(
-            "nurse",
-            "//patient",
-            document,
-            options=ExecutionOptions(use_index=True),
-        )
-        assert not indexed.report.cache_hit
-        assert engine.query(
-            "nurse",
-            "//patient",
-            document,
-            options=ExecutionOptions(use_index=True),
-        ).report.cache_hit
-
-    def test_keys_record_execution_shape(self, engine, document):
+    def test_keys_carry_no_execution_shape(self, engine, document):
         engine.query("nurse", "//patient", document)
         engine.query(
             "nurse",
             "//patient",
             document,
-            options=ExecutionOptions(strategy="columnar", use_index=True),
+            options=ExecutionOptions(strategy="columnar"),
         )
-        keys = engine.plan_cache.keys()
-        assert ("nurse", "//patient", True, None, "virtual", False) in keys
-        assert ("nurse", "//patient", True, None, "columnar", True) in keys
+        assert engine.plan_cache.keys() == [
+            ("nurse", "//patient", True, None)
+        ]
 
     def test_columnar_without_cache_does_not_prime(self, engine, document):
         result = engine.query(
@@ -310,5 +282,5 @@ class TestExecutionShapeKeys:
             options=ExecutionOptions(strategy="columnar", use_cache=False),
         )
         assert not result.report.cache_hit
-        assert result.report.strategy == "columnar"
+        assert result.report.strategy == "virtual"
         assert len(engine.plan_cache) == 0

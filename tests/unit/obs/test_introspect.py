@@ -54,7 +54,6 @@ class TestEngineReport:
             "nurse",
             "//patient/name",
             document,
-            options=ExecutionOptions(use_index=True, strategy="columnar"),
         )
         engine.query(
             "nurse",
@@ -67,8 +66,7 @@ class TestEngineReport:
         assert report["node_tables"]["entries"] == 1
         assert report["node_tables"]["rows"] > 0
         assert report["node_tables"]["bytes"] > 0
-        assert report["document_indexes"]["entries"] == 1
-        assert report["document_indexes"]["bytes"] > 0
+        assert "document_indexes" not in report
         views = report["materialized_views"]
         assert views["entries"] == 1
         assert views["nodes"] > 0
@@ -92,16 +90,11 @@ class TestEngineReport:
         json.dumps(engine.introspect())
 
     def test_invalidation_shrinks_the_report(self, engine, document):
-        engine.query(
-            "nurse",
-            "//patient/name",
-            document,
-            options=ExecutionOptions(use_index=True),
-        )
-        assert engine.introspect()["document_indexes"]["entries"] == 1
+        engine.query("nurse", "//patient/name", document)
+        assert engine.introspect()["node_tables"]["entries"] == 1
         engine.invalidate()
         report = engine.introspect()
-        assert report["document_indexes"]["entries"] == 0
+        assert report["node_tables"]["entries"] == 0
         assert report["plan_cache"]["entries"] == 0
 
 
@@ -124,8 +117,3 @@ class TestNbytes:
         if large.size > small.size:
             assert large.nbytes() > small.nbytes()
 
-    def test_document_index_nbytes(self, document):
-        from repro.xmlmodel.index import build_index
-
-        index = build_index(document)
-        assert index.nbytes() > 0

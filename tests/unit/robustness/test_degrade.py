@@ -1,5 +1,7 @@
 """Unit tests for :class:`repro.robustness.DegradationPolicy`."""
 
+import pytest
+
 from repro.robustness import DegradationPolicy, SEAM_FALLBACKS
 from repro.robustness.faults import SITES
 
@@ -24,28 +26,27 @@ class TestOverrides:
     def test_strict_with_store_build_carveout(self):
         policy = DegradationPolicy(strict=True, store_build=True)
         assert policy.allows("store.build")
-        assert not policy.allows("index.build")
-        assert not policy.allows("plan_cache.get")
+        assert not policy.allows("materialize")
 
     def test_disable_one_seam(self):
-        policy = DegradationPolicy(index_build=False)
-        assert not policy.allows("index.build")
-        assert policy.allows("store.build")
+        policy = DegradationPolicy(store_build=False)
+        assert not policy.allows("store.build")
 
-    def test_plan_cache_controls_both_directions(self):
-        policy = DegradationPolicy(plan_cache=False)
-        assert not policy.allows("plan_cache.get")
-        assert not policy.allows("plan_cache.put")
+    def test_retired_seam_keywords_rejected(self):
+        # the plan cache and the document index were in-memory dict
+        # operations, not builds that can fail: their seams are gone
+        for keyword in ("index_build", "plan_cache"):
+            with pytest.raises(TypeError):
+                DegradationPolicy(**{keyword: False})
+        assert not DegradationPolicy().allows("plan_cache.get")
 
 
 class TestFallbacks:
     def test_fallback_labels(self):
         policy = DegradationPolicy()
-        assert policy.fallback("store.build") == "object-backend"
-        assert policy.fallback("index.build") == "scan"
-        assert policy.fallback("plan_cache.get") == "uncached-compile"
-        assert policy.fallback("plan_cache.put") == "uncached-compile"
+        assert policy.fallback("store.build") == "interpreter"
         assert policy.fallback("mystery") == "none"
+        assert SEAM_FALLBACKS == {"store.build": "interpreter"}
 
     def test_every_degradable_site_has_a_fallback(self):
         # "materialize" is a fault-injection site but not a degradable

@@ -85,16 +85,16 @@ class TestFaultPlan:
         plan = FaultPlan(name="counting")
         plan.fire("store.build")
         plan.fire("store.build")
-        plan.fire("index.build")
+        plan.fire("materialize")
         assert plan.calls("store.build") == 2
-        assert plan.calls("index.build") == 1
-        assert plan.calls("materialize") == 0
+        assert plan.calls("materialize") == 1
+        assert plan.calls("httpd.write") == 0
 
     def test_fires_matching_spec_only(self):
-        plan = FaultPlan(FaultSpec("index.build", at=1))
+        plan = FaultPlan(FaultSpec("materialize", at=1))
         plan.fire("store.build")  # different site: no effect
         with pytest.raises(FaultInjected):
-            plan.fire("index.build")
+            plan.fire("materialize")
         assert plan.fired() == 1
 
     def test_reset_replays_identically(self):
@@ -115,9 +115,6 @@ class TestFaultPlan:
     def test_sites_registry_names_the_engine_seams(self):
         assert set(SITES) == {
             "store.build",
-            "index.build",
-            "plan_cache.get",
-            "plan_cache.put",
             "materialize",
             "admission.admit",
             "serving.resolve",

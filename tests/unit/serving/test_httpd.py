@@ -279,7 +279,6 @@ class TestDebugCachez:
         assert {
             "plan_cache",
             "node_tables",
-            "document_indexes",
             "materialized_views",
             "total_bytes",
         } <= set(report)

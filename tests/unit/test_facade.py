@@ -8,6 +8,8 @@ as its defining module).
 """
 
 import json
+import os
+import re
 import subprocess
 import sys
 
@@ -72,7 +74,16 @@ class TestLazyImport:
         assert "repro.core" in set(probe["after"])
 
     def test_version(self, probe):
-        assert probe["version"] == "2.3.0"
+        assert probe["version"] == "3.0.0"
+
+    def test_pyproject_version_matches_package(self, probe):
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        with open(os.path.join(root, "pyproject.toml")) as handle:
+            declared = re.search(
+                r'^version\s*=\s*"([^"]+)"', handle.read(), re.MULTILINE
+            )
+        assert declared is not None
+        assert declared.group(1) == probe["version"]
 
 
 class TestFacadeCompleteness:

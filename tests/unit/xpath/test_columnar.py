@@ -2,7 +2,7 @@
 equivalent of the object-tree interpreter: identical result lists —
 content *and* document order — for every fragment-``C`` construct, at
 the root and at arbitrary inner context nodes, with graceful fallback
-for contexts outside the store's tree."""
+to the interpreter for contexts outside the store's tree."""
 
 import pytest
 
@@ -59,7 +59,7 @@ def test_columnar_matches_interpreter_at_root(document, store, text):
     query = parse_xpath(text)
     expected = _interpreter(query, document)
     actual = compile_path(query).execute(
-        document, runtime=PlanRuntime(store=store), ordered=True
+        document, runtime=PlanRuntime(store=store)
     )
     assert [id(node) for node in actual] == [id(node) for node in expected]
 
@@ -73,7 +73,7 @@ def test_columnar_matches_interpreter_at_inner_contexts(
     query = parse_xpath(text)
     expected = _interpreter(query, list(contexts))
     actual = compile_path(query).execute(
-        list(contexts), runtime=PlanRuntime(store=store), ordered=True
+        list(contexts), runtime=PlanRuntime(store=store)
     )
     assert [id(node) for node in actual] == [id(node) for node in expected]
 
@@ -89,21 +89,21 @@ def test_columnar_results_are_document_nodes(document, store):
 def test_columnar_results_come_back_sorted_without_order_flag(
     document, store
 ):
-    """Row frontiers are inherently in document order, so even
-    ``ordered=False`` executions return document order — pinned so
-    callers can rely on it."""
+    """Row frontiers are inherently in document order, so executions
+    return document order with no sorting flag — pinned so callers can
+    rely on it."""
     plan = compile_path(parse_xpath("(//name | //patient)"))
-    results = plan.execute(document, store=store, ordered=False)
+    results = plan.execute(document, store=store)
     position = {id(node): i for i, node in enumerate(document.iter())}
     ranks = [position[id(node)] for node in results]
     assert ranks == sorted(ranks)
 
 
-def test_foreign_context_falls_back_to_object_backend(document, store):
+def test_foreign_context_falls_back_to_interpreter(document, store):
     other = hospital_document(seed=99, max_branch=3)
     plan = compile_path(parse_xpath("//patient"))
     expected = _interpreter(parse_xpath("//patient"), other)
-    actual = plan.execute(other, runtime=PlanRuntime(store=store), ordered=True)
+    actual = plan.execute(other, runtime=PlanRuntime(store=store))
     assert [id(node) for node in actual] == [id(node) for node in expected]
 
 
@@ -113,7 +113,7 @@ def test_mixed_foreign_and_covered_contexts_fall_back(document, store):
     contexts = [document, other]
     expected = _interpreter(parse_xpath(".//*"), contexts)
     actual = plan.execute(
-        contexts, runtime=PlanRuntime(store=store), ordered=True
+        contexts, runtime=PlanRuntime(store=store)
     )
     assert [id(node) for node in actual] == [id(node) for node in expected]
 
@@ -125,7 +125,7 @@ def test_absolute_path_from_inner_context(document, store):
     query = parse_xpath("/hospital/dept")
     expected = _interpreter(query, patient)
     actual = compile_path(query).execute(
-        patient, runtime=PlanRuntime(store=store), ordered=True
+        patient, runtime=PlanRuntime(store=store)
     )
     assert [id(node) for node in actual] == [id(node) for node in expected]
 
@@ -144,7 +144,7 @@ def test_text_context_rows(document, store):
         query = parse_xpath(text_query)
         expected = _interpreter(query, list(texts))
         actual = compile_path(query).execute(
-            list(texts), runtime=PlanRuntime(store=store), ordered=True
+            list(texts), runtime=PlanRuntime(store=store)
         )
         assert [id(n) for n in actual] == [id(n) for n in expected]
 
@@ -168,7 +168,7 @@ def test_attribute_qualifiers(store, document):
         query = parse_xpath(text)
         expected = _interpreter(query, annotated)
         actual = compile_path(query).execute(
-            annotated, runtime=PlanRuntime(store=annotated_store), ordered=True
+            annotated, runtime=PlanRuntime(store=annotated_store)
         )
         assert [id(n) for n in actual] == [id(n) for n in expected]
 

@@ -1,11 +1,14 @@
 """Compiled plans must be drop-in equivalents of the interpreter:
-identical result lists (content *and* order) and identical ``visits``
-counters, with and without a document index."""
+identical result lists, always in document order.  With a NodeTable
+the plan runs its columnar kernels; without one (or for contexts
+outside the table's tree) it hands the query to the interpreter and
+counts the interpreter's visits."""
 
 import pytest
 
-from repro.workloads.hospital import hospital_document, hospital_dtd
-from repro.xmlmodel.index import build_index
+from repro.obs.profile import ProfileCollector
+from repro.workloads.hospital import hospital_document
+from repro.xmlmodel.store import build_node_table
 from repro.xpath.evaluator import XPathEvaluator
 from repro.xpath.parser import parse_xpath
 from repro.xpath.plan import CompiledPlan, PlanRuntime, compile_path
@@ -35,35 +38,41 @@ def document():
 
 
 @pytest.fixture(scope="module")
-def index(document):
-    return build_index(document)
+def store(document):
+    return build_node_table(document)
 
 
 @pytest.mark.parametrize("text", QUERIES)
 @pytest.mark.parametrize("ordered", [False, True])
 def test_plan_matches_interpreter(document, text, ordered):
+    """Without a NodeTable the plan runs the interpreter: the
+    interpreter's answer in document order (whichever order the
+    interpreter itself was asked for), and the interpreter's visits."""
     query = parse_xpath(text)
     evaluator = XPathEvaluator()
-    expected = evaluator.evaluate(query, document, ordered=ordered)
+    expected = [id(node) for node in evaluator.evaluate(
+        query, document, ordered=ordered
+    )]
+    if not ordered:
+        position = {id(node): i for i, node in enumerate(document.iter())}
+        expected.sort(key=position.__getitem__)
     runtime = PlanRuntime()
-    actual = compile_path(query).execute(
-        document, ordered=ordered, runtime=runtime
-    )
-    assert [id(node) for node in actual] == [id(node) for node in expected]
+    actual = compile_path(query).execute(document, runtime=runtime)
+    assert [id(node) for node in actual] == expected
     assert runtime.visits == evaluator.visits
 
 
 @pytest.mark.parametrize("text", QUERIES)
-def test_plan_matches_interpreter_with_index(document, index, text):
+def test_plan_matches_interpreter_with_index(document, store, text):
+    """With the document's NodeTable (its interval and label-posting
+    index) the plan runs its columnar kernels and returns the
+    interpreter's document-ordered answer."""
     query = parse_xpath(text)
-    evaluator = XPathEvaluator(index=index)
-    expected = evaluator.evaluate(query, document, ordered=True)
-    runtime = PlanRuntime(index)
+    expected = XPathEvaluator().evaluate(query, document, ordered=True)
     actual = compile_path(query).execute(
-        document, ordered=True, runtime=runtime
+        document, runtime=PlanRuntime(store)
     )
     assert [id(node) for node in actual] == [id(node) for node in expected]
-    assert runtime.visits == evaluator.visits
 
 
 def test_plan_reusable_across_documents():
@@ -73,22 +82,36 @@ def test_plan_reusable_across_documents():
         expected = XPathEvaluator().evaluate(
             parse_xpath("//patient/name"), document
         )
-        assert len(plan.execute(document)) == len(expected)
+        results = plan.execute(document, store=build_node_table(document))
+        assert len(results) == len(expected)
 
 
-def test_index_fallback_outside_indexed_tree(document):
-    """Contexts outside the indexed tree silently fall back to walks."""
+def test_index_fallback_outside_indexed_tree(document, store):
+    """Contexts outside the NodeTable's tree fall back to the
+    interpreter, exactly as a run with no table at all."""
     other = hospital_document(seed=23, max_branch=3)
-    index = build_index(document)
     plan = compile_path(parse_xpath("//patient"))
-    walked = plan.execute(other)  # no index at all
-    indexed = plan.execute(other, index=index)  # index of the wrong tree
-    assert [id(node) for node in indexed] == [id(node) for node in walked]
+    walked = plan.execute(other)  # no table at all
+    foreign = plan.execute(other, store=store)  # table of the wrong tree
+    expected = XPathEvaluator().evaluate(
+        parse_xpath("//patient"), other, ordered=True
+    )
+    assert [id(node) for node in foreign] == [id(node) for node in walked]
+    assert [id(node) for node in walked] == [id(node) for node in expected]
 
 
-def test_runtime_accumulates_across_executions(document):
+def test_fallback_is_visible_in_the_profile(document, store):
     plan = compile_path(parse_xpath("//patient"))
-    runtime = PlanRuntime()
+    collector = ProfileCollector()
+    plan.execute(document, runtime=PlanRuntime(store, profile=collector))
+    assert "interpreter-fallback" not in collector.events
+    plan.execute(document, runtime=PlanRuntime(profile=collector))
+    assert collector.events["interpreter-fallback"] == 1
+
+
+def test_runtime_accumulates_across_executions(document, store):
+    plan = compile_path(parse_xpath("//patient"))
+    runtime = PlanRuntime(store)
     plan.execute(document, runtime=runtime)
     first = runtime.visits
     assert first > 0
@@ -105,9 +128,10 @@ def test_plan_repr_and_operator_count():
     assert "CompiledPlan" in repr(plan)
 
 
-def test_unbound_parameter_raises(document):
+def test_unbound_parameter_raises(document, store):
     from repro.errors import XPathEvaluationError
 
     plan = compile_path(parse_xpath("//patient[wardNo = $w]"))
-    with pytest.raises(XPathEvaluationError):
-        plan.execute(document)
+    for table in (store, None):  # columnar, then the fallback
+        with pytest.raises(XPathEvaluationError):
+            plan.execute(document, store=table)
