@@ -7,14 +7,16 @@ Two serving-path configurations are measured:
   workload as ``bench_obs_overhead.py`` (naive Adex Q1-Q3 + two
   structural ``//``-chains on D4), compared against the
   pre-audit-pipeline wall times checked into ``BENCH_obs.json``
-  (``disabled_ms``).  The event layer lives entirely in the engine's
-  epilogue, so plan execution must be unchanged: the acceptance bar is
+  (``disabled_ms``).  The event layer is a consumer of each finished
+  query's :class:`~repro.obs.record.QueryRecord`, so plan execution
+  must be unchanged: the acceptance bar is
   a geometric-mean ratio below 3%.
 * **engine path, ring-buffer sink** — warm-cache
   ``SecureQueryEngine.query`` over the Section 6 view queries on D1,
   with no sinks versus with a
-  :class:`~repro.obs.events.RingBufferSink` attached.  Building and
-  buffering one :class:`QueryEvent` per query must cost under 5%
+  :class:`~repro.obs.events.RingBufferSink` attached.  Turning each
+  query's record into one :class:`QueryEvent` and buffering it must
+  cost under 5%
   (geomean).  D1 is deliberate: end-to-end queries there run in the
   ~0.1-100 ms range, so the fixed per-query event cost is *most*
   visible — the same bar on D4 (seconds per query) would be

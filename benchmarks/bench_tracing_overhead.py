@@ -2,10 +2,11 @@
 near-free when serving runs with ``tracing=False``.
 
 PR 8 threads a per-request span tree (queue wait, batch, engine
-stages) through :class:`~repro.serving.server.QueryServer` and feeds a
-:class:`~repro.obs.flight.FlightRecorder` plus
-:class:`~repro.obs.slo.SLOTracker`.  All of it is gated on the
-server's ``tracing`` flag; when off, requests must run the exact
+stages) through :class:`~repro.serving.server.QueryServer`; each
+request's :class:`~repro.obs.record.QueryRecord` then reaches a
+:class:`~repro.obs.flight.FlightRecorder` and an
+:class:`~repro.obs.slo.SLOTracker` through the record fan-out.  All of
+it is gated on the server's ``tracing`` flag; when off, requests must run the exact
 pre-tracing hot path (``tracer=None`` reaches the engine, which builds
 its own private tracer exactly as before this PR).
 

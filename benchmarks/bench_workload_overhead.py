@@ -2,9 +2,10 @@
 accounting must be near-free on the serving hot path.
 
 PR 9 computes a canonical query fingerprint at plan-compile time (so
-cached plans carry it for free) and records one
-:class:`~repro.obs.workload.WorkloadProfiler` sample per served
-request — a dict update plus a histogram observation under a lock.
+cached plans carry it for free), and each served request's
+:class:`~repro.obs.record.QueryRecord` reaches a
+:class:`~repro.obs.workload.WorkloadProfiler` — a dict update plus a
+histogram observation under a lock.
 Both arms here run with tracing **enabled** (the serving default), so
 the measured delta isolates the profiler itself:
 

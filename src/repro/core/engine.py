@@ -42,6 +42,7 @@ the (still-consistent) structures they already hold.
 from __future__ import annotations
 
 from threading import Lock, RLock
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Union as TypingUnion
 
 from repro.errors import (
@@ -53,17 +54,16 @@ from repro.errors import (
 from repro.obs.canary import SecurityCanary
 from repro.obs.events import (
     DegradationEvent,
-    DenialEvent,
-    ErrorEvent,
     EventPipeline,
     EventSink,
     PolicyEvent,
-    QueryEvent,
+    audit_event,
 )
 from repro.obs.export import prometheus_text
-from repro.obs.metrics import metrics_enabled, metrics_registry, record
+from repro.obs.metrics import metrics_registry, record
 from repro.obs.profile import ExplainProfile, ProfileCollector, ProfileNode
-from repro.obs.trace import Tracer
+from repro.obs.record import QueryRecord, RecordFanout, record_metrics
+from repro.obs.trace import NULL_SPAN, Tracer
 from repro.dtd.dtd import DTD
 from repro.core.derive import derive
 from repro.core.materialize import materialize, materialize_subtree
@@ -321,6 +321,13 @@ class SecureQueryEngine:
         # audit-event fan-out; inert (one attribute check per emit
         # site) until a sink is attached
         self._events = events if events is not None else EventPipeline()
+        # one QueryRecord per finished query, handed in this order to
+        # the metrics registry, the audit pipeline and the workload
+        # profiler (a QueryServer appends its SLO tracker and flight
+        # recorder); records.subscribe() adds consumers
+        self.records = RecordFanout(
+            (record_metrics, self._audit, self._profile)
+        )
         self._canary: Optional[SecurityCanary] = None
         # workload heavy-hitter profiler; None (one attribute check on
         # the hot path) until enable_workload_profiler attaches one
@@ -481,6 +488,7 @@ class SecureQueryEngine:
         document,
         scan_cache: Optional[dict] = None,
         tracer: Optional[Tracer] = None,
+        finish=None,
     ):
         """Answer one frozen :class:`~repro.serving.protocol.QueryRequest`
         against the (caller-resolved) ``document``, returning a
@@ -493,7 +501,13 @@ class SecureQueryEngine:
         cache through several calls (see :meth:`execute_batch`); a
         caller-supplied ``tracer`` (the serving layer's per-request
         one) collects the engine's stage spans under the caller's
-        open span instead of a private tracer."""
+        open span instead of a private tracer.
+
+        ``finish`` is the serving layer's hook.  When given, the engine
+        does not record the query: it calls ``finish(**fields)`` with
+        what it knows (policy, query, report or error, slow threshold,
+        canary violations), and the caller, which times the whole
+        request, builds the :class:`~repro.obs.record.QueryRecord`."""
         from repro.serving.protocol import QueryResponse
 
         options = self._resolve_options(request.options)
@@ -505,8 +519,8 @@ class SecureQueryEngine:
                 options,
                 scan_cache,
                 tracer=tracer,
-                trace_id=request.trace_id or "",
-                tenant=request.tenant_id,
+                request=request,
+                finish=finish,
             )
         except ReproError as error:
             return QueryResponse.from_error(request, error)
@@ -532,20 +546,24 @@ class SecureQueryEngine:
         options: ExecutionOptions,
         scan_cache: Optional[dict],
         tracer: Optional[Tracer] = None,
-        trace_id: str = "",
-        tenant: Optional[str] = None,
+        request=None,
+        finish=None,
     ) -> QueryResult:
         """The shared core of :meth:`query` / :meth:`query_batch` /
-        :meth:`execute_request`: execute, audit, post-process.
-        ``trace_id`` (the serving layer's, empty for direct calls)
-        stamps the audit events this query emits; ``tenant`` attributes
-        the query in the workload profiler (defaults to the policy
-        name, matching the serving layer's tenant fallback)."""
+        :meth:`explain` / :meth:`execute_request`: answer, run the
+        sampled canary, then record the finished query as one
+        :class:`~repro.obs.record.QueryRecord` published to
+        :attr:`records` (or handed to the serving layer's ``finish``,
+        see :meth:`execute_request`).  ``request`` supplies the ids of
+        an :meth:`execute_request` call; library calls are attributed
+        to the policy as their tenant."""
+        started = perf_counter()
+        results = report = error = None
+        violations = 0
         try:
             if options.strategy == STRATEGY_MATERIALIZED:
                 results, report = self._query_materialized(
-                    policy, query, document, options, tracer=tracer,
-                    trace_id=trace_id,
+                    policy, query, document, options, tracer=tracer
                 )
             else:
                 results, report = self._execute(
@@ -555,57 +573,42 @@ class SecureQueryEngine:
                     options,
                     scan_cache=scan_cache,
                     tracer=tracer,
-                    trace_id=trace_id,
                 )
-        except ReproError as error:
-            # denials already produced a DenialEvent in _check_labels;
-            # everything else gets an ErrorEvent with its stable code
-            if not isinstance(error, QueryRejectedError):
-                self._emit(
-                    ErrorEvent,
-                    policy,
-                    query if isinstance(query, str) else str(query),
-                    error.code,
-                    str(error),
-                    trace_id,
-                )
-            profiler = self._workload
-            if profiler is not None:
-                try:
-                    profiler.record_error(
-                        tenant or policy,
-                        policy,
-                        query_fingerprint(query),
-                        denied=isinstance(error, QueryRejectedError),
-                    )
-                except Exception:
-                    record("workload.failures")
-            raise
-        profiler = self._workload
-        if profiler is not None:
-            try:
-                profiler.record_query(
-                    tenant or policy,
-                    policy,
-                    report.fingerprint or query_fingerprint(query),
-                    report.total_time(),
-                    visits=report.visits,
-                    result_count=report.result_count,
-                    cache_hit=report.cache_hit,
-                )
-            except Exception:
-                record("workload.failures")
-        if (
-            tracer is not None
-            and tracer.roots
-            and report.fingerprint is not None
-        ):
-            # stamp the request's root span so flight-recorder traces
-            # carry the query shape (see TraceRecord.from_span)
-            tracer.roots[0].set(fingerprint=str(report.fingerprint))
-        self._post_query(
-            policy, document, results, report, options, tracer, trace_id
+            violations = self._run_canary(
+                policy, document, results, report, options
+            )
+        except Exception as caught:
+            error = caught
+        fields = dict(
+            policy=policy,
+            query=query,
+            report=report,
+            error=error,
+            slow_query_threshold=options.slow_query_threshold,
+            canary_violations=violations,
         )
+        if finish is not None:
+            finish(**fields)
+        else:
+            seconds = perf_counter() - started
+            ids = {"tenant": policy}
+            if request is not None:
+                ids = dict(
+                    tenant=request.tenant_id,
+                    trace_id=request.trace_id,
+                    request_id=request.request_id,
+                    document=request.document,
+                )
+            self.records.publish(
+                QueryRecord.finished(
+                    latency_seconds=seconds,
+                    e2e_seconds=seconds,
+                    **ids,
+                    **fields,
+                )
+            )
+        if error is not None:
+            raise error
         return QueryResult(results, report)
 
     def explain(
@@ -618,14 +621,7 @@ class SecureQueryEngine:
         """Like :meth:`query` but returns only the
         :class:`QueryReport`: the rewriting pipeline's stages, cache
         status, per-stage timings, and evaluation statistics."""
-        options = self._resolve_options(options)
-        if options.strategy == STRATEGY_MATERIALIZED:
-            _, report = self._query_materialized(
-                policy, query, document, options
-            )
-            return report
-        _, report = self._execute(policy, query, document, options)
-        return report
+        return self.query(policy, query, document, options).report
 
     def invalidate(self, policy: Optional[str] = None) -> None:
         """Drop cached materialized views, NodeTables, and compiled
@@ -758,120 +754,74 @@ class SecureQueryEngine:
         if self._events.active:
             self._events.emit(factory(*arguments))
 
-    def _post_query(
-        self,
-        policy,
-        document,
-        results,
-        report,
-        options: ExecutionOptions,
-        tracer: Optional[Tracer] = None,
-        trace_id: str = "",
-    ) -> None:
-        """Serving-path epilogue: sampled canary check, then the audit
-        QueryEvent.  Both are guarded so they can never fail a query
-        that has already been answered correctly."""
-        canary = self._canary
-        if (
-            canary is not None
-            and options.project
-            and document is not None
-            and canary.should_sample()
-        ):
-            self._run_canary(policy, document, results, report, tracer)
-        if not self._events.active:
-            return
-        latency = report.total_time()
-        slow = (
-            options.slow_query_threshold is not None
-            and latency >= options.slow_query_threshold
-        )
-        profile_text = None
-        if slow:
-            profile_text = (
-                report.profile.render()
-                if report.profile is not None
-                else report.summary()
-            )
-        self._events.emit(
-            QueryEvent(
-                policy=policy,
-                query=str(report.original),
-                rewritten=str(report.optimized),
-                strategy=report.strategy,
-                cache_hit=report.cache_hit,
-                result_count=report.result_count,
-                visits=report.visits,
-                latency_seconds=latency,
-                slow=slow,
-                profile=profile_text,
-                fingerprint=(
-                    str(report.fingerprint) if report.fingerprint else ""
-                ),
-                trace_id=trace_id,
-            )
-        )
+    def _audit(self, record: QueryRecord) -> None:
+        """Record consumer: the finished query's audit event, built
+        only when a sink is listening."""
+        if self._events.active:
+            self._events.emit(audit_event(record))
+
+    def _profile(self, record: QueryRecord) -> None:
+        """Record consumer: the attached workload profiler, if any."""
+        profiler = self._workload
+        if profiler is not None:
+            profiler.record_query(record)
 
     def _run_canary(
-        self, policy, document, results, report, tracer=None
-    ) -> None:
-        """One sampled oracle comparison (see
-        :class:`~repro.obs.canary.SecurityCanary`).  Guarded: a canary
-        failure is recorded, never raised — the user already has their
-        answer."""
+        self, policy, document, results, report, options: ExecutionOptions
+    ) -> int:
+        """The sampled oracle comparison of one answered query (see
+        :class:`~repro.obs.canary.SecurityCanary`); returns the
+        violations it found.  Guarded: a canary failure is counted,
+        never raised — the user already has their answer."""
+        canary = self._canary
+        if (
+            canary is None
+            or not options.project
+            or document is None
+            or not canary.should_sample()
+        ):
+            return 0
         try:
-            entry = self._policy(policy)
-            event = self._canary.check(
-                policy,
-                report.original,
-                results,
-                view_tree=self._materialized_view(entry, document),
+            view_tree, _ = self._materialized_view(
+                self._policy(policy), document
+            )
+            event = canary.check(
+                policy, report.original, results, view_tree=view_tree
             )
             record("canary.checks")
             if event.violations:
                 record("canary.violations", event.violations)
-                if tracer is not None and tracer.roots:
-                    # flag the request's root span so the flight
-                    # recorder tail-retains this trace
-                    tracer.roots[0].set(canary_violations=event.violations)
             if self._events.active:
                 self._events.emit(event)
+            return event.violations
         except Exception:
             record("canary.failures")
+            return 0
 
-    def _materialized_view(self, entry: _Policy, document):
+    def _materialized_view(
+        self, entry: _Policy, document, budget=None, tracer=None
+    ):
         """The (cached) materialized view of ``document`` under
         ``entry`` — the oracle the canary and the materialized
-        strategy share."""
+        strategy share — as ``(view_tree, cache_hit)``.  A build runs
+        once per (policy, document), under its build lock and in a
+        ``materialize`` span on ``tracer``."""
         cached = entry.materialized.get(id(document))
         if cached is not None and cached[0] is document:
-            return cached[1]
+            return cached[1], True
         with self._build_locks(("mat", entry.name, id(document))):
             cached = entry.materialized.get(id(document))
             if cached is not None and cached[0] is document:
-                return cached[1]
-            view_tree = materialize(document, entry.view, entry.spec)
+                return cached[1], True  # built while we waited
+            span = (
+                NULL_SPAN if tracer is None else tracer.span("materialize")
+            )
+            with span:
+                view_tree = materialize(
+                    document, entry.view, entry.spec, budget=budget
+                )
             entry.materialized[id(document)] = (document, view_tree)
-        return view_tree
-
-    def _record_query_metrics(self, report: QueryReport) -> None:
-        """Fold one report into the process-wide registry (guarded:
-        free unless metrics are enabled).  Compile-pipeline stages are
-        recorded only on cache misses — a warm report carries the
-        entry's build-time stage entries, which did not run for this
-        request."""
-        if not metrics_enabled():
-            return
-        registry = metrics_registry()
-        registry.increment("query.count")
-        registry.increment("query.count.%s" % report.strategy)
-        registry.observe("query.total_seconds", report.total_time())
-        registry.observe("query.result_count", report.result_count)
-        registry.observe("query.visits", report.visits)
-        for stage, seconds in report.timings.items():
-            if report.cache_hit and stage != "evaluate":
-                continue
-            registry.observe("stage.%s_seconds" % stage, seconds)
+        return view_tree, False
 
     # -- internals -----------------------------------------------------------------------
 
@@ -895,38 +845,22 @@ class SecureQueryEngine:
         except KeyError:
             raise SecurityError("unknown policy %r" % name) from None
 
-    def _parse(
-        self,
-        entry: _Policy,
-        query: TypingUnion[str, Path],
-        trace_id: str = "",
-    ) -> Path:
+    def _parse(self, entry: _Policy, query: TypingUnion[str, Path]) -> Path:
         parsed = parse_xpath(query) if isinstance(query, str) else query
         if self.strict:
-            self._check_labels(entry, parsed, trace_id)
+            self._check_labels(entry, parsed)
         return parsed
 
-    def _check_labels(
-        self, entry: _Policy, query: Path, trace_id: str = ""
-    ) -> None:
+    @staticmethod
+    def _check_labels(entry: _Policy, query: Path) -> None:
         labels = entry.view.labels()
         for node in query.iter_nodes():
             if isinstance(node, Label) and node.name not in labels:
-                error = QueryRejectedError(
+                raise QueryRejectedError(
                     "label %r is not part of the %r view DTD"
-                    % (node.name, entry.name)
+                    % (node.name, entry.name),
+                    label=node.name,
                 )
-                self._emit(
-                    DenialEvent,
-                    entry.name,
-                    str(query),
-                    node.name,
-                    error.code,
-                    str(error),
-                    trace_id,
-                )
-                record("query.denials")
-                raise error
 
     def _rewriter(self, entry: _Policy, document) -> Rewriter:
         if not entry.recursive:
@@ -1054,7 +988,6 @@ class SecureQueryEngine:
         optimize: bool,
         use_cache: bool = True,
         tracer: Optional[Tracer] = None,
-        trace_id: str = "",
     ):
         """The cached compilation of ``query`` under ``entry``'s
         policy: ``(CompiledQuery, cache_hit)``.  With
@@ -1075,7 +1008,7 @@ class SecureQueryEngine:
             tracer = Tracer()
         timings: Dict[str, float] = {}
         with tracer.span("parse") as span:
-            parsed = self._parse(entry, query, trace_id)
+            parsed = self._parse(entry, query)
         timings["parse"] = span.duration
         rewriter = self._rewriter(entry, document)
         with tracer.span("rewrite") as span:
@@ -1182,7 +1115,6 @@ class SecureQueryEngine:
         options: ExecutionOptions,
         scan_cache: Optional[dict] = None,
         tracer: Optional[Tracer] = None,
-        trace_id: str = "",
     ):
         entry = self._policy(policy)
         if tracer is None:
@@ -1202,7 +1134,6 @@ class SecureQueryEngine:
                 options.optimize,
                 use_cache=options.use_cache,
                 tracer=tracer,
-                trace_id=trace_id,
             )
             if budget is not None:
                 # the deadline covers compilation too
@@ -1215,7 +1146,7 @@ class SecureQueryEngine:
             )
             with tracer.span("evaluate") as evaluate_span:
                 if options.project:
-                    results = self._execute_projected(
+                    results, project_seconds = self._execute_projected(
                         entry, compiled, document, runtime, tracer,
                         budget=budget,
                     )
@@ -1227,6 +1158,9 @@ class SecureQueryEngine:
             evaluate_span.set(results=len(results), visits=runtime.visits)
         timings = dict(compiled.timings)
         timings["evaluate"] = evaluate_span.duration
+        if options.project:
+            # nested inside evaluate: the materialize_subtree share
+            timings["project"] = project_seconds
         report = QueryReport(
             policy,
             compiled.parsed,
@@ -1241,7 +1175,6 @@ class SecureQueryEngine:
             profile=self._build_profile(compiled, collector, options),
             fingerprint=compiled.fingerprint,
         )
-        self._record_query_metrics(report)
         return results, report
 
     def _build_profile(
@@ -1283,9 +1216,11 @@ class SecureQueryEngine:
     ):
         """Evaluate per target view node so each raw result can be
         projected through the view (dummies relabeled, hidden
-        descendants removed).  Result charging is incremental so a
-        ``max_results`` breach stops before projecting further
-        subtrees."""
+        descendants removed): ``(results, project_seconds)``, the
+        second being the time spent in ``materialize_subtree``.
+        Result charging is incremental so a ``max_results`` breach
+        stops before projecting further subtrees."""
+        project_seconds = 0.0
         projected = []
         seen = set()
         plans = self._projected_plans(entry, compiled, tracer)
@@ -1302,6 +1237,7 @@ class SecureQueryEngine:
                 if id(node) in seen:
                     continue
                 seen.add(id(node))
+                started = perf_counter()
                 projected.append(
                     materialize_subtree(
                         document,
@@ -1312,9 +1248,10 @@ class SecureQueryEngine:
                         budget=budget,
                     )
                 )
+                project_seconds += perf_counter() - started
                 if budget is not None:
                     budget.charge_results(len(projected))
-        return projected
+        return projected, project_seconds
 
     def _query_materialized(
         self,
@@ -1323,7 +1260,6 @@ class SecureQueryEngine:
         document,
         options: ExecutionOptions,
         tracer: Optional[Tracer] = None,
-        trace_id: str = "",
     ):
         entry = self._policy(policy)
         if tracer is None:
@@ -1334,31 +1270,14 @@ class SecureQueryEngine:
             "query", policy=policy, strategy=STRATEGY_MATERIALIZED
         ) as query_span:
             with tracer.span("parse") as span:
-                parsed = self._parse(entry, query, trace_id)
+                parsed = self._parse(entry, query)
             timings["parse"] = span.duration
-            cached = entry.materialized.get(id(document))
-            view_cache_hit = cached is not None and cached[0] is document
+            started = perf_counter()
+            view_tree, view_cache_hit = self._materialized_view(
+                entry, document, budget=budget, tracer=tracer
+            )
             if not view_cache_hit:
-                with self._build_locks(("mat", entry.name, id(document))):
-                    cached = entry.materialized.get(id(document))
-                    if cached is not None and cached[0] is document:
-                        view_cache_hit = True  # built while we waited
-                        view_tree = cached[1]
-                    else:
-                        with tracer.span("materialize") as span:
-                            view_tree = materialize(
-                                document,
-                                entry.view,
-                                entry.spec,
-                                budget=budget,
-                            )
-                        timings["materialize"] = span.duration
-                        entry.materialized[id(document)] = (
-                            document,
-                            view_tree,
-                        )
-            else:
-                view_tree = cached[1]
+                timings["materialize"] = perf_counter() - started
             evaluator = XPathEvaluator(budget=budget)
             with tracer.span("evaluate") as span:
                 results = []
@@ -1382,5 +1301,4 @@ class SecureQueryEngine:
             total_seconds=query_span.duration,
             fingerprint=query_fingerprint(parsed),
         )
-        self._record_query_metrics(report)
         return results, report

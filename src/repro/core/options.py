@@ -64,9 +64,10 @@ class ExecutionOptions:
         bookkeeping proportional to operator invocations, so leave it
         off on the serving hot path.
     ``slow_query_threshold``
-        End-to-end latency (seconds) above which a query counts as
-        *slow*: its audit :class:`~repro.obs.events.QueryEvent` is
-        flagged ``slow`` and carries the rendered EXPLAIN ANALYZE
+        Engine latency (seconds) above which a query counts as
+        *slow*: its :class:`~repro.obs.record.QueryRecord` (and so its
+        audit ``QueryEvent``) is flagged ``slow`` and carries the
+        rendered EXPLAIN ANALYZE
         profile, so outliers arrive pre-diagnosed (see
         ``docs/audit.md``).  Setting a threshold attaches a profile
         collector to every plan-path execution (the same bookkeeping

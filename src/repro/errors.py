@@ -148,9 +148,14 @@ class RewriteError(SecurityError):
 class QueryRejectedError(SecurityError):
     """Raised by the engine when a user query references structure that
     is not part of their security view (defensive check; the rewriting
-    itself would simply produce the empty query)."""
+    itself would simply produce the empty query).  ``label`` names the
+    rejected element."""
 
     code = "E_LABEL_DENIED"
+
+    def __init__(self, message, label=""):
+        super().__init__(message)
+        self.label = label
 
 
 class ResourceError(ReproError):

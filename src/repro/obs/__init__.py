@@ -1,47 +1,26 @@
 """repro.obs — observability for the secure-query engine.
 
-Zero-dependency layers, all off or near-free by default:
+Zero-dependency layers, all off or near-free by default (each module's
+docstring has the details):
 
-* :mod:`repro.obs.trace` — nested :class:`Span` context managers with
-  wall times and attributes; the engine derives ``QueryReport.timings``
-  (and the end-to-end ``total_seconds``) from these;
-* :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry`
-  of counters and histograms (plan-cache traffic, NodeTable builds,
-  stage latencies, result cardinalities), gated by a module-level
-  enabled flag (:func:`enable_metrics` / :func:`disable_metrics`);
-* :mod:`repro.obs.profile` — per-operator execution stats collected
-  when a query runs with ``ExecutionOptions(trace=True)``, exposed as
-  an EXPLAIN ANALYZE-style :class:`ExplainProfile` tree on
-  ``QueryResult.report.profile``;
-* :mod:`repro.obs.events` — typed audit events (query, denial,
-  policy, error, canary) emitted from the serving path into bounded
-  non-blocking sinks (:class:`RingBufferSink`, :class:`JsonlFileSink`,
-  :class:`CallbackSink`) via an :class:`EventPipeline` that can never
-  fail a query;
-* :mod:`repro.obs.audit` — :class:`AuditLog`, the query API over an
-  event trail (filters, tail, per-policy denial/latency accounting);
-* :mod:`repro.obs.export` — :func:`prometheus_text`, the Prometheus
-  text-exposition rendering of the metrics registry;
-* :mod:`repro.obs.canary` — :class:`SecurityCanary`, the sampled
-  production re-check of served answers against the
-  materialized-view oracle;
-* :mod:`repro.obs.flight` — :class:`FlightRecorder`, bounded
-  tail-biased retention of finished request traces (errors, denials,
-  SLO-slow, canary violations always kept; OK traffic
-  reservoir-sampled), behind ``GET /debug/traces`` and ``repro trace
-  tail``;
-* :mod:`repro.obs.slo` — :class:`SLOTracker`, per-tenant latency
-  SLOs with fast/slow burn-rate windows, behind ``GET /debug/slo``;
-* :mod:`repro.obs.workload` — :class:`WorkloadProfiler`, bounded
-  per-tenant heavy hitters over canonical query fingerprints
-  (:mod:`repro.xpath.fingerprint`), behind ``GET /debug/workload``
-  and ``repro workload top``;
-* :mod:`repro.obs.introspect` — cache/memory byte accounting for the
-  engine's plan cache, NodeTables, and materialized view trees,
-  behind ``engine.introspect()`` and ``GET /debug/cachez``.
+* :mod:`~repro.obs.trace` — nested timed :class:`Span` trees;
+* :mod:`~repro.obs.metrics` — the process-wide :class:`MetricsRegistry`
+  (counters, gauges, bucketed histograms) and :func:`percentile`;
+* :mod:`~repro.obs.profile` — EXPLAIN ANALYZE operator profiles;
+* :mod:`~repro.obs.record` — :class:`QueryRecord`, the one record of a
+  finished query, and the :class:`RecordFanout` that hands it to the
+  metrics registry, the audit pipeline, the workload profiler, the
+  SLO tracker and the flight recorder;
+* :mod:`~repro.obs.events` / :mod:`~repro.obs.audit` — typed audit
+  events, bounded sinks, and the :class:`AuditLog` query API;
+* :mod:`~repro.obs.export` — Prometheus text exposition;
+* :mod:`~repro.obs.canary` — the sampled security re-check;
+* :mod:`~repro.obs.flight` / :mod:`~repro.obs.slo` — tail-sampled
+  traces and per-tenant SLO burn rates;
+* :mod:`~repro.obs.workload` / :mod:`~repro.obs.introspect` —
+  per-tenant query-shape heavy hitters and cache byte accounting.
 
-See ``docs/observability.md`` and ``docs/audit.md`` for usage and
-overhead guidance.
+See ``docs/observability.md`` and ``docs/audit.md``.
 """
 
 from repro.obs.metrics import (
@@ -55,6 +34,7 @@ from repro.obs.metrics import (
     metrics_enabled,
     metrics_registry,
     observe,
+    percentile,
     record,
     series_name,
     set_gauge,
@@ -74,10 +54,12 @@ from repro.obs.trace import (
     new_span_id,
     new_trace_id,
 )
-from repro.obs.flight import FlightRecorder, TraceRecord, render_trace
+from repro.obs.record import QueryRecord, RecordFanout, record_metrics
+from repro.obs.flight import FlightRecorder, render_trace, trace_dict
 from repro.obs.slo import BurnWindow, SLObjective, SLOTracker
 from repro.obs.events import (
     CallbackSink,
+    audit_event,
     CanaryEvent,
     DegradationEvent,
     DenialEvent,
@@ -93,7 +75,7 @@ from repro.obs.events import (
     parse_jsonl,
     read_jsonl,
 )
-from repro.obs.audit import AuditLog, percentile
+from repro.obs.audit import AuditLog
 from repro.obs.export import (
     prometheus_text,
     publish_cache_report,
@@ -112,10 +94,14 @@ __all__ = [
     "TraceContext",
     "new_trace_id",
     "new_span_id",
+    # one record per finished query
+    "QueryRecord",
+    "RecordFanout",
+    "record_metrics",
     # flight recorder
     "FlightRecorder",
-    "TraceRecord",
     "render_trace",
+    "trace_dict",
     # SLOs
     "SLObjective",
     "SLOTracker",
@@ -133,6 +119,7 @@ __all__ = [
     "record",
     "observe",
     "set_gauge",
+    "percentile",
     "series_name",
     "split_series",
     # profiling
@@ -148,6 +135,7 @@ __all__ = [
     "ErrorEvent",
     "CanaryEvent",
     "DegradationEvent",
+    "audit_event",
     "event_from_dict",
     "parse_jsonl",
     "read_jsonl",
@@ -158,7 +146,6 @@ __all__ = [
     "EventPipeline",
     # audit
     "AuditLog",
-    "percentile",
     # export
     "prometheus_text",
     "sanitize_metric_name",

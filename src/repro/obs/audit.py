@@ -9,7 +9,8 @@ answers the questions an auditor or SRE actually asks:
   kind, and time window; :meth:`AuditLog.tail` shows the latest N;
 * *how is each policy behaving* — :meth:`AuditLog.stats` aggregates
   per policy: query count, cache hits, denials, errors, canary
-  checks/violations, and latency count/mean/p50/p95/max.
+  checks/violations, and latency count/mean/p50/p95/max (exact
+  nearest-rank percentiles, :func:`repro.obs.percentile`).
 
 The CLI surfaces both as ``repro audit tail`` / ``repro audit stats``.
 """
@@ -19,20 +20,25 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.obs.events import Event, RingBufferSink, read_jsonl
+from repro.obs.metrics import percentile
 
-__all__ = ["AuditLog", "percentile"]
+__all__ = ["AuditLog"]
 
 
-def percentile(values: List[float], fraction: float) -> float:
-    """Nearest-rank percentile of ``values`` (``fraction`` in [0, 1]);
-    0.0 for an empty list."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    if fraction <= 0:
-        return ordered[0]
-    rank = int(len(ordered) * fraction + 0.999999)  # ceil without math
-    return ordered[min(rank, len(ordered)) - 1]
+#: The per-policy counters of :meth:`AuditLog.stats`, in report order.
+_COUNTERS = (
+    "queries", "cache_hits", "slow", "denials", "errors", "degradations",
+    "canary_checks", "canary_violations",
+)
+
+#: Event kind -> the counter one event of that kind increments.
+_COUNTED_KINDS = {
+    "query": "queries",
+    "denial": "denials",
+    "error": "errors",
+    "degradation": "degradations",
+    "canary": "canary_checks",
+}
 
 
 class AuditLog:
@@ -135,32 +141,15 @@ class AuditLog:
                 continue
             bucket = buckets.get(name)
             if bucket is None:
-                bucket = buckets[name] = {
-                    "queries": 0,
-                    "cache_hits": 0,
-                    "slow": 0,
-                    "denials": 0,
-                    "errors": 0,
-                    "degradations": 0,
-                    "canary_checks": 0,
-                    "canary_violations": 0,
-                }
+                bucket = buckets[name] = dict.fromkeys(_COUNTERS, 0)
                 latencies[name] = []
+            if event.kind in _COUNTED_KINDS:
+                bucket[_COUNTED_KINDS[event.kind]] += 1
             if event.kind == "query":
-                bucket["queries"] += 1
-                if event.cache_hit:
-                    bucket["cache_hits"] += 1
-                if event.slow:
-                    bucket["slow"] += 1
+                bucket["cache_hits"] += int(event.cache_hit)
+                bucket["slow"] += int(event.slow)
                 latencies[name].append(event.latency_seconds)
-            elif event.kind == "denial":
-                bucket["denials"] += 1
-            elif event.kind == "error":
-                bucket["errors"] += 1
-            elif event.kind == "degradation":
-                bucket["degradations"] += 1
             elif event.kind == "canary":
-                bucket["canary_checks"] += 1
                 bucket["canary_violations"] += event.violations
         for name, bucket in buckets.items():
             values = latencies[name]

@@ -97,26 +97,10 @@ class SecurityCanary:
             return False
         return self._rng.random() < self.sample_rate
 
-    def check(
-        self,
-        policy: str,
-        query,
-        results,
-        view_tree=None,
-        document=None,
-        view=None,
-        spec=None,
-    ) -> CanaryEvent:
-        """Compare a served answer against the oracle.
-
-        Pass ``view_tree`` when the caller already holds the
-        materialized view (the engine caches it per document);
-        otherwise ``document`` + ``view`` + ``spec`` materialize one.
-        """
-        if view_tree is None:
-            from repro.core.materialize import materialize
-
-            view_tree = materialize(document, view, spec)
+    def check(self, policy: str, query, results, view_tree) -> CanaryEvent:
+        """Compare a served answer against the oracle evaluated on
+        ``view_tree``, the materialized view (the engine caches it per
+        document)."""
         expected = oracle_answers(query, view_tree)
         missing, extra = compare_answers(expected, results)
         violations = missing + extra

@@ -1,25 +1,12 @@
 """Structured audit events and pluggable bounded sinks.
 
-The serving path of :class:`~repro.core.engine.SecureQueryEngine`
-emits one typed event per security-relevant occurrence:
-
-* :class:`QueryEvent` — a query was answered: policy, view query
-  text, rewritten document query text, strategy, cache status, result
-  count, node visits, end-to-end latency, and (when the query crossed
-  ``ExecutionOptions(slow_query_threshold=...)``) the rendered
-  EXPLAIN ANALYZE profile;
-* :class:`DenialEvent` — a strict-mode label check rejected a query
-  that referenced structure outside the user's view DTD;
-* :class:`PolicyEvent` — a policy was registered, dropped, or had its
-  caches invalidated;
-* :class:`ErrorEvent` — a query failed, with the stable ``code`` of
-  the raised :class:`~repro.errors.ReproError`;
-* :class:`CanaryEvent` — a sampled security re-check compared the
-  served answer against the materialized-view oracle (see
-  :mod:`repro.obs.canary`); ``violations`` must be zero;
-* :class:`DegradationEvent` — an optimization seam (columnar store,
-  index, plan cache) failed and the engine fell back to its reference
-  path instead of failing the query (see ``docs/robustness.md``).
+Every finished query's :class:`~repro.obs.record.QueryRecord` becomes
+one audit event (:func:`audit_event`): a :class:`QueryEvent`,
+:class:`DenialEvent` or :class:`ErrorEvent`.  The engine emits the
+others where they happen: :class:`PolicyEvent` (policy lifecycle),
+:class:`CanaryEvent` (a sampled security re-check, see
+:mod:`repro.obs.canary`) and :class:`DegradationEvent` (a seam failed
+soft, see ``docs/robustness.md``).
 
 Events flow through an :class:`EventPipeline` into sinks.  Sinks are
 **bounded and non-blocking by design**: the ring buffer evicts the
@@ -50,6 +37,7 @@ __all__ = [
     "ErrorEvent",
     "CanaryEvent",
     "DegradationEvent",
+    "audit_event",
     "event_from_dict",
     "parse_jsonl",
     "read_jsonl",
@@ -63,15 +51,28 @@ __all__ = [
 
 class Event:
     """Base class of audit events: a ``kind`` tag, a wall-clock
-    ``timestamp`` (seconds since the epoch), and typed fields listed
-    in ``_fields`` (which drive :meth:`to_dict` / :meth:`from_dict`)."""
+    ``timestamp`` (seconds since the epoch), and the typed fields of
+    ``_fields`` (name -> default, in constructor order), which drive
+    the constructor, :meth:`to_dict` and :meth:`from_dict`.  Fields
+    with a bool/int/float default are coerced to that type."""
 
     kind = "event"
-    _fields: tuple = ()
+    _fields: Dict[str, object] = {}
     __slots__ = ("timestamp",)
 
-    def __init__(self, timestamp: Optional[float] = None):
+    def __init__(self, *values, timestamp: Optional[float] = None, **fields):
+        fields.update(zip(self._fields, values))
+        unknown = set(fields) - set(self._fields)
+        if unknown or len(values) > len(self._fields):
+            raise TypeError(
+                "%s fields are %s" % (type(self).__name__, list(self._fields))
+            )
         self.timestamp = time.time() if timestamp is None else float(timestamp)
+        for name, default in self._fields.items():
+            value = fields.get(name, default)
+            if isinstance(default, (bool, int, float)):
+                value = type(default)(value)
+            setattr(self, name, value)
 
     def to_dict(self) -> dict:
         """JSON-safe export; ``from_dict``/:func:`event_from_dict`
@@ -88,7 +89,7 @@ class Event:
     def from_dict(cls, payload: dict) -> "Event":
         """Rebuild an event of this class from a :meth:`to_dict`
         payload (unknown keys are ignored; missing ones use the
-        constructor defaults)."""
+        defaults)."""
         keyword_arguments = {
             name: payload[name] for name in cls._fields if name in payload
         }
@@ -102,81 +103,39 @@ class Event:
 
 
 class QueryEvent(Event):
-    """One answered query on the serving path."""
+    """One answered query."""
 
     kind = "query"
-    _fields = (
-        "policy",
-        "query",
-        "rewritten",
-        "strategy",
-        "cache_hit",
-        "result_count",
-        "visits",
-        "latency_seconds",
-        "slow",
-        "profile",
-        "fingerprint",
-        "trace_id",
-    )
-    __slots__ = _fields
-
-    def __init__(
-        self,
-        policy: str = "",
-        query: str = "",
-        rewritten: str = "",
-        strategy: str = "virtual",
-        cache_hit: bool = False,
-        result_count: int = 0,
-        visits: int = 0,
-        latency_seconds: float = 0.0,
-        slow: bool = False,
-        profile: Optional[str] = None,
-        fingerprint: str = "",
-        trace_id: str = "",
-        timestamp: Optional[float] = None,
-    ):
-        super().__init__(timestamp)
-        self.policy = policy
-        self.query = query
-        self.rewritten = rewritten
-        self.strategy = strategy
-        self.cache_hit = bool(cache_hit)
-        self.result_count = int(result_count)
-        self.visits = int(visits)
-        self.latency_seconds = float(latency_seconds)
-        self.slow = bool(slow)
-        self.profile = profile
-        self.fingerprint = fingerprint
-        self.trace_id = trace_id
+    _fields = {
+        "policy": "",
+        "query": "",
+        "rewritten": "",
+        "strategy": "virtual",
+        "cache_hit": False,
+        "result_count": 0,
+        "visits": 0,
+        "latency_seconds": 0.0,
+        "slow": False,
+        "profile": None,
+        "fingerprint": "",
+        "trace_id": "",
+    }
+    __slots__ = tuple(_fields)
 
 
 class DenialEvent(Event):
-    """A strict-mode label check rejected a query (the defensive
-    ``_check_labels`` guard of the engine)."""
+    """A strict-mode label check rejected a query."""
 
     kind = "denial"
-    _fields = ("policy", "query", "label", "code", "message", "trace_id")
-    __slots__ = _fields
-
-    def __init__(
-        self,
-        policy: str = "",
-        query: str = "",
-        label: str = "",
-        code: str = "E_LABEL_DENIED",
-        message: str = "",
-        trace_id: str = "",
-        timestamp: Optional[float] = None,
-    ):
-        super().__init__(timestamp)
-        self.policy = policy
-        self.query = query
-        self.label = label
-        self.code = code
-        self.message = message
-        self.trace_id = trace_id
+    _fields = {
+        "policy": "",
+        "query": "",
+        "label": "",
+        "code": "E_LABEL_DENIED",
+        "message": "",
+        "trace_id": "",
+    }
+    __slots__ = tuple(_fields)
 
 
 class PolicyEvent(Event):
@@ -184,43 +143,23 @@ class PolicyEvent(Event):
     ``invalidate``."""
 
     kind = "policy"
-    _fields = ("action", "policy")
-    __slots__ = _fields
-
-    def __init__(
-        self,
-        action: str = "",
-        policy: str = "",
-        timestamp: Optional[float] = None,
-    ):
-        super().__init__(timestamp)
-        self.action = action
-        self.policy = policy
+    _fields = {"action": "", "policy": ""}
+    __slots__ = tuple(_fields)
 
 
 class ErrorEvent(Event):
-    """A query failed with a library error; ``code`` is the stable
+    """A query failed; ``code`` is the stable
     :attr:`~repro.errors.ReproError.code` of the raised exception."""
 
     kind = "error"
-    _fields = ("policy", "query", "code", "message", "trace_id")
-    __slots__ = _fields
-
-    def __init__(
-        self,
-        policy: str = "",
-        query: str = "",
-        code: str = "E_REPRO",
-        message: str = "",
-        trace_id: str = "",
-        timestamp: Optional[float] = None,
-    ):
-        super().__init__(timestamp)
-        self.policy = policy
-        self.query = query
-        self.code = code
-        self.message = message
-        self.trace_id = trace_id
+    _fields = {
+        "policy": "",
+        "query": "",
+        "code": "E_REPRO",
+        "message": "",
+        "trace_id": "",
+    }
+    __slots__ = tuple(_fields)
 
 
 class CanaryEvent(Event):
@@ -231,42 +170,18 @@ class CanaryEvent(Event):
     breach of the paper's security theorem and should page."""
 
     kind = "canary"
-    _fields = (
-        "policy",
-        "query",
-        "sample_rate",
-        "expected_count",
-        "actual_count",
-        "missing",
-        "extra",
-        "violations",
-        "ok",
-    )
-    __slots__ = _fields
-
-    def __init__(
-        self,
-        policy: str = "",
-        query: str = "",
-        sample_rate: float = 1.0,
-        expected_count: int = 0,
-        actual_count: int = 0,
-        missing: int = 0,
-        extra: int = 0,
-        violations: int = 0,
-        ok: bool = True,
-        timestamp: Optional[float] = None,
-    ):
-        super().__init__(timestamp)
-        self.policy = policy
-        self.query = query
-        self.sample_rate = float(sample_rate)
-        self.expected_count = int(expected_count)
-        self.actual_count = int(actual_count)
-        self.missing = int(missing)
-        self.extra = int(extra)
-        self.violations = int(violations)
-        self.ok = bool(ok)
+    _fields = {
+        "policy": "",
+        "query": "",
+        "sample_rate": 1.0,
+        "expected_count": 0,
+        "actual_count": 0,
+        "missing": 0,
+        "extra": 0,
+        "violations": 0,
+        "ok": True,
+    }
+    __slots__ = tuple(_fields)
 
 
 class DegradationEvent(Event):
@@ -277,24 +192,50 @@ class DegradationEvent(Event):
     error."""
 
     kind = "degradation"
-    _fields = ("policy", "seam", "fallback", "code", "message")
-    __slots__ = _fields
+    _fields = {
+        "policy": "",
+        "seam": "",
+        "fallback": "",
+        "code": "E_REPRO",
+        "message": "",
+    }
+    __slots__ = tuple(_fields)
 
-    def __init__(
-        self,
-        policy: str = "",
-        seam: str = "",
-        fallback: str = "",
-        code: str = "E_REPRO",
-        message: str = "",
-        timestamp: Optional[float] = None,
-    ):
-        super().__init__(timestamp)
-        self.policy = policy
-        self.seam = seam
-        self.fallback = fallback
-        self.code = code
-        self.message = message
+
+def audit_event(record) -> Event:
+    """The one audit event of a finished query's
+    :class:`~repro.obs.record.QueryRecord`: a :class:`DenialEvent`
+    (strict-mode label denial), an :class:`ErrorEvent` (any other
+    failure) or a :class:`QueryEvent` (an answer)."""
+    common = dict(
+        policy=record.policy,
+        query=record.query,
+        trace_id=record.trace_id,
+        timestamp=record.timestamp,
+    )
+    if record.denied:
+        return DenialEvent(
+            label=record.denied_label,
+            code=record.error_code,
+            message=record.error_message,
+            **common,
+        )
+    if record.error_code:
+        return ErrorEvent(
+            code=record.error_code, message=record.error_message, **common
+        )
+    return QueryEvent(
+        rewritten=str(record.rewritten),
+        strategy=record.strategy,
+        cache_hit=record.cache_hit,
+        result_count=record.result_count,
+        visits=record.visits,
+        latency_seconds=record.engine_seconds,
+        slow=record.slow,
+        profile=record.profile,
+        fingerprint=str(record.fingerprint) if record.fingerprint else "",
+        **common,
+    )
 
 
 #: kind tag -> event class, for :func:`event_from_dict`.

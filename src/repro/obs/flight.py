@@ -3,10 +3,11 @@
 A production query server cannot retain every trace, but the traces
 worth money are exactly the ones a uniform sampler throws away: the
 slow outliers, the errors, the security denials, the canary
-violations.  The :class:`FlightRecorder` therefore applies **tail-based
-retention**:
+violations.  The :class:`FlightRecorder` therefore keeps each
+finished request's :class:`~repro.obs.record.QueryRecord` (paired with
+a sequence number) by **tail-based retention** on its ``status``:
 
-* every *interesting* trace (error / denied / SLO-slow /
+* every *interesting* trace (error / denied / slow /
   canary-violation) lands in a bounded FIFO **tail buffer** — always
   kept until capacity evicts the oldest;
 * *uninteresting* OK traces go through **reservoir sampling**
@@ -19,9 +20,9 @@ on its :class:`~repro.serving.protocol.QueryResponse` can fetch the
 full span tree from ``GET /debug/traces?trace_id=...`` (or ``repro
 trace tail``) after the fact.
 
-Everything is stdlib + one lock; ``record()`` is O(spans) for the
-dict conversion and O(1) for retention, far off the query hot path
-(it runs once per request, after the response future resolves).
+Everything is stdlib + one lock; ``record()`` is O(1): the closed
+root span becomes plain dicts (:func:`trace_dict`) only when a trace
+is read.
 """
 
 from __future__ import annotations
@@ -29,161 +30,38 @@ from __future__ import annotations
 import random
 from collections import deque
 from threading import Lock
-from time import time
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.obs.trace import Span
+from repro.obs.record import QueryRecord
 
-__all__ = ["TraceRecord", "FlightRecorder", "render_trace"]
-
-#: Error codes classified as security denials for retention purposes.
-DENIAL_CODES = frozenset({"E_LABEL_DENIED", "E_SECURITY"})
+__all__ = ["FlightRecorder", "render_trace", "trace_dict"]
 
 
-def _span_dict(span: Span, counter: List[int], parent_id: str) -> dict:
-    """``Span.to_dict`` plus deterministic ``span_id`` /
-    ``parent_span_id`` fields (preorder ``0001``, ``0002``, ...)."""
-    counter[0] += 1
-    span_id = "%04x" % counter[0]
-    out: dict = {
-        "name": span.name,
-        "span_id": span_id,
-        "parent_span_id": parent_id,
-        "duration_seconds": span.duration,
+def trace_dict(record: QueryRecord) -> dict:
+    """One retained trace as served by ``GET /debug/traces``: the
+    record's identity and classification plus its span tree as plain
+    dicts (JSON-safe)."""
+    return {
+        "trace_id": record.trace_id,
+        "request_id": record.request_id,
+        "tenant": record.tenant,
+        "policy": record.policy,
+        "query": record.query,
+        "document": record.document,
+        "status": record.status,
+        "ok": record.ok,
+        "error_code": record.error_code,
+        "latency_seconds": record.latency_seconds,
+        "slow": record.slow,
+        "canary_violations": record.canary_violations,
+        "fingerprint": str(record.fingerprint) if record.fingerprint else "",
+        "recorded_at": record.timestamp,
+        "spans": record.span.to_dict() if record.span is not None else {},
     }
-    if span.attributes:
-        out["attributes"] = dict(span.attributes)
-    if span.children:
-        out["children"] = [
-            _span_dict(child, counter, span_id) for child in span.children
-        ]
-    return out
-
-
-class TraceRecord:
-    """One finished request's trace: identity, classification, and the
-    span tree (as plain dicts, JSON-safe)."""
-
-    __slots__ = (
-        "trace_id",
-        "request_id",
-        "tenant",
-        "policy",
-        "query",
-        "document",
-        "ok",
-        "error_code",
-        "latency_seconds",
-        "slow",
-        "canary_violations",
-        "fingerprint",
-        "recorded_at",
-        "spans",
-        "seq",
-    )
-
-    def __init__(
-        self,
-        trace_id: str,
-        tenant: str = "",
-        policy: str = "",
-        query: str = "",
-        document: str = "",
-        request_id: str = "",
-        ok: bool = True,
-        error_code: str = "",
-        latency_seconds: float = 0.0,
-        slow: bool = False,
-        canary_violations: int = 0,
-        fingerprint: str = "",
-        spans: Optional[dict] = None,
-    ):
-        self.trace_id = trace_id
-        self.request_id = request_id
-        self.tenant = tenant
-        self.policy = policy
-        self.query = query
-        self.document = document
-        self.ok = ok
-        self.error_code = error_code
-        self.latency_seconds = latency_seconds
-        self.slow = slow
-        self.canary_violations = canary_violations
-        self.fingerprint = fingerprint
-        self.recorded_at = time()
-        self.spans = spans or {}
-        self.seq = 0  # assigned by the recorder (stable ordering key)
-
-    @classmethod
-    def from_span(cls, root: Span, **fields) -> "TraceRecord":
-        """Build a record from a (closed) root span, assigning
-        deterministic span ids; a canary-violation attribute set by the
-        engine on the root span is folded into the classification."""
-        violations = int(root.attributes.get("canary_violations", 0) or 0)
-        fields.setdefault("canary_violations", violations)
-        # likewise folded from a root-span attribute the engine sets
-        # at answer time (see SecureQueryEngine._query_one)
-        fields.setdefault(
-            "fingerprint", str(root.attributes.get("fingerprint", "") or "")
-        )
-        record = cls(spans=_span_dict(root, [0], ""), **fields)
-        return record
-
-    # -- classification ------------------------------------------------
-
-    @property
-    def denied(self) -> bool:
-        return self.error_code in DENIAL_CODES
-
-    @property
-    def interesting(self) -> bool:
-        """Tail-retention class: always kept (until capacity)."""
-        return (
-            not self.ok
-            or self.slow
-            or self.canary_violations > 0
-        )
-
-    @property
-    def status(self) -> str:
-        if not self.ok:
-            return "denied" if self.denied else "error"
-        if self.canary_violations > 0:
-            return "canary-violation"
-        if self.slow:
-            return "slow"
-        return "ok"
-
-    def to_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "request_id": self.request_id,
-            "tenant": self.tenant,
-            "policy": self.policy,
-            "query": self.query,
-            "document": self.document,
-            "status": self.status,
-            "ok": self.ok,
-            "error_code": self.error_code,
-            "latency_seconds": self.latency_seconds,
-            "slow": self.slow,
-            "canary_violations": self.canary_violations,
-            "fingerprint": self.fingerprint,
-            "recorded_at": self.recorded_at,
-            "spans": self.spans,
-        }
-
-    def __repr__(self):
-        return "TraceRecord(%s, %s, tenant=%r, %.3fms)" % (
-            self.trace_id[:8],
-            self.status,
-            self.tenant,
-            self.latency_seconds * 1e3,
-        )
 
 
 def render_trace(payload: dict) -> str:
-    """Human text rendering of one ``TraceRecord.to_dict`` payload:
+    """Human text rendering of one :func:`trace_dict` payload:
     a header line plus the indented span tree."""
     header = "%s  %-16s %-10s %s  %.3fms" % (
         payload.get("trace_id", "")[:16],
@@ -247,9 +125,10 @@ class FlightRecorder:
         self.capacity = capacity
         self.tail_capacity = tail_capacity
         self._rng = random.Random(seed)
-        self._ok: List[TraceRecord] = []
-        self._tail: Deque[TraceRecord] = deque()
-        self._index: Dict[str, TraceRecord] = {}
+        # (seq, record) pairs; seq is the recorder's stable ordering key
+        self._ok: List[Tuple[int, QueryRecord]] = []
+        self._tail: Deque[Tuple[int, QueryRecord]] = deque()
+        self._index: Dict[str, QueryRecord] = {}
         self._lock = Lock()
         self._seq = 0
         # retention accounting (all monotonic)
@@ -262,39 +141,40 @@ class FlightRecorder:
 
     # -- recording -----------------------------------------------------
 
-    def record(self, record: TraceRecord) -> bool:
-        """Offer one finished trace; returns whether it was retained."""
+    def record(self, record: QueryRecord) -> bool:
+        """Offer one finished request; returns whether it was
+        retained.  Anything but an ``ok`` status is tail-retained."""
         with self._lock:
             self._seq += 1
-            record.seq = self._seq
+            entry = (self._seq, record)
             self.recorded += 1
-            if record.interesting:
+            if record.status != "ok":
                 self.tail_kept += 1
-                self._tail.append(record)
+                self._tail.append(entry)
                 self._index[record.trace_id] = record
                 if len(self._tail) > self.tail_capacity:
-                    evicted = self._tail.popleft()
+                    _, evicted = self._tail.popleft()
                     self.tail_evicted += 1
                     self._discard(evicted)
                 return True
             # reservoir (Algorithm R) over the OK stream
             self.ok_seen += 1
             if len(self._ok) < self.capacity:
-                self._ok.append(record)
+                self._ok.append(entry)
                 self._index[record.trace_id] = record
                 return True
             slot = self._rng.randrange(self.ok_seen)
             if slot < self.capacity:
-                replaced = self._ok[slot]
+                _, replaced = self._ok[slot]
                 self.ok_replaced += 1
                 self._discard(replaced)
-                self._ok[slot] = record
+                self._ok[slot] = entry
                 self._index[record.trace_id] = record
                 return True
             self.ok_dropped += 1
             return False
 
-    def _discard(self, record: TraceRecord) -> None:
+    def _discard(self, record: QueryRecord) -> None:
         # only drop the index entry if it still points at this record
         # (a trace_id collision must not orphan the newer record)
         if self._index.get(record.trace_id) is record:
@@ -302,7 +182,7 @@ class FlightRecorder:
 
     # -- lookup --------------------------------------------------------
 
-    def get(self, trace_id: str) -> Optional[TraceRecord]:
+    def get(self, trace_id: str) -> Optional[QueryRecord]:
         with self._lock:
             return self._index.get(trace_id)
 
@@ -311,13 +191,13 @@ class FlightRecorder:
         n: Optional[int] = None,
         tenant: Optional[str] = None,
         status: Optional[str] = None,
-    ) -> List[TraceRecord]:
-        """Retained traces, newest first, optionally filtered."""
+    ) -> List[QueryRecord]:
+        """Retained records, newest first, optionally filtered."""
         with self._lock:
             merged = list(self._tail) + list(self._ok)
-        merged.sort(key=lambda record: record.seq, reverse=True)
+        merged.sort(key=lambda entry: entry[0], reverse=True)
         out = []
-        for record in merged:
+        for _, record in merged:
             if tenant is not None and record.tenant != tenant:
                 continue
             if status is not None and record.status != status:
@@ -360,7 +240,7 @@ class FlightRecorder:
         return {
             "stats": self.stats(),
             "traces": [
-                record.to_dict()
+                trace_dict(record)
                 for record in self.traces(n=n, tenant=tenant, status=status)
             ],
         }

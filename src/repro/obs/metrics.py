@@ -15,14 +15,12 @@ series renders as a Prometheus-style key
 (``serving.latency_seconds{tenant="nurse"}``), which
 :mod:`repro.obs.export` splits back into name + labels.
 
-Histograms are streaming summaries (count/sum/min/max) by default; pass
-``buckets`` (a sorted tuple of upper bounds, e.g.
-:data:`LATENCY_BUCKETS`) on first creation and the histogram also
-counts observations into fixed log buckets, which the Prometheus export
-renders as real ``_bucket`` lines (so p95/p99 can be computed per
-label set).  :class:`Gauge` carries point-in-time values (queue depths,
-burn rates) that may go down again — never record those into a
-histogram.
+Histograms are streaming summaries (count/sum/min/max); created with
+``buckets`` (e.g. :data:`LATENCY_BUCKETS`) they also count into fixed
+log buckets, exported as Prometheus ``_bucket`` lines, and
+:meth:`Histogram.quantile` interpolates inside them.  Exact
+percentiles of a finite sample use :func:`percentile` (nearest-rank).
+:class:`Gauge` carries point-in-time values that may go down again.
 
 Recording is **off by default** and guarded by a module-level flag so
 instrumentation left on hot paths costs one function call with a
@@ -42,6 +40,7 @@ and tools that own their registry.
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import ceil
 from threading import Lock
 from typing import Dict, List, Optional, Tuple
 
@@ -60,6 +59,7 @@ __all__ = [
     "set_gauge",
     "series_name",
     "split_series",
+    "percentile",
 ]
 
 #: Module-level master switch for the guarded helpers below.
@@ -89,6 +89,19 @@ def disable_metrics() -> None:
 
 def metrics_enabled() -> bool:
     return _ENABLED
+
+
+def percentile(values, q: float) -> float:
+    """Exact nearest-rank ``q``-quantile (``q`` in [0, 1]): the
+    smallest value with at least ``q`` of ``values`` at or below it;
+    0.0 for none.  Bucketed streams use :meth:`Histogram.quantile`."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    # rounding first keeps float noise (0.07 * 100 = 7.000000000000001)
+    # from pushing an exact rank up by one
+    rank = ceil(round(q * len(ordered), 9))
+    return ordered[min(max(rank, 1), len(ordered)) - 1]
 
 
 def _label_key(labels: Optional[Dict[str, str]]) -> tuple:
@@ -242,19 +255,24 @@ class Histogram:
         return out
 
     def quantile(self, q: float) -> float:
-        """Bucket-resolution quantile estimate (0..1): the upper bound
-        of the first bucket whose cumulative count reaches ``q`` of
-        the observations.  Falls back to the streaming max beyond the
-        last bound, and to min/max without buckets."""
+        """Quantile estimate (``q`` in [0, 1]) as Prometheus
+        ``histogram_quantile`` computes it: linear inside the bucket
+        holding rank ``q * count``, clamped to the observed
+        ``[min, max]`` (the max beyond the last bound)."""
         if self.count == 0:
             return 0.0
         if self._bucket_counts is None:
             return (self.maximum if q >= 0.5 else self.minimum) or 0.0
-        target = q * self.count
-        for bound, cumulative in self.cumulative_buckets():
-            if cumulative >= target:
-                return bound
-        return self.maximum if self.maximum is not None else 0.0
+        rank = q * self.count
+        lower, below = 0.0, 0
+        for upper, cumulative in self.cumulative_buckets():
+            if cumulative >= rank and cumulative > below:
+                estimate = lower + (upper - lower) * (
+                    (rank - below) / (cumulative - below)
+                )
+                return min(max(estimate, self.minimum), self.maximum)
+            lower, below = upper, cumulative
+        return self.maximum
 
     def as_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {

@@ -161,10 +161,14 @@ class SLOTracker:
         self._tenants: Dict[str, _TenantState] = {}
         self._lock = Lock()
 
-    def observe(self, tenant: str, latency_seconds: float, ok: bool) -> bool:
-        """Record one request; returns True when it breached the SLO
-        (slow or failed) — the caller's tail-retention signal."""
-        bad = self.objective.is_bad(latency_seconds, ok)
+    def observe(self, record) -> bool:
+        """Account one served request from its
+        :class:`~repro.obs.record.QueryRecord` (request latency and
+        outcome); returns True when it breached the SLO (slow or
+        failed)."""
+        tenant = record.tenant
+        latency_seconds = record.latency_seconds
+        bad = self.objective.is_bad(latency_seconds, record.ok)
         now = self._clock()
         with self._lock:
             state = self._tenants.get(tenant)
@@ -202,17 +206,22 @@ class SLOTracker:
         tenant, lifetime totals and both windows' bad fractions and
         burn rates."""
         now = self._clock()
+        budget = self.objective.error_budget
+
+        def window(ring: BurnWindow) -> dict:
+            good, bad = ring.counts(now)
+            fraction = bad / (good + bad) if good + bad else 0.0
+            return {
+                "window_seconds": ring.window_seconds,
+                "requests": good + bad,
+                "bad": bad,
+                "bad_fraction": fraction,
+                "burn_rate": fraction / budget,
+            }
+
         with self._lock:
-            tenants = {}
-            budget = self.objective.error_budget
-            for tenant, state in sorted(self._tenants.items()):
-                fast_good, fast_bad = state.fast.counts(now)
-                slow_good, slow_bad = state.slow.counts(now)
-                fast_total = fast_good + fast_bad
-                slow_total = slow_good + slow_bad
-                fast_fraction = fast_bad / fast_total if fast_total else 0.0
-                slow_fraction = slow_bad / slow_total if slow_total else 0.0
-                tenants[tenant] = {
+            tenants = {
+                tenant: {
                     "requests": state.requests,
                     "breaches": state.breaches,
                     "compliance": (
@@ -221,21 +230,11 @@ class SLOTracker:
                         else 1.0
                     ),
                     "last_latency_seconds": state.last_latency,
-                    "fast": {
-                        "window_seconds": state.fast.window_seconds,
-                        "requests": fast_total,
-                        "bad": fast_bad,
-                        "bad_fraction": fast_fraction,
-                        "burn_rate": fast_fraction / budget,
-                    },
-                    "slow": {
-                        "window_seconds": state.slow.window_seconds,
-                        "requests": slow_total,
-                        "bad": slow_bad,
-                        "bad_fraction": slow_fraction,
-                        "burn_rate": slow_fraction / budget,
-                    },
+                    "fast": window(state.fast),
+                    "slow": window(state.slow),
                 }
+                for tenant, state in sorted(self._tenants.items())
+            }
         return {"objective": self.objective.to_dict(), "tenants": tenants}
 
     def __repr__(self):

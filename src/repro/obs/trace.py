@@ -15,11 +15,8 @@ nesting stack, so instrumented code reads as::
             ev.set(results=len(results))
     query_span.duration      # end-to-end wall seconds
 
-The engine derives ``QueryReport.timings`` from the stage spans (the
-pre-1.2 ``perf_counter()`` bookkeeping kept the same numbers, so the
-report format is unchanged) and ``QueryReport.total_seconds`` from the
-enclosing query span — the true end-to-end wall time, not the sum of
-possibly-overlapping stage entries.
+The engine derives ``QueryReport.timings`` from the stage spans and
+``QueryReport.total_seconds`` from the enclosing query span.
 
 A disabled tracer (``Tracer(enabled=False)``) returns a shared no-op
 span: no allocation, no clock reads, no bookkeeping — instrumentation
@@ -28,6 +25,7 @@ left in place costs one attribute check.
 
 from __future__ import annotations
 
+import itertools
 import uuid
 from time import perf_counter
 from typing import Dict, List, Optional
@@ -151,12 +149,23 @@ class Span:
         self.attributes.update(attributes)
         return self
 
-    def to_dict(self) -> dict:
-        out: dict = {"name": self.name, "duration_seconds": self.duration}
+    def to_dict(self, _ids=None, _parent_id: str = "") -> dict:
+        """JSON-safe export of the subtree.  Spans carry deterministic
+        preorder ids (``0001``, ``0002``, ...) and their parent's."""
+        ids = itertools.count(1) if _ids is None else _ids
+        span_id = "%04x" % next(ids)
+        out: dict = {
+            "name": self.name,
+            "span_id": span_id,
+            "parent_span_id": _parent_id,
+            "duration_seconds": self.duration,
+        }
         if self.attributes:
             out["attributes"] = dict(self.attributes)
         if self.children:
-            out["children"] = [child.to_dict() for child in self.children]
+            out["children"] = [
+                child.to_dict(ids, span_id) for child in self.children
+            ]
         return out
 
     def render(self, indent: int = 0) -> str:

@@ -11,10 +11,12 @@ Aggregation is keyed ``(tenant, policy, fingerprint)`` where the
 fingerprint is the constant-masked canonical AST shape from
 :mod:`repro.xpath.fingerprint` — so ``//patient[wardNo = "1"]`` and
 ``//patient[wardNo = "7"]`` fold into one entry.  Per entry the
-profiler keeps a count, a log-bucket latency histogram (the shared
-:data:`~repro.obs.metrics.LATENCY_BUCKETS` ladder, so p50/p95 line up
-with the serving series), node-visit and result-count totals, plan
-cache hit counts, and error/denial counts.
+profiler keeps a count, a log-bucket histogram of engine latency (the
+shared :data:`~repro.obs.metrics.LATENCY_BUCKETS` ladder; p50/p95
+interpolate inside a bucket and never leave the observed range),
+node-visit and result-count totals, plan cache hit counts, and
+error/denial counts, all read from each finished query's
+:class:`~repro.obs.record.QueryRecord`.
 
 Cardinality is **bounded**: each tenant holds at most ``capacity``
 entries via the space-saving heavy-hitter sketch (Metwally, Agrawal &
@@ -27,10 +29,8 @@ frequency above ``N / capacity`` is guaranteed to be present.  The
 per-entry ``error`` and per-tenant eviction counters are exposed so a
 consumer can tell a certain heavy hitter from a churn artifact.
 
-Thread safety: one lock per profiler.  The engine hot path pays a
-single ``profiler is not None`` check when profiling is off, and one
-lock + dict update + histogram observe when on — microseconds against
-millisecond-scale secure queries.
+Thread safety: one lock per profiler; recording one record costs a
+lock, a dict update and a histogram observation.
 """
 
 from __future__ import annotations
@@ -118,12 +118,24 @@ class _TenantSketch:
 
     __slots__ = ("entries", "queries", "errors", "denials", "evictions")
 
+    #: The roll-up keys of :meth:`totals`, in report order.
+    TOTALS = ("queries", "errors", "denials", "evictions", "fingerprints")
+
     def __init__(self):
         self.entries: Dict[Tuple[str, str], WorkloadEntry] = {}
         self.queries = 0
         self.errors = 0
         self.denials = 0
         self.evictions = 0
+
+    def totals(self) -> Dict[str, int]:
+        return {
+            "queries": self.queries,
+            "errors": self.errors,
+            "denials": self.denials,
+            "evictions": self.evictions,
+            "fingerprints": len(self.entries),
+        }
 
 
 class WorkloadProfiler:
@@ -139,53 +151,36 @@ class WorkloadProfiler:
 
     # -- recording -------------------------------------------------------
 
-    def record_query(
-        self,
-        tenant: str,
-        policy: str,
-        fingerprint,
-        latency_seconds: float,
-        visits: int = 0,
-        result_count: int = 0,
-        cache_hit: bool = False,
-    ) -> None:
-        """Account one successful query.  ``fingerprint`` is a
-        :class:`~repro.xpath.fingerprint.Fingerprint` (or any object
-        with ``digest``/``shape``, or a bare digest string)."""
+    def record_query(self, record) -> None:
+        """Account one finished query's
+        :class:`~repro.obs.record.QueryRecord` under its fingerprint
+        (a :class:`~repro.xpath.fingerprint.Fingerprint`, or a bare
+        digest string): an answer adds visits, results, cache status
+        and engine latency; a failure counts as an error, or as a
+        denial when the strict-mode label check rejected it."""
+        tenant = record.tenant or record.policy
         with self._lock:
             sketch = self._sketch(tenant)
-            entry = self._entry(sketch, tenant, policy, fingerprint)
+            entry = self._entry(
+                sketch, tenant, record.policy, record.fingerprint
+            )
             sketch.queries += 1
             entry.count += 1
-            entry.visits += visits
-            entry.results += result_count
-            if cache_hit:
+            if record.denied:
+                sketch.denials += 1
+                entry.denials += 1
+                return
+            if record.error_code:
+                sketch.errors += 1
+                entry.errors += 1
+                return
+            entry.visits += record.visits
+            entry.results += record.result_count
+            if record.cache_hit:
                 entry.cache_hits += 1
         # the histogram carries its own lock; observing outside the
         # profiler lock keeps the critical section to dict updates
-        entry.latency.observe(latency_seconds)
-
-    def record_error(
-        self,
-        tenant: str,
-        policy: str,
-        fingerprint,
-        denied: bool = False,
-    ) -> None:
-        """Account one failed query (``denied=True`` for access-denial
-        rejections, which the paper's security model treats as a
-        distinct, policy-relevant outcome)."""
-        with self._lock:
-            sketch = self._sketch(tenant)
-            entry = self._entry(sketch, tenant, policy, fingerprint)
-            sketch.queries += 1
-            entry.count += 1
-            if denied:
-                sketch.denials += 1
-                entry.denials += 1
-            else:
-                sketch.errors += 1
-                entry.errors += 1
+        entry.latency.observe(record.engine_seconds)
 
     # -- internals (caller holds the lock) -------------------------------
 
@@ -253,13 +248,7 @@ class WorkloadProfiler:
                 sketch = self._tenants.get(name)
                 if sketch is None:
                     continue
-                totals = {
-                    "queries": sketch.queries,
-                    "errors": sketch.errors,
-                    "denials": sketch.denials,
-                    "evictions": sketch.evictions,
-                    "fingerprints": len(sketch.entries),
-                }
+                totals = sketch.totals()
             tenants[name] = dict(totals, top=self.top(name, n))
         return {
             "capacity": self.capacity,
@@ -269,23 +258,12 @@ class WorkloadProfiler:
     def stats(self) -> dict:
         """Cheap roll-up totals across tenants (no entry details)."""
         with self._lock:
-            queries = sum(s.queries for s in self._tenants.values())
-            errors = sum(s.errors for s in self._tenants.values())
-            denials = sum(s.denials for s in self._tenants.values())
-            evictions = sum(s.evictions for s in self._tenants.values())
-            fingerprints = sum(
-                len(s.entries) for s in self._tenants.values()
-            )
-            tenants = len(self._tenants)
-        return {
-            "tenants": tenants,
-            "queries": queries,
-            "errors": errors,
-            "denials": denials,
-            "evictions": evictions,
-            "fingerprints": fingerprints,
-            "capacity": self.capacity,
-        }
+            sketches = [sketch.totals() for sketch in self._tenants.values()]
+        out = {"tenants": len(sketches)}
+        for key in _TenantSketch.TOTALS:
+            out[key] = sum(totals[key] for totals in sketches)
+        out["capacity"] = self.capacity
+        return out
 
     def reset(self) -> None:
         with self._lock:

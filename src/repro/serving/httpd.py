@@ -65,6 +65,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from repro.obs.flight import trace_dict
 from repro.obs.trace import TraceContext
 from repro.robustness.faults import trip as fault_trip
 from repro.serving.protocol import QueryRequest, QueryResponse
@@ -187,7 +188,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return {
                 "enabled": self.query_server.flight is not None,
-                "traces": [record.to_dict()] if record is not None else [],
+                "traces": [trace_dict(record)] if record is not None else [],
             }
         try:
             n = int(first("n")) if first("n") else None

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional
 
 from repro.core.options import ExecutionOptions
 from repro.errors import AdmissionRejected
+from repro.obs.metrics import percentile
 from repro.serving.protocol import QueryRequest, QueryResponse
 from repro.serving.resilience import RetryBudget
 from repro.serving.server import EngineCatalog, QueryServer
@@ -30,7 +31,6 @@ __all__ = [
     "standard_catalog",
     "mixed_workload",
     "replay",
-    "percentile",
     "summarize",
 ]
 
@@ -103,28 +103,15 @@ def mixed_workload(
     return requests
 
 
-def percentile(samples: List[float], q: float) -> float:
-    """The ``q``-th percentile (0-100) by linear interpolation."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (len(ordered) - 1) * (q / 100.0)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    return ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
-
-
 def summarize(latencies: List[float], elapsed: float) -> Dict[str, float]:
     """Latency percentiles (ms) and throughput for one replay run."""
     return {
         "requests": len(latencies),
         "elapsed_seconds": elapsed,
         "qps": len(latencies) / elapsed if elapsed > 0 else 0.0,
-        "p50_ms": percentile(latencies, 50) * 1e3,
-        "p95_ms": percentile(latencies, 95) * 1e3,
-        "p99_ms": percentile(latencies, 99) * 1e3,
+        "p50_ms": percentile(latencies, 0.50) * 1e3,
+        "p95_ms": percentile(latencies, 0.95) * 1e3,
+        "p99_ms": percentile(latencies, 0.99) * 1e3,
     }
 
 
@@ -249,8 +236,8 @@ def replay(
     summary["tenants"] = {
         tenant: {
             "requests": len(values),
-            "p50_ms": percentile(values, 50) * 1e3,
-            "p95_ms": percentile(values, 95) * 1e3,
+            "p50_ms": percentile(values, 0.50) * 1e3,
+            "p95_ms": percentile(values, 0.95) * 1e3,
         }
         for tenant, values in sorted(per_tenant.items())
     }

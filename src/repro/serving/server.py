@@ -34,16 +34,15 @@ from threading import Condition, Lock, Thread
 from time import monotonic
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ReproError, SecurityError
+from repro.errors import SecurityError
 from repro.robustness.faults import trip as fault_trip
-from repro.obs.events import ErrorEvent
-from repro.obs.flight import FlightRecorder, TraceRecord
+from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import (
-    LATENCY_BUCKETS,
     observe as _observe,
     record as _record,
     set_gauge as _set_gauge,
 )
+from repro.obs.record import QueryRecord
 from repro.obs.slo import SLOTracker
 from repro.obs.trace import NULL_SPAN, Tracer, new_trace_id
 from repro.serving.admission import AdmissionController
@@ -187,6 +186,14 @@ class QueryServer(object):
         self.slo = slo if slo is not None else (
             SLOTracker() if self.tracing else None
         )
+        # appended to each engine's record fan-out for served requests
+        # (the flight recorder keeps span trees, so only when tracing)
+        consumers = []
+        if self.slo is not None:
+            consumers.append(self.slo.observe)
+        if self.flight is not None and self.tracing:
+            consumers.append(self.flight.record)
+        self._consumers = tuple(consumers)
         if workload is None and profiling:
             from repro.obs.workload import WorkloadProfiler
 
@@ -450,6 +457,9 @@ class QueryServer(object):
             request_id=request.request_id,
         )
         started = monotonic()
+        # what the engine (or the admission failure) tells us about
+        # the finished query; the engine fills it through ``finish``
+        finished = {"policy": request.policy, "query": request.query}
         with root_span:
             try:
                 # The slot is held per request, not per batch: a batch
@@ -474,74 +484,32 @@ class QueryServer(object):
                             document,
                             scan_cache=shared_scans,
                             tracer=tracer,
+                            finish=finished.update,
                         )
-            except ReproError as error:
-                # Admission failures happen outside the engine, so mirror
-                # its audit behaviour here for event parity.
-                if engine.events.active:
-                    engine.events.emit(
-                        ErrorEvent(
-                            policy=request.policy,
-                            query=request.query,
-                            code=getattr(error, "code", ""),
-                            message=str(error),
-                            trace_id=request.trace_id,
-                        )
-                    )
-                if self.workload is not None:
-                    try:
-                        from repro.xpath.fingerprint import query_fingerprint
-
-                        self.workload.record_error(
-                            request.tenant_id,
-                            request.policy,
-                            query_fingerprint(request.query),
-                        )
-                    except Exception:
-                        _record("workload.failures")
-                response = QueryResponse.from_error(request, error)
             except BaseException as error:  # never leak through a future
+                # admission rejections and serving faults finish here,
+                # outside the engine
+                finished["error"] = error
                 response = QueryResponse.from_error(request, error)
             if not response.ok:
                 root_span.set(error_code=response.error_code)
-                _record("serving.errors")
-                if response.error_code:
-                    _record("serving.errors.%s" % response.error_code)
         latency = monotonic() - started
-        tenant_labels = {"tenant": request.tenant_id}
-        _observe(
-            "serving.latency_seconds",
-            latency,
-            labels=tenant_labels,
-            buckets=LATENCY_BUCKETS,
+        slo = self.slo
+        record = QueryRecord.finished(
+            trace_id=request.trace_id,
+            request_id=request.request_id,
+            tenant=request.tenant_id,
+            document=request.document,
+            latency_seconds=latency,
+            e2e_seconds=monotonic() - item.enqueued_at,
+            slo_breach=(
+                slo is not None and latency > slo.objective.threshold_seconds
+            ),
+            span=tracer.root if tracer is not None else None,
+            served=True,
+            **finished,
         )
-        _observe(
-            "serving.e2e_seconds",
-            monotonic() - item.enqueued_at,
-            labels=tenant_labels,
-            buckets=LATENCY_BUCKETS,
-        )
-        breach = (
-            self.slo.observe(request.tenant_id, latency, response.ok)
-            if self.slo is not None
-            else False
-        )
-        if self.flight is not None and tracer is not None and tracer.root:
-            self.flight.record(
-                TraceRecord.from_span(
-                    tracer.root,
-                    trace_id=request.trace_id,
-                    request_id=request.request_id,
-                    tenant=request.tenant_id,
-                    policy=request.policy,
-                    query=request.query,
-                    document=request.document,
-                    ok=response.ok,
-                    error_code=response.error_code,
-                    latency_seconds=latency,
-                    slow=response.ok and breach,
-                )
-            )
+        engine.records.publish(record, self._consumers)
         self._finish(item, response)
 
     # -- debug introspection ---------------------------------------------

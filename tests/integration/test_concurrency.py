@@ -306,14 +306,14 @@ class TestFlightRecorderConcurrency:
     past its bounds, drop an error trace, or corrupt the id index."""
 
     def _trace(self, trace_id, ok=True, error_code="", tenant="t"):
-        from repro.obs.flight import TraceRecord
+        from repro.obs.record import QueryRecord
 
-        return TraceRecord(
-            trace_id,
+        assert ok == (not error_code)
+        return QueryRecord(
+            trace_id=trace_id,
             tenant=tenant,
             policy="nurse",
             query="//a",
-            ok=ok,
             error_code=error_code,
             latency_seconds=0.001,
         )
@@ -429,6 +429,7 @@ class TestFlightRecorderConcurrency:
     def test_slo_tracker_counts_every_observation(self):
         """SLOTracker shared across 16 threads loses no requests and
         keeps per-tenant tallies exact."""
+        from repro.obs.record import QueryRecord
         from repro.obs.slo import SLObjective, SLOTracker
 
         tracker = SLOTracker(SLObjective(threshold_seconds=0.1, target=0.9))
@@ -437,7 +438,12 @@ class TestFlightRecorderConcurrency:
         def worker(index):
             tenant = "tenant-%d" % (index % 4)
             for round_no in range(per_thread):
-                tracker.observe(tenant, 0.5 if round_no % 2 else 0.01, True)
+                tracker.observe(
+                    QueryRecord(
+                        tenant=tenant,
+                        latency_seconds=0.5 if round_no % 2 else 0.01,
+                    )
+                )
 
         _hammer(worker)
         snapshot = tracker.snapshot()

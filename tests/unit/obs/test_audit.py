@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.obs.audit import AuditLog, percentile
+from repro.obs import percentile
+from repro.obs.audit import AuditLog
 from repro.obs.events import (
     CanaryEvent,
     DenialEvent,
@@ -69,6 +70,10 @@ class TestPercentile:
 
     def test_unsorted_input(self):
         assert percentile([9.0, 1.0, 5.0], 0.5) == 5.0
+
+    def test_exact_rank_survives_float_noise(self):
+        # 0.07 * 100 is 7.000000000000001 in floating point
+        assert percentile([float(v) for v in range(1, 101)], 0.07) == 7.0
 
 
 class TestFiltering:

@@ -175,18 +175,27 @@ class TestLabeledExport:
 
 class TestPublishWorkload:
     def _profiler(self):
+        from repro.obs.record import QueryRecord
         from repro.obs.workload import WorkloadProfiler
         from repro.xpath.fingerprint import query_fingerprint
 
         profiler = WorkloadProfiler(capacity=4)
+        for seconds in (0.001, 0.002):
+            profiler.record_query(
+                QueryRecord(
+                    tenant="nurse",
+                    policy="nurse",
+                    fingerprint=query_fingerprint("//patient"),
+                    engine_seconds=seconds,
+                )
+            )
         profiler.record_query(
-            "nurse", "nurse", query_fingerprint("//patient"), 0.001
-        )
-        profiler.record_query(
-            "nurse", "nurse", query_fingerprint("//patient"), 0.002
-        )
-        profiler.record_error(
-            "doctor", "doctor", query_fingerprint("//secret"), denied=True
+            QueryRecord(
+                tenant="doctor",
+                policy="doctor",
+                fingerprint=query_fingerprint("//secret"),
+                error_code="E_LABEL_DENIED",
+            )
         )
         return profiler
 

@@ -2,17 +2,18 @@
 
 import pytest
 
-from repro.obs.flight import FlightRecorder, TraceRecord, render_trace
+from repro.obs.flight import FlightRecorder, render_trace, trace_dict
+from repro.obs.record import QueryRecord
 from repro.obs.trace import Tracer
 
 
 def _record(index, ok=True, error_code="", slow=False, violations=0, tenant="t"):
-    return TraceRecord(
-        "trace%04d" % index,
+    assert ok == (not error_code)
+    return QueryRecord(
+        trace_id="trace%04d" % index,
         tenant=tenant,
         policy="nurse",
         query="//a",
-        ok=ok,
         error_code=error_code,
         latency_seconds=0.01,
         slow=slow,
@@ -21,6 +22,9 @@ def _record(index, ok=True, error_code="", slow=False, violations=0, tenant="t")
 
 
 class TestTraceRecord:
+    """The per-trace entries: a QueryRecord's status decides retention,
+    and trace_dict renders it for ``GET /debug/traces``."""
+
     def test_status_classification(self):
         assert _record(1).status == "ok"
         assert _record(2, slow=True).status == "slow"
@@ -30,12 +34,15 @@ class TestTraceRecord:
         assert _record(6, violations=2).status == "canary-violation"
 
     def test_interesting_is_the_tail_class(self):
-        assert not _record(1).interesting
-        assert _record(2, slow=True).interesting
-        assert _record(3, ok=False, error_code="E_BUDGET").interesting
-        assert _record(4, violations=1).interesting
+        recorder = FlightRecorder(capacity=1, tail_capacity=8)
+        recorder.record(_record(1))
+        recorder.record(_record(2, slow=True))
+        recorder.record(_record(3, ok=False, error_code="E_BUDGET"))
+        recorder.record(_record(4, violations=1))
+        stats = recorder.stats()
+        assert (stats["ok_seen"], stats["tail"]) == (1, 3)
 
-    def test_from_span_assigns_preorder_span_ids(self):
+    def test_trace_dict_assigns_preorder_span_ids(self):
         tracer = Tracer()
         with tracer.span("request") as root:
             with tracer.span("queue_wait"):
@@ -43,8 +50,7 @@ class TestTraceRecord:
             with tracer.span("batch"):
                 with tracer.span("query"):
                     pass
-        record = TraceRecord.from_span(root, trace_id="t1")
-        spans = record.spans
+        spans = trace_dict(QueryRecord(trace_id="t1", span=root))["spans"]
         assert spans["name"] == "request"
         assert spans["span_id"] == "0001"
         assert spans["parent_span_id"] == ""
@@ -55,15 +61,12 @@ class TestTraceRecord:
         query = children[1]["children"][0]
         assert (query["name"], query["parent_span_id"]) == ("query", "0003")
 
-    def test_from_span_folds_canary_attribute(self):
-        tracer = Tracer()
-        with tracer.span("request") as root:
-            pass
-        root.set(canary_violations=3)
-        record = TraceRecord.from_span(root, trace_id="t1")
-        assert record.canary_violations == 3
-        assert record.interesting
-        assert record.status == "canary-violation"
+    def test_canary_violations_are_tail_retained(self):
+        recorder = FlightRecorder(capacity=1, tail_capacity=1)
+        record = QueryRecord(trace_id="t1", canary_violations=3)
+        assert recorder.record(record)
+        assert recorder.stats()["tail"] == 1
+        assert trace_dict(record)["status"] == "canary-violation"
 
     def test_to_dict_is_json_safe(self):
         import json
@@ -71,8 +74,26 @@ class TestTraceRecord:
         tracer = Tracer()
         with tracer.span("request", tenant="t") as root:
             pass
-        record = TraceRecord.from_span(root, trace_id="abc", tenant="t")
-        assert json.loads(json.dumps(record.to_dict()))["trace_id"] == "abc"
+        record = QueryRecord(trace_id="abc", tenant="t", span=root)
+        payload = json.loads(json.dumps(trace_dict(record)))
+        assert payload["trace_id"] == "abc"
+        assert set(payload) == {
+            "trace_id",
+            "request_id",
+            "tenant",
+            "policy",
+            "query",
+            "document",
+            "status",
+            "ok",
+            "error_code",
+            "latency_seconds",
+            "slow",
+            "canary_violations",
+            "fingerprint",
+            "recorded_at",
+            "spans",
+        }
 
 
 class TestFlightRecorder:
@@ -155,10 +176,10 @@ def test_render_trace_includes_header_and_span_tree():
     with tracer.span("request") as root:
         with tracer.span("batch", batch_size=3):
             pass
-    record = TraceRecord.from_span(
-        root, trace_id="abcd" * 8, tenant="nurse", query="//a", slow=True
+    record = QueryRecord(
+        trace_id="abcd" * 8, tenant="nurse", query="//a", slow=True, span=root
     )
-    text = render_trace(record.to_dict())
+    text = render_trace(trace_dict(record))
     lines = text.splitlines()
     assert "abcdabcdabcdabcd" in lines[0]
     assert "slow" in lines[0]

@@ -113,6 +113,18 @@ class TestBucketedHistogram:
         assert histogram.quantile(0.5) <= 0.0025
         assert histogram.quantile(0.999) > 5.0
 
+    def test_quantile_interpolates_inside_the_bucket(self):
+        """Like Prometheus histogram_quantile: linear inside the bucket
+        holding the rank, clamped to the observed range — never the
+        bucket's upper edge above every observation."""
+        histogram = Histogram("h", buckets=LATENCY_BUCKETS)
+        for index in range(100):
+            histogram.observe(0.0012 + 0.0006 * index / 99)
+        for q in (0.50, 0.95):
+            assert 0.0012 <= histogram.quantile(q) <= 0.0018
+        assert histogram.quantile(0.0) == 0.0012
+        assert histogram.quantile(1.0) == 0.0018
+
 
 class TestLabeledRegistry:
     def test_labels_create_distinct_series(self):

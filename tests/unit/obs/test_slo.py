@@ -8,7 +8,17 @@ from repro.obs.metrics import (
     metrics_registry,
     series_name,
 )
+from repro.obs.record import QueryRecord
 from repro.obs.slo import BurnWindow, SLObjective, SLOTracker
+
+
+def _served(tenant, latency_seconds, ok):
+    """The record of one served request, as the SLO tracker reads it."""
+    return QueryRecord(
+        tenant=tenant,
+        latency_seconds=latency_seconds,
+        error_code="" if ok else "E_BUDGET",
+    )
 
 
 class FakeClock:
@@ -78,16 +88,16 @@ class TestSLOTracker:
 
     def test_observe_returns_breach(self):
         tracker = self._tracker(FakeClock())
-        assert tracker.observe("t", 0.5, True) is True
-        assert tracker.observe("t", 0.05, True) is False
-        assert tracker.observe("t", 0.05, False) is True
+        assert tracker.observe(_served("t", 0.5, True)) is True
+        assert tracker.observe(_served("t", 0.05, True)) is False
+        assert tracker.observe(_served("t", 0.05, False)) is True
 
     def test_burn_rate_is_bad_fraction_over_budget(self):
         clock = FakeClock()
         tracker = self._tracker(clock, target=0.9)  # budget = 0.1
         for _ in range(9):
-            tracker.observe("t", 0.01, True)
-        tracker.observe("t", 0.5, True)
+            tracker.observe(_served("t", 0.01, True))
+        tracker.observe(_served("t", 0.5, True))
         fast, slow = tracker.burn_rates("t")
         assert fast == pytest.approx(1.0)  # 10% bad / 10% budget
         assert slow == pytest.approx(1.0)
@@ -96,9 +106,9 @@ class TestSLOTracker:
     def test_fast_window_forgets_slow_window_remembers(self):
         clock = FakeClock()
         tracker = self._tracker(clock)
-        tracker.observe("t", 9.0, True)  # breach
+        tracker.observe(_served("t", 9.0, True))  # breach
         clock.advance(600.0)  # past the 5 min fast window, inside 1 h
-        tracker.observe("t", 0.01, True)
+        tracker.observe(_served("t", 0.01, True))
         fast, slow = tracker.burn_rates("t")
         assert fast == 0.0
         assert slow > 0.0
@@ -106,9 +116,9 @@ class TestSLOTracker:
     def test_snapshot_shape(self):
         clock = FakeClock()
         tracker = self._tracker(clock)
-        tracker.observe("a", 0.01, True)
-        tracker.observe("a", 0.5, True)
-        tracker.observe("b", 0.01, True)
+        tracker.observe(_served("a", 0.01, True))
+        tracker.observe(_served("a", 0.5, True))
+        tracker.observe(_served("b", 0.01, True))
         snapshot = tracker.snapshot()
         assert snapshot["objective"]["threshold_seconds"] == pytest.approx(0.1)
         assert sorted(snapshot["tenants"]) == ["a", "b"]
@@ -126,8 +136,8 @@ class TestSLOTracker:
         registry.reset()
         try:
             tracker = self._tracker(FakeClock())
-            tracker.observe("t", 0.01, True)
-            tracker.observe("t", 0.5, True)
+            tracker.observe(_served("t", 0.01, True))
+            tracker.observe(_served("t", 0.5, True))
             counters = registry.snapshot()["counters"]
             assert counters[series_name("slo.requests", {"tenant": "t"})] == 2
             assert counters[series_name("slo.breaches", {"tenant": "t"})] == 1
@@ -140,7 +150,7 @@ class TestSLOTracker:
         registry = metrics_registry()
         registry.reset()
         tracker = self._tracker(FakeClock())
-        tracker.observe("t", 0.5, True)
+        tracker.observe(_served("t", 0.5, True))
         # reset() keeps previously-created series (zeroed, handles stay
         # valid) — the guarantee here is only that nothing was recorded
         counters = registry.snapshot()["counters"]

@@ -3,10 +3,10 @@ mid-replay drain (partial summaries instead of tracebacks)."""
 
 import threading
 
+from repro.obs import percentile
 from repro.robustness.faults import FaultPlan, FaultSpec
 from repro.serving.replay import (
     mixed_workload,
-    percentile,
     replay,
     standard_catalog,
     summarize,
@@ -17,9 +17,11 @@ from repro.serving.server import QueryServer
 
 class TestStats:
     def test_percentile_interpolates(self):
-        assert percentile([], 50) == 0.0
-        assert percentile([3.0], 99) == 3.0
-        assert percentile([1.0, 2.0, 3.0, 4.0], 50) == 2.5
+        # replay summaries use the one exact nearest-rank percentile
+        # (q in [0, 1]): the median of four values is the second
+        assert percentile([], 0.50) == 0.0
+        assert percentile([3.0], 0.99) == 3.0
+        assert percentile([1.0, 2.0, 3.0, 4.0], 0.50) == 2.0
 
     def test_summarize_shape(self):
         summary = summarize([0.1, 0.2], 1.0)

@@ -258,6 +258,8 @@ class TestRequestTracing:
         assert response.trace_id == "cafe" * 8
 
     def test_trace_findable_with_full_span_tree(self, catalog):
+        from repro.obs.flight import trace_dict
+
         with QueryServer(catalog, workers=1) as server:
             # a query no other test issues: a plan-cache hit would skip
             # the parse span and this test wants the full stage tree
@@ -273,7 +275,7 @@ class TestRequestTracing:
         assert record is not None
         assert record.request_id == "rq-1"
         assert record.tenant == "nurse"
-        names = self._span_names(record.spans)
+        names = self._span_names(trace_dict(record)["spans"])
         # queue wait, batch coalescing, and the engine stages all
         # appear in one request-rooted tree
         assert names[0] == "request"

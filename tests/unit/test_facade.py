@@ -74,7 +74,7 @@ class TestLazyImport:
         assert "repro.core" in set(probe["after"])
 
     def test_version(self, probe):
-        assert probe["version"] == "3.0.0"
+        assert probe["version"] == "4.0.0"
 
     def test_pyproject_version_matches_package(self, probe):
         root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
