@@ -47,9 +47,8 @@ The subpackages are usable on their own:
   ``docs/observability.md`` and ``docs/audit.md``);
 * :mod:`repro.robustness` — the resource governor
   (:class:`QueryLimits` deadlines/budgets with cooperative
-  cancellation), graceful degradation (:class:`DegradationPolicy`),
-  and the deterministic fault-injection harness (:class:`FaultPlan`)
-  — see ``docs/robustness.md``;
+  cancellation) and the deterministic fault-injection harness
+  (:class:`FaultPlan`) — see ``docs/robustness.md``;
 * :mod:`repro.serving` — the concurrent multi-tenant serving layer:
   the frozen :class:`QueryRequest` / :class:`QueryResponse` protocol,
   per-tenant admission control, and the batch-coalescing
@@ -63,7 +62,7 @@ pay for observability, robustness, or serving imports.
 
 from typing import TYPE_CHECKING
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 #: Exported name → defining submodule.  The single source of truth for
 #: both ``__getattr__`` and ``__all__``.
@@ -165,7 +164,6 @@ _EXPORTS = {
     "RingBufferSink": "repro.obs",
     "JsonlFileSink": "repro.obs",
     "CallbackSink": "repro.obs",
-    "DegradationEvent": "repro.obs",
     "AuditLog": "repro.obs",
     "SecurityCanary": "repro.obs",
     "prometheus_text": "repro.obs",
@@ -174,7 +172,6 @@ _EXPORTS = {
     "QueryLimits": "repro.robustness",
     "Budget": "repro.robustness",
     "NO_LIMITS": "repro.robustness",
-    "DegradationPolicy": "repro.robustness",
     "FaultPlan": "repro.robustness",
     "FaultSpec": "repro.robustness",
     "FaultySink": "repro.robustness",

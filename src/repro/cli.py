@@ -279,13 +279,6 @@ def _render_event(event) -> str:
             event.extra,
             "ok" if event.ok else "VIOLATION",
         )
-    elif event.kind == "degradation":
-        detail = "%s -> %s  [%s] %s" % (
-            event.seam,
-            event.fallback,
-            event.code,
-            event.message,
-        )
     else:  # pragma: no cover - future kinds
         detail = ""
     policy = getattr(event, "policy", "") or "-"
@@ -329,15 +322,13 @@ def cmd_audit_stats(arguments) -> int:
         latency = bucket["latency"]
         print("policy %s:" % policy)
         print(
-            "  queries=%d cache_hits=%d slow=%d denials=%d errors=%d "
-            "degradations=%d"
+            "  queries=%d cache_hits=%d slow=%d denials=%d errors=%d"
             % (
                 bucket["queries"],
                 bucket["cache_hits"],
                 bucket["slow"],
                 bucket["denials"],
                 bucket["errors"],
-                bucket.get("degradations", 0),
             )
         )
         print(
@@ -891,7 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
     tail_cmd.add_argument("-n", "--count", type=int, default=10)
     tail_cmd.add_argument(
         "--kind",
-        choices=["query", "denial", "policy", "error", "canary", "degradation"],
+        choices=["query", "denial", "policy", "error", "canary"],
         default=None,
     )
     tail_cmd.add_argument("--policy", default=None)

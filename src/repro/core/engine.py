@@ -49,11 +49,9 @@ from repro.errors import (
     QueryRejectedError,
     ReproError,
     SecurityError,
-    error_code,
 )
 from repro.obs.canary import SecurityCanary
 from repro.obs.events import (
-    DegradationEvent,
     EventPipeline,
     EventSink,
     PolicyEvent,
@@ -77,8 +75,6 @@ from repro.core.options import (
 from repro.core.plancache import CompiledQuery, PlanCache, PlanCacheStats
 from repro.core.rewrite import Rewriter
 from repro.core.spec import AccessSpec
-from repro.robustness.degrade import DegradationPolicy
-from repro.robustness.faults import trip as fault_trip
 from repro.core.unfold import unfold_view
 from repro.core.view import SecurityView
 from repro.xpath.ast import Absolute, Label, Path
@@ -293,26 +289,9 @@ class SecureQueryEngine:
         strict: bool = False,
         plan_cache_size: int = 256,
         events: Optional[EventPipeline] = None,
-        degradation: Optional[DegradationPolicy] = None,
-        breakers=None,
     ):
         self.dtd = dtd
         self.strict = strict
-        # which accelerator seams may fail soft (see docs/robustness.md);
-        # the default serves degraded rather than failing the query
-        self._degradation = (
-            degradation if degradation is not None else DegradationPolicy()
-        )
-        # circuit breakers over the degradation seams: a seam that
-        # fails repeatedly is short-circuited straight to its fallback
-        # (no per-request re-probe) until a seeded-jitter exponential
-        # backoff elapses, then one half-open probe re-closes or
-        # re-opens it.  Pass breakers=False to disable.
-        if breakers is None:
-            from repro.serving.resilience import BreakerBoard
-
-            breakers = BreakerBoard()
-        self.breakers = breakers or None
         self._policies: Dict[str, _Policy] = {}
         self._optimizer = Optimizer(dtd)
         self._plan_cache = PlanCache(plan_cache_size)
@@ -892,12 +871,10 @@ class SecureQueryEngine:
             )
         return document if isinstance(document, int) else document.height()
 
-    def _store_for(self, document, policy: str = ""):
-        """The (cached) columnar :class:`NodeTable` of ``document`` —
-        or ``None`` when the build fails and the degradation policy
-        allows the ``store.build`` seam to fall back to the interpreter
-        (``PlanRuntime(store=None)`` hands every plan to
-        :class:`~repro.xpath.evaluator.XPathEvaluator`)."""
+    def _store_for(self, document):
+        """The (cached) columnar :class:`NodeTable` of ``document``,
+        built once per document under its key's lock.  A failed build
+        propagates like any other query failure and caches nothing."""
         from repro.xmlmodel.store import NodeTable
 
         cached = self._stores.get(id(document))
@@ -907,66 +884,11 @@ class SecureQueryEngine:
             cached = self._stores.get(id(document))
             if cached is not None and cached[0] is document:
                 return cached[1]
-            if self._seam_open("store.build"):
-                return None
-            try:
-                fault_trip("store.build")
-                store = NodeTable(document)
-            except Exception as error:
-                self._seam_failed("store.build")
-                if self._degrade("store.build", policy, error):
-                    return None
-                raise
-            self._seam_ok("store.build")
+            store = NodeTable(document)
             self._stores[id(document)] = (document, store)
         return store
 
-    # -- graceful degradation / resource governance --------------------------
-
-    def _seam_open(self, seam: str) -> bool:
-        """Whether ``seam``'s circuit breaker says to skip the attempt
-        and take the fallback straight away — only ever ``True`` when
-        the degradation policy allows the seam to fail soft (a strict
-        engine must see the raise, not a silent fallback).  A ``True``
-        here is the breaker refusing a probe; ``False`` either means
-        the breaker is closed or that this call *is* the half-open
-        probe."""
-        breakers = self.breakers
-        if breakers is None or not self._degradation.allows(seam):
-            return False
-        if breakers.allow(seam):
-            return False
-        record("resilience.breaker.shorted", labels={"seam": seam})
-        return True
-
-    def _seam_failed(self, seam: str) -> None:
-        if self.breakers is not None:
-            self.breakers.failure(seam)
-
-    def _seam_ok(self, seam: str) -> None:
-        if self.breakers is not None:
-            self.breakers.success(seam)
-
-    def _degrade(self, seam: str, policy: str, error: Exception) -> bool:
-        """Whether a failure at ``seam`` may be absorbed: when the
-        engine's :class:`~repro.robustness.DegradationPolicy` allows
-        it, account for it (metrics + a
-        :class:`~repro.obs.events.DegradationEvent`) and return True so
-        the caller answers on the fallback path; otherwise return False
-        and the caller re-raises."""
-        if not self._degradation.allows(seam):
-            return False
-        record("governor.degradations")
-        record("degradation.%s" % seam)
-        self._emit(
-            DegradationEvent,
-            policy,
-            seam,
-            self._degradation.fallback(seam),
-            error_code(error),
-            str(error),
-        )
-        return True
+    # -- resource governance -------------------------------------------------
 
     @staticmethod
     def _budget_for(options: ExecutionOptions):
@@ -1139,7 +1061,7 @@ class SecureQueryEngine:
                 # the deadline covers compilation too
                 budget.checkpoint()
             runtime = PlanRuntime(
-                self._store_for(document, policy),
+                self._store_for(document),
                 profile=collector,
                 budget=budget,
                 scan_cache=scan_cache,

@@ -61,7 +61,6 @@ from repro.obs.events import (
     CallbackSink,
     audit_event,
     CanaryEvent,
-    DegradationEvent,
     DenialEvent,
     ErrorEvent,
     Event,
@@ -134,7 +133,6 @@ __all__ = [
     "PolicyEvent",
     "ErrorEvent",
     "CanaryEvent",
-    "DegradationEvent",
     "audit_event",
     "event_from_dict",
     "parse_jsonl",

@@ -27,7 +27,7 @@ __all__ = ["AuditLog"]
 
 #: The per-policy counters of :meth:`AuditLog.stats`, in report order.
 _COUNTERS = (
-    "queries", "cache_hits", "slow", "denials", "errors", "degradations",
+    "queries", "cache_hits", "slow", "denials", "errors",
     "canary_checks", "canary_violations",
 )
 
@@ -36,7 +36,6 @@ _COUNTED_KINDS = {
     "query": "queries",
     "denial": "denials",
     "error": "errors",
-    "degradation": "degradations",
     "canary": "canary_checks",
 }
 
@@ -127,8 +126,8 @@ class AuditLog:
 
     def stats(self, policy: Optional[str] = None) -> Dict[str, dict]:
         """Per-policy accounting: ``{policy: {queries, cache_hits,
-        slow, denials, errors, degradations, canary_checks,
-        canary_violations, latency: {count, mean, p50, p95, max}}}``.
+        slow, denials, errors, canary_checks, canary_violations,
+        latency: {count, mean, p50, p95, max}}}``.
 
         Events without a policy attribution (e.g. parse errors before
         policy resolution) aggregate under ``"-"``.

@@ -3,10 +3,9 @@
 Every finished query's :class:`~repro.obs.record.QueryRecord` becomes
 one audit event (:func:`audit_event`): a :class:`QueryEvent`,
 :class:`DenialEvent` or :class:`ErrorEvent`.  The engine emits the
-others where they happen: :class:`PolicyEvent` (policy lifecycle),
+others where they happen: :class:`PolicyEvent` (policy lifecycle) and
 :class:`CanaryEvent` (a sampled security re-check, see
-:mod:`repro.obs.canary`) and :class:`DegradationEvent` (a seam failed
-soft, see ``docs/robustness.md``).
+:mod:`repro.obs.canary`).
 
 Events flow through an :class:`EventPipeline` into sinks.  Sinks are
 **bounded and non-blocking by design**: the ring buffer evicts the
@@ -36,7 +35,6 @@ __all__ = [
     "PolicyEvent",
     "ErrorEvent",
     "CanaryEvent",
-    "DegradationEvent",
     "audit_event",
     "event_from_dict",
     "parse_jsonl",
@@ -184,24 +182,6 @@ class CanaryEvent(Event):
     __slots__ = tuple(_fields)
 
 
-class DegradationEvent(Event):
-    """An optimization seam failed soft: the engine answered on the
-    named fallback path instead of failing the query.  ``seam`` is one
-    of the :data:`repro.robustness.SEAM_FALLBACKS` keys, ``fallback``
-    the path actually used, ``code`` the stable code of the swallowed
-    error."""
-
-    kind = "degradation"
-    _fields = {
-        "policy": "",
-        "seam": "",
-        "fallback": "",
-        "code": "E_REPRO",
-        "message": "",
-    }
-    __slots__ = tuple(_fields)
-
-
 def audit_event(record) -> Event:
     """The one audit event of a finished query's
     :class:`~repro.obs.record.QueryRecord`: a :class:`DenialEvent`
@@ -247,7 +227,6 @@ EVENT_TYPES: Dict[str, type] = {
         PolicyEvent,
         ErrorEvent,
         CanaryEvent,
-        DegradationEvent,
     )
 }
 

@@ -1,22 +1,18 @@
 """repro.robustness — the layer that keeps the engine up.
 
-Three cooperating pieces (see ``docs/robustness.md``):
+Two cooperating pieces (see ``docs/robustness.md``):
 
 * :mod:`repro.robustness.governor` — :class:`QueryLimits` /
   :class:`Budget`: per-query deadlines and work budgets enforced
   cooperatively through every execution layer, raising typed
   ``E_DEADLINE`` / ``E_BUDGET`` errors;
-* :mod:`repro.robustness.degrade` — :class:`DegradationPolicy`: which
-  accelerator seams (columnar store, index, plan cache) may fail soft
-  onto their reference fallback instead of failing the query;
 * :mod:`repro.robustness.faults` — :class:`FaultPlan` /
   :class:`FaultSpec` / :class:`FaultySink`: deterministic fault
-  injection at the store/index/cache/sink/materialize seams, driving
-  the chaos suite that proves every injected fault yields a correct
-  degraded answer or a typed error — never a hang or a wrong answer.
+  injection at the materialize, serving and sink seams, driving the
+  chaos suite that proves every injected fault yields a correct
+  answer or a typed error — never a hang or a wrong answer.
 """
 
-from repro.robustness.degrade import SEAM_FALLBACKS, DegradationPolicy
 from repro.robustness.faults import (
     SITES,
     FaultPlan,
@@ -39,8 +35,6 @@ __all__ = [
     "Budget",
     "NO_LIMITS",
     "TICK_STRIDE",
-    "DegradationPolicy",
-    "SEAM_FALLBACKS",
     "FaultPlan",
     "FaultSpec",
     "FaultySink",

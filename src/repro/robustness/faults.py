@@ -11,7 +11,6 @@ With no plan installed, :func:`trip` costs one global load and one
 
 Instrumented sites (see ``docs/robustness.md`` for the full table):
 
-* ``store.build`` — columnar NodeTable construction;
 * ``materialize`` — view (subtree) materialization;
 * ``admission.admit`` — the serving layer's admission gate;
 * ``serving.resolve`` — catalog document-ref resolution;
@@ -49,9 +48,8 @@ __all__ = [
     "SITES",
 ]
 
-#: The instrumented seam names (for validation and docs).
+#: The instrumented seam names; :class:`FaultSpec` rejects any other.
 SITES = (
-    "store.build",
     "materialize",
     "admission.admit",
     "serving.resolve",
@@ -68,7 +66,9 @@ class FaultSpec:
     """One trigger: *where* (``site``), *when* (``at`` / ``every`` /
     ``rate`` — default ``at=1``, i.e. the first call), and *what*
     (``kind="raise"`` with an optional ``error``, or
-    ``kind="latency"`` with ``latency_seconds``)."""
+    ``kind="latency"`` with ``latency_seconds``).  ``site`` must be
+    one of :data:`SITES`: a spec on an uninstrumented name would never
+    fire."""
 
     __slots__ = (
         "site", "kind", "at", "every", "rate", "seed",
@@ -86,6 +86,11 @@ class FaultSpec:
         latency_seconds: float = 0.05,
         error: Optional[BaseException] = None,
     ):
+        if site not in SITES:
+            raise ValueError(
+                "unknown fault site %r (instrumented: %s)"
+                % (site, ", ".join(SITES))
+            )
         if kind not in (KIND_RAISE, KIND_LATENCY):
             raise ValueError("unknown fault kind %r" % kind)
         if sum(x is not None for x in (at, every, rate)) > 1:
@@ -146,8 +151,8 @@ class FaultPlan:
     drive their deterministic triggers.  Use as a context manager to
     install/uninstall around a block:
 
-        with FaultPlan(FaultSpec("store.build", at=1)):
-            engine.query(...)   # first NodeTable build raises
+        with FaultPlan(FaultSpec("materialize", at=1)):
+            engine.query(...)   # first view projection raises
     """
 
     __slots__ = ("name", "specs", "_calls")

@@ -12,7 +12,7 @@ engine — see ``docs/serving.md``:
 * :mod:`repro.serving.resilience` — the overload survival layer:
   criticality classes, the utilization
   :class:`~repro.serving.resilience.OverloadDetector`, circuit
-  breakers over the engine's degradation seams and audit sinks, and
+  breakers over audit sinks, and
   per-tenant client retry budgets;
 * :mod:`repro.serving.server` — the thread-pool
   :class:`~repro.serving.server.QueryServer` with same-document batch
@@ -31,7 +31,6 @@ from repro.serving.resilience import (
     CRITICALITIES,
     DEFAULT,
     SHEDDABLE,
-    BreakerBoard,
     BreakerSink,
     CircuitBreaker,
     OverloadDetector,
@@ -56,7 +55,6 @@ __all__ = [
     "CRITICALITIES",
     "OverloadDetector",
     "CircuitBreaker",
-    "BreakerBoard",
     "BreakerSink",
     "RetryBudget",
 ]

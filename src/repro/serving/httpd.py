@@ -9,9 +9,11 @@ Stdlib-only (:mod:`http.server`), the endpoints:
     429 for admission rejections and load shedding (``E_ADMISSION`` /
     ``E_SHED`` / ``E_BUDGET``, always with a ``Retry-After`` header),
     504 for deadline misses (both queue-deadline expiry and engine
-    deadlines ride ``E_DEADLINE``), 400 for malformed bodies.  The
-    body always carries the typed ``error_code``; the status is a
-    convenience mapping of it.
+    deadlines ride ``E_DEADLINE``), 500 for server-side failures
+    (``E_FAULT``, and ``E_UNKNOWN`` for exceptions from outside the
+    library, whose message the tenant never sees), 400 for malformed
+    bodies and other client errors.  The body always carries the
+    typed ``error_code``; the status is a convenience mapping of it.
     An ``X-Repro-Trace`` request header (``<trace_id>`` or
     ``<trace_id>-<parent_span_id>``) joins the request to the
     caller's trace; the response always carries the effective
@@ -42,15 +44,14 @@ Stdlib-only (:mod:`http.server`), the endpoints:
     cache byte totals, workload roll-up.
 ``GET /debug/resilience``
     Overload survival state: shedding (utilization EWMA, classes
-    currently shed, shed counts by class), per-engine circuit-breaker
-    boards, and drain status.
+    currently shed, shed counts by class) and drain status.
 ``GET /healthz``
     Liveness only — 200 while the process can answer at all (even
     mid-drain): ``{"ok": true, "documents": [...]}``.
 ``GET /readyz``
     Readiness — 200 when this instance should receive traffic, 503
-    (with reasons) when starting, draining, stopped, or serving with
-    an open circuit breaker.
+    (with reasons) when starting, draining, stopped, or serving an
+    empty catalog.
 
 This is deliberately a thin shell: all semantics (admission,
 batching, tracing, audit) live in :class:`QueryServer`, so library
@@ -73,7 +74,8 @@ from repro.serving.server import QueryServer
 
 __all__ = ["serve_http", "make_http_server"]
 
-#: HTTP status conveying each error family; anything unlisted is 400.
+#: HTTP status conveying each error family; anything unlisted is a
+#: client error (400).  Server-side failures are 500.
 _STATUS_BY_CODE = {
     "": 200,
     "E_ADMISSION": 429,
@@ -82,6 +84,8 @@ _STATUS_BY_CODE = {
     "E_BUDGET": 429,
     "E_LABEL_DENIED": 403,
     "E_SECURITY": 403,
+    "E_FAULT": 500,
+    "E_UNKNOWN": 500,
 }
 
 #: Fallback Retry-After (seconds) when the response carries no hint.

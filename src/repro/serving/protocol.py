@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from repro.core.options import ExecutionOptions
-from repro.errors import error_code as _error_code
+from repro.errors import ReproError, error_code as _error_code
 from repro.serving.resilience import normalize_criticality
 
 __all__ = ["PROTOCOL_VERSION", "QueryRequest", "QueryResponse"]
@@ -193,7 +193,10 @@ class QueryResponse:
     def from_error(
         cls, request: QueryRequest, error: BaseException
     ) -> "QueryResponse":
-        """Wrap a failure as data, preserving the stable error code."""
+        """Wrap a failure as data, preserving the stable error code.
+        The message of an exception from outside :mod:`repro.errors`
+        is internal detail and stays operator-side: the tenant gets
+        ``"internal error"``."""
         return cls(
             policy=request.policy,
             query=request.query,
@@ -201,7 +204,10 @@ class QueryResponse:
             results=(),
             report=None,
             error_code=_error_code(error),
-            error_message=str(error),
+            error_message=(
+                str(error) if isinstance(error, ReproError)
+                else "internal error"
+            ),
             request_id=request.request_id,
             tenant=request.tenant_id,
             trace_id=request.trace_id,

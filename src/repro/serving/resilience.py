@@ -20,14 +20,13 @@ The detector is deterministic given its observation sequence, which is
 what the chaos suite leans on.
 
 **CircuitBreaker.**  A thread-safe closed → open → half-open breaker
-for seams that fail repeatedly: instead of re-probing a broken
-accelerator (or audit sink) on *every* request, the breaker opens
-after ``failure_threshold`` consecutive failures and short-circuits
-callers straight to the fallback until a seeded-jitter exponential
-backoff elapses; then exactly one probe runs half-open and either
-re-closes the breaker or re-opens it with a longer backoff.
-:class:`BreakerBoard` keys breakers by seam name (the engine wires one
-over its degradation seams); :class:`BreakerSink` wraps an audit sink.
+for a dependency that fails repeatedly: instead of re-probing a broken
+audit sink on *every* event, the breaker opens after
+``failure_threshold`` consecutive failures and short-circuits callers
+until a seeded-jitter exponential backoff elapses; then exactly one
+probe runs half-open and either re-closes the breaker or re-opens it
+with a longer backoff.  :class:`BreakerSink` wraps an audit sink in
+one.
 
 **RetryBudget.**  The client-side complement: a per-tenant token
 bucket that caps retries to a fraction of successful traffic so shed
@@ -56,7 +55,6 @@ __all__ = [
     "normalize_criticality",
     "OverloadDetector",
     "CircuitBreaker",
-    "BreakerBoard",
     "BreakerSink",
     "RetryBudget",
 ]
@@ -358,61 +356,6 @@ class CircuitBreaker(object):
             self._state,
             self.opened,
         )
-
-
-class BreakerBoard(object):
-    """A registry of named :class:`CircuitBreaker` instances sharing
-    one configuration — the engine keys one per degradation seam
-    (``store.build``), created on first failure-capable use."""
-
-    def __init__(self, clock: Callable[[], float] = monotonic, **defaults):
-        self._defaults = defaults
-        self._clock = clock
-        self._breakers: Dict[str, CircuitBreaker] = {}
-        self._lock = Lock()
-
-    def breaker(self, name: str) -> CircuitBreaker:
-        found = self._breakers.get(name)  # lock-free hot path
-        if found is not None:
-            return found
-        with self._lock:
-            found = self._breakers.get(name)
-            if found is None:
-                found = CircuitBreaker(
-                    name=name, clock=self._clock, **self._defaults
-                )
-                self._breakers[name] = found
-            return found
-
-    def allow(self, name: str) -> bool:
-        return self.breaker(name).allow()
-
-    def success(self, name: str) -> None:
-        self.breaker(name).record_success()
-
-    def failure(self, name: str) -> None:
-        self.breaker(name).record_failure()
-
-    def state(self, name: str) -> str:
-        return self.breaker(name).state
-
-    def open_names(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(
-                sorted(
-                    name
-                    for name, breaker in self._breakers.items()
-                    if breaker.state != STATE_CLOSED
-                )
-            )
-
-    def snapshot(self) -> Dict[str, dict]:
-        with self._lock:
-            breakers = dict(self._breakers)
-        return {
-            name: breaker.snapshot()
-            for name, breaker in sorted(breakers.items())
-        }
 
 
 class BreakerSink(EventSink):

@@ -598,10 +598,8 @@ class QueryServer(object):
     def ready_payload(self) -> Tuple[bool, dict]:
         """The ``GET /readyz`` payload: whether this instance should
         receive traffic, with the reasons when it shouldn't.  Gates on
-        lifecycle (started / draining / stopped), catalog readiness,
-        and engine circuit-breaker state — an instance with an open
-        breaker is serving degraded and reports not-ready so load
-        balancers prefer healthy peers."""
+        lifecycle (started / draining / stopped) and catalog
+        readiness."""
         reasons: List[str] = []
         if not self._started:
             reasons.append("not started")
@@ -612,38 +610,18 @@ class QueryServer(object):
         refs = self.catalog.refs()
         if not refs:
             reasons.append("empty catalog")
-        open_breakers: List[str] = []
-        for engine in self.catalog.engines():
-            board = getattr(engine, "breakers", None)
-            if board is not None:
-                open_breakers.extend(board.open_names())
-        if open_breakers:
-            reasons.append(
-                "open circuit breakers: %s" % ", ".join(sorted(open_breakers))
-            )
         ready = not reasons
         return ready, {
             "ready": ready,
             "reasons": reasons,
             "documents": refs,
             "draining": self._draining,
-            "open_breakers": sorted(open_breakers),
         }
 
     def resilience_payload(self) -> dict:
         """The ``GET /debug/resilience`` payload: shedding state and
-        counts, per-engine breaker boards, and drain status — the
-        overload story in one read."""
+        counts plus drain status — the overload story in one read."""
         overload = self.admission.overload
-        by_ref: Dict[int, List[str]] = {}
-        for ref, (engine, _) in sorted(self.catalog.entries().items()):
-            by_ref.setdefault(id(engine), []).append(ref)
-        breakers: Dict[str, dict] = {}
-        for engine in self.catalog.engines():
-            board = getattr(engine, "breakers", None)
-            if board is not None:
-                key = "+".join(by_ref.get(id(engine), ["?"]))
-                breakers[key] = board.snapshot()
         return {
             "shedding": (
                 dict(overload.snapshot(), enabled=True)
@@ -651,7 +629,6 @@ class QueryServer(object):
                 else {"enabled": False}
             ),
             "shed": self.admission.shed_counts(),
-            "breakers": breakers,
             "drain": {
                 "draining": self._draining,
                 "stopped": self._stopped,

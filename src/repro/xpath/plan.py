@@ -24,9 +24,9 @@ Design constraints:
   comparable across plan runs but not with the interpreter.
 * **One backend, one fallback.**  A plan is compiled once and executed
   against many documents; the NodeTable is a property of the
-  *execution*, not the plan.  When the runtime carries no store (its
-  build failed or its breaker is open) or a context node lies outside
-  the store's tree, the plan hands its source path to the reference
+  *execution*, not the plan.  When the runtime carries no store (a
+  plan run outside the engine) or a context node lies outside the
+  store's tree, the plan hands its source path to the reference
   interpreter, whose visits join the runtime's counter.
 * **Shared accounting.**  A single :class:`PlanRuntime` may be passed
   through several ``execute`` calls (the engine's projected evaluation

@@ -2,10 +2,10 @@
 both workloads and every execution strategy.
 
 The invariant under injected faults is *graceful*: each query either
-answers **identically** to the fault-free baseline (a seam degraded)
-or raises a **typed** :class:`~repro.errors.ReproError` — never an
-unhandled exception, never a hang, and never a security-canary
-violation.
+answers **identically** to the fault-free baseline (the fault missed
+it, or only added latency) or raises a **typed**
+:class:`~repro.errors.ReproError` — never an unhandled exception,
+never a hang, and never a security-canary violation.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from repro.core.options import ExecutionOptions
 from repro.errors import FaultInjected, ReproError
 from repro.obs import RingBufferSink
 from repro.robustness import (
-    SEAM_FALLBACKS,
     FaultPlan,
     FaultSpec,
     FaultySink,
@@ -101,28 +100,7 @@ class TestSeamFaults:
                 assert outcome == baseline[query]
         assert canary.violations == 0
 
-    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_every_call_faults_on_all_degradable_seams(self, workload, strategy):
-        engine, policy, document, queries = WORKLOADS[workload]()
-        baseline = run_workload(engine, policy, document, queries, strategy)
-
-        engine, policy, document, queries = WORKLOADS[workload]()
-        canary = engine.enable_canary(sample_rate=1.0)
-        plan = FaultPlan(
-            *(FaultSpec(seam, every=1) for seam in SEAM_FALLBACKS),
-            name="total-accelerator-outage",
-        )
-        with plan:
-            chaotic = run_workload(engine, policy, document, queries, strategy)
-        # every degradable accelerator down: answers must not change
-        assert chaotic == baseline
-        assert canary.violations == 0
-        if strategy != "materialized":  # the one path that builds a store
-            assert plan.fired() >= 1
-            assert not engine._stores
-
-    @pytest.mark.parametrize("site", ["store.build", "materialize"])
+    @pytest.mark.parametrize("site", ["materialize"])
     def test_rate_faults_replay_deterministically(self, site):
         def one_run():
             engine, policy, document, queries = hospital_setup()
@@ -144,7 +122,7 @@ class TestSeamFaults:
             strategy="columnar",
             limits=QueryLimits(deadline_seconds=5.0),
         )
-        with FaultPlan(FaultSpec("store.build", kind="latency",
+        with FaultPlan(FaultSpec("materialize", kind="latency",
                                  latency_seconds=0.01, every=1)):
             result = engine.query(policy, queries[0], document, options=options)
         assert isinstance(result.results, list)
@@ -184,7 +162,8 @@ class TestFaultsComposeWithGovernor:
             limits=QueryLimits(deadline_seconds=30.0, max_visits=10**9),
         )
         baseline = engine.query(policy, queries[0], document)
-        with FaultPlan(FaultSpec("store.build", at=1)):
+        with FaultPlan(FaultSpec("materialize", kind="latency",
+                                 latency_seconds=0.01, every=1)):
             result = engine.query(policy, queries[0], document, options=options)
         assert [str(r) for r in result.results] == [
             str(r) for r in baseline.results

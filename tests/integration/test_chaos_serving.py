@@ -2,8 +2,7 @@
 
 The engine chaos suite (``test_chaos.py``) proves the *single-query*
 invariant under injected faults; this suite proves the *serving*
-invariants — across admission, batching, shedding, breakers, and
-lifecycle — under the same deterministic :class:`FaultPlan` machinery,
+invariants — across admission, batching, shedding and lifecycle — under the same deterministic :class:`FaultPlan` machinery,
 now aimed at the serving seams (``admission.admit``,
 ``serving.resolve``, ``serving.execute``, ``httpd.write``):
 
@@ -14,8 +13,6 @@ now aimed at the serving seams (``admission.admit``,
 * **shed ordering** — ``critical`` is never shed by the detector, and
   under a uniform criticality mix the lower class sheds at least as
   often as the higher;
-* **breakers re-close** — a seam that stops failing is probed and the
-  breaker returns to ``closed``;
 * **drain always terminates** — even with latency faults in flight,
   within its deadline plus the bounded join grace;
 * **audit parity** — shed requests produce audit error events like
@@ -31,7 +28,6 @@ import pytest
 from repro.obs.events import RingBufferSink
 from repro.robustness.faults import FaultPlan, FaultSpec, active_plan
 from repro.serving.admission import AdmissionController, TenantPolicy
-from repro.serving.protocol import QueryRequest
 from repro.serving.replay import mixed_workload, replay, standard_catalog
 from repro.serving.resilience import (
     CRITICAL,
@@ -183,71 +179,6 @@ class TestChaosDeterminism:
         assert first == second
         assert first_fired == second_fired
         assert first_fired > 0  # the plan actually did something
-
-
-class TestBreakersUnderChaos:
-    def test_store_build_breaker_opens_and_recloses(self):
-        from repro.serving.resilience import BreakerBoard
-
-        catalog = standard_catalog(seed=0)
-        engine, _ = catalog.resolve("hospital")
-        saved = engine.breakers
-        board = BreakerBoard(
-            failure_threshold=2,
-            reset_timeout_seconds=0.05,
-            jitter=0.0,
-        )
-        engine.breakers = board
-        request = QueryRequest(
-            policy="nurse", query="//patient/name", document="hospital"
-        )
-        try:
-            with QueryServer(catalog, workers=1) as server:
-                with FaultPlan(FaultSpec("store.build", every=1)):
-                    for _ in range(4):
-                        assert server.query(request, timeout=30).ok
-                # repeated seam failures opened the breaker
-                opened = board.open_names()
-                assert "store.build" in opened
-                # fault gone: wait out the backoff, probes re-close
-                deadline = threading.Event()
-                for _ in range(50):
-                    if not board.open_names():
-                        break
-                    deadline.wait(0.06)
-                    assert server.query(request, timeout=30).ok
-                assert board.open_names() == ()
-                assert board.breaker("store.build").reclosed >= 1
-        finally:
-            engine.breakers = saved
-
-    def test_open_breaker_short_circuits_instead_of_reprobing(self):
-        from repro.serving.resilience import BreakerBoard
-
-        catalog = standard_catalog(seed=0)
-        engine, _ = catalog.resolve("hospital")
-        saved = engine.breakers
-        board = BreakerBoard(
-            failure_threshold=1,
-            reset_timeout_seconds=60.0,
-            jitter=0.0,
-        )
-        engine.breakers = board
-        request = QueryRequest(
-            policy="nurse", query="//patient/name", document="hospital"
-        )
-        plan = FaultPlan(FaultSpec("store.build", every=1))
-        try:
-            with QueryServer(catalog, workers=1) as server:
-                with plan:
-                    for _ in range(5):
-                        assert server.query(request, timeout=30).ok
-                # only the first call paid the failing seam; the rest
-                # short-circuited without tripping the fault site
-                assert plan.calls("store.build") == 1
-                assert board.breaker("store.build").short_circuits >= 4
-        finally:
-            engine.breakers = saved
 
 
 class TestDrainUnderChaos:

@@ -1,8 +1,8 @@
 """The resource governor end-to-end through the engine.
 
 Typed limit errors across every execution strategy, their audit and
-metrics side effects, graceful degradation at the accelerator seams,
-and the acceptance bar from the issue: a 50 ms deadline on the Adex
+metrics side effects, a failed NodeTable build failing the query, and
+the deadline bar: a 50 ms deadline on the Adex
 workload's largest document terminates well under 10x the deadline on
 both the columnar and object backends.
 """
@@ -13,26 +13,21 @@ import pytest
 
 from repro.core.engine import SecureQueryEngine
 from repro.core.options import ExecutionOptions
-from repro.errors import BudgetExceeded, DeadlineExceeded, FaultInjected
+from repro.errors import BudgetExceeded, DeadlineExceeded
 from repro.obs import RingBufferSink, disable_metrics, enable_metrics
-from repro.obs.audit import AuditLog
 from repro.obs.metrics import metrics_registry
-from repro.robustness import (
-    DegradationPolicy,
-    FaultPlan,
-    FaultSpec,
-    QueryLimits,
-)
+from repro.robustness import QueryLimits
 from repro.workloads.adex import adex_document, adex_dtd, adex_spec
 from repro.workloads.queries import ADEX_QUERY_TEXTS
 from repro.workloads.hospital import hospital_dtd, nurse_spec
+from repro.xmlmodel.store import NodeTable
 
 STRATEGIES = ["virtual", "columnar", "materialized"]
 
 
-def nurse_engine(**engine_kwargs):
+def nurse_engine():
     dtd = hospital_dtd()
-    engine = SecureQueryEngine(dtd, **engine_kwargs)
+    engine = SecureQueryEngine(dtd)
     engine.register_policy("nurse", nurse_spec(dtd), wardNo="2")
     return engine
 
@@ -157,83 +152,40 @@ class TestAuditAndMetrics:
             disable_metrics()
 
 
+def _broken_build(self, *args, **kwargs):
+    raise RuntimeError("node table build failed")
+
+
 class TestDegradation:
-    def test_store_build_fault_degrades_to_interpreter(self, hospital_doc):
-        engine = nurse_engine()
-        baseline = engine.query("nurse", "//patient/name", hospital_doc)
-        degraded_engine = nurse_engine()
-        ring = degraded_engine.add_sink(RingBufferSink(capacity=64))
-        with FaultPlan(FaultSpec("store.build", at=1)):
-            result = degraded_engine.query(
-                "nurse", "//patient/name", hospital_doc
-            )
-        assert [str(r) for r in result.results] == [
-            str(r) for r in baseline.results
-        ]
-        events = ring.events(kind="degradation")
-        assert len(events) == 1
-        event = events[0]
-        assert event.seam == "store.build"
-        assert event.fallback == "interpreter"
-        assert event.code == "E_FAULT"
-        assert event.policy == "nurse"
+    """A failed NodeTable build is not degraded to the interpreter: it
+    fails the query, and nothing is cached in its place."""
 
-    def test_plan_cache_traffic_is_not_a_fault_seam(self, hospital_doc):
-        # cache lookups are dict operations: faults named after the
-        # retired plan-cache seams never fire and never degrade
-        engine = nurse_engine()
-        ring = engine.add_sink(RingBufferSink(capacity=64))
-        plan = FaultPlan(
-            FaultSpec("plan_cache.get", every=1),
-            FaultSpec("plan_cache.put", every=1),
-        )
-        with plan:
-            engine.query("nurse", "//patient/name", hospital_doc)
-            assert engine.query(
-                "nurse", "//patient/name", hospital_doc
-            ).report.cache_hit
-        assert plan.fired() == 0
-        assert ring.events(kind="degradation") == []
-
-    def test_degraded_build_is_retried_next_query(self, hospital_doc):
+    def test_degraded_build_is_retried_next_query(self, hospital_doc, monkeypatch):
         engine = nurse_engine()
         options = ExecutionOptions(strategy="columnar")
-        with FaultPlan(FaultSpec("store.build", at=1)) as plan:
-            engine.query("nurse", "//patient/name", hospital_doc, options=options)
-            assert plan.fired() == 1
-            # the failed build was not cached: the next query rebuilds,
-            # and with the fault disarmed (at=1) it succeeds
-            engine.query("nurse", "//patient/name", hospital_doc, options=options)
-            assert plan.calls("store.build") == 2
-        report = engine.query(
+        with monkeypatch.context() as patch:
+            patch.setattr(NodeTable, "__init__", _broken_build)
+            with pytest.raises(RuntimeError):
+                engine.query("nurse", "//patient/name", hospital_doc, options=options)
+        # the failed build was not cached: the next query builds it
+        assert engine._stores == {}
+        result = engine.query(
             "nurse", "//patient/name", hospital_doc, options=options
         )
-        assert report.results
+        assert len(engine._stores) == 1
+        assert result.results
 
-    def test_strict_policy_propagates(self, hospital_doc):
-        engine = nurse_engine(degradation=DegradationPolicy(strict=True))
-        with FaultPlan(FaultSpec("store.build", at=1)):
-            with pytest.raises(FaultInjected):
-                engine.query(
-                    "nurse",
-                    "//patient/name",
-                    hospital_doc,
-                    options=ExecutionOptions(strategy="columnar"),
-                )
-
-    def test_audit_stats_count_degradations(self, hospital_doc):
+    def test_strict_policy_propagates(self, hospital_doc, monkeypatch):
+        # every engine is strict: the build's own error reaches the caller
         engine = nurse_engine()
-        ring = engine.add_sink(RingBufferSink(capacity=64))
-        with FaultPlan(FaultSpec("store.build", at=1)):
+        monkeypatch.setattr(NodeTable, "__init__", _broken_build)
+        with pytest.raises(RuntimeError, match="node table build failed"):
             engine.query(
                 "nurse",
                 "//patient/name",
                 hospital_doc,
                 options=ExecutionOptions(strategy="columnar"),
             )
-        stats = AuditLog(ring.events()).stats()
-        assert stats["nurse"]["degradations"] == 1
-        assert stats["nurse"]["queries"] == 1
 
 
 class TestDeadlineAcceptance:

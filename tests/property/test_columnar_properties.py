@@ -1,21 +1,20 @@
 """Property: the default plan path answers exactly like its references.
 
 The engine runs every view query as a compiled plan over the
-document's columnar :class:`~repro.xmlmodel.store.NodeTable`.  Three
+document's columnar :class:`~repro.xmlmodel.store.NodeTable`.  Two
 references pin its answers:
 
 * the interpreter (:class:`~repro.xpath.evaluator.XPathEvaluator`) for
   the rewritten document query — node-for-node, in document order;
 * the materialization oracle — the view query evaluated over the
-  materialized view tree ``Tv``, the paper's definition of the answer;
-* the engine's own degraded path — the interpreter fallback taken when
-  a ``store.build`` fault leaves the query without a NodeTable.
+  materialized view tree ``Tv``, the paper's definition of the answer.
 
 Random DAG DTDs, random Y/N policies, random conforming documents, and
 random fragment-``C`` queries (with qualifiers) exercise the plan and
 engine layers.  The workload queries (Adex Q1-Q4, the hospital suite)
 are pinned on every surface: direct, batch, ``execute_request``,
-``QueryServer``, and HTTP."""
+``QueryServer``, and HTTP, none of them falling back to the
+interpreter."""
 
 import json
 import threading
@@ -28,7 +27,7 @@ from hypothesis import strategies as st
 from repro.core.engine import SecureQueryEngine
 from repro.core.options import ExecutionOptions
 from repro.dtd.generator import DocumentGenerator
-from repro.robustness.faults import FaultPlan, FaultSpec
+from repro.obs import disable_metrics, enable_metrics, metrics_registry
 from repro.serving.httpd import make_http_server
 from repro.serving.protocol import QueryRequest
 from repro.serving.server import EngineCatalog, QueryServer
@@ -107,8 +106,8 @@ def test_columnar_engine_is_answer_preserving(data):
     """Engine layer: random policy + random query.  The default path
     equals the materialization oracle (as a set of renderings), its raw
     answer is the interpreter's node list for the rewritten query, and
-    the legacy ``"columnar"`` alias and the ``store.build``-degraded
-    interpreter path both return the default answer exactly."""
+    the legacy ``"columnar"`` alias returns the default answer
+    exactly."""
     dtd = data.draw(dag_dtd_strategy())
     spec = data.draw(annotation_strategy(dtd))
     seed = data.draw(st.integers(0, 500))
@@ -131,13 +130,6 @@ def test_columnar_engine_is_answer_preserving(data):
         raw.report.optimized, document, ordered=True
     )
     assert [id(node) for node in raw] == [id(node) for node in expected]
-
-    degraded = SecureQueryEngine(dtd)
-    degraded.register_policy("p", spec)
-    with FaultPlan(FaultSpec("store.build", every=1)):
-        fallback = degraded.query("p", query, document)
-    assert not degraded._stores
-    assert _rendered(fallback) == _rendered(default)
 
 
 def _post(base, payload):
@@ -182,22 +174,37 @@ def hospital():
     yield from _served(nurse_engine(), hospital_document(seed=13, max_branch=4))
 
 
+def _interpreter_fallbacks():
+    counters = metrics_registry().snapshot()["counters"]
+    return counters.get("plan.interpreter_fallbacks", 0)
+
+
 def _every_surface_agrees(served, query):
     """The default answer equals the materialization oracle, and every
-    serving surface returns it in the same order."""
+    serving surface returns it in the same order, with every plan run
+    on the NodeTable (no interpreter fallback)."""
     engine, document, server, base = served
     policy = engine.policies()[0]
-    direct = _rendered(engine.query(policy, query, document))
     oracle = _rendered(engine.query(policy, query, document, MATERIALIZED))
-    assert sorted(direct) == sorted(oracle)
-    batch = engine.query_batch(policy, [query, query], document)
-    assert [_rendered(result) for result in batch] == [direct, direct]
-    request = QueryRequest(policy=policy, query=query, document="doc")
-    assert list(engine.execute_request(request, document).results) == direct
-    response = server.query(request, timeout=30)
-    assert response.ok and list(response.results) == direct
-    body = _post(base, {"policy": policy, "query": query, "document": "doc"})
-    assert body["ok"] and body["results"] == direct
+    enable_metrics()
+    try:
+        before = _interpreter_fallbacks()
+        direct = _rendered(engine.query(policy, query, document))
+        assert sorted(direct) == sorted(oracle)
+        batch = engine.query_batch(policy, [query, query], document)
+        assert [_rendered(result) for result in batch] == [direct, direct]
+        request = QueryRequest(policy=policy, query=query, document="doc")
+        response = engine.execute_request(request, document)
+        assert list(response.results) == direct
+        response = server.query(request, timeout=30)
+        assert response.ok and list(response.results) == direct
+        body = _post(
+            base, {"policy": policy, "query": query, "document": "doc"}
+        )
+        assert body["ok"] and body["results"] == direct
+        assert _interpreter_fallbacks() == before
+    finally:
+        disable_metrics()
 
 
 @pytest.mark.parametrize("name", sorted(ADEX_QUERY_TEXTS))

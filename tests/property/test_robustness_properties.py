@@ -142,14 +142,14 @@ class TestFaultTriggerProperties:
     @settings(max_examples=50, deadline=None)
     @given(every=st.integers(1, 20), calls=st.integers(0, 200))
     def test_every_n_fires_floor_calls_over_n(self, every, calls):
-        spec = FaultSpec("x", every=every)
+        spec = FaultSpec("materialize", every=every)
         fired = sum(spec.triggered(i) for i in range(1, calls + 1))
         assert fired == calls // every
 
     @settings(max_examples=50, deadline=None)
     @given(at=st.integers(1, 50), calls=st.integers(0, 100))
     def test_at_n_fires_at_most_once(self, at, calls):
-        spec = FaultSpec("x", at=at)
+        spec = FaultSpec("materialize", at=at)
         fired = sum(spec.triggered(i) for i in range(1, calls + 1))
         assert fired == (1 if calls >= at else 0)
 

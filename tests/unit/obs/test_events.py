@@ -81,7 +81,6 @@ class TestSchema:
             "policy",
             "error",
             "canary",
-            "degradation",
         }
 
     def test_unknown_kind_fails_loudly(self):

@@ -19,63 +19,69 @@ def clean_harness():
 
 class TestFaultSpec:
     def test_defaults_to_at_1(self):
-        spec = FaultSpec("store.build")
+        spec = FaultSpec("materialize")
         assert spec.at == 1
         assert spec.triggered(1)
         assert not spec.triggered(2)
 
     def test_at_n(self):
-        spec = FaultSpec("store.build", at=3)
+        spec = FaultSpec("materialize", at=3)
         assert [spec.triggered(i) for i in range(1, 6)] == [
             False, False, True, False, False,
         ]
 
     def test_every_n(self):
-        spec = FaultSpec("store.build", every=2)
+        spec = FaultSpec("materialize", every=2)
         assert [spec.triggered(i) for i in range(1, 6)] == [
             False, True, False, True, False,
         ]
 
     def test_rate_is_deterministic_per_seed(self):
-        spec_a = FaultSpec("x", rate=0.5, seed=42)
-        spec_b = FaultSpec("x", rate=0.5, seed=42)
+        spec_a = FaultSpec("materialize", rate=0.5, seed=42)
+        spec_b = FaultSpec("materialize", rate=0.5, seed=42)
         first = [spec_a.triggered(i) for i in range(20)]
         second = [spec_b.triggered(i) for i in range(20)]
         assert first == second
         assert any(first) and not all(first)
 
     def test_rate_reset_replays(self):
-        spec = FaultSpec("x", rate=0.5, seed=7)
+        spec = FaultSpec("materialize", rate=0.5, seed=7)
         first = [spec.triggered(i) for i in range(20)]
         spec.reset()
         assert [spec.triggered(i) for i in range(20)] == first
 
     def test_one_trigger_only(self):
         with pytest.raises(ValueError):
-            FaultSpec("x", at=1, every=2)
+            FaultSpec("materialize", at=1, every=2)
         with pytest.raises(ValueError):
-            FaultSpec("x", every=2, rate=0.1)
+            FaultSpec("materialize", every=2, rate=0.1)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            FaultSpec("x", kind="explode")
+            FaultSpec("materialize", kind="explode")
+
+    def test_unknown_site_rejected(self):
+        # a spec on an uninstrumented (or retired) name would never fire
+        for site in ("store.build", "plan_cache.get", "x"):
+            with pytest.raises(ValueError, match="unknown fault site"):
+                FaultSpec(site)
 
     def test_fire_raises_fault_injected(self):
-        spec = FaultSpec("store.build")
+        spec = FaultSpec("materialize")
         with pytest.raises(FaultInjected) as excinfo:
             spec.fire()
         assert error_code(excinfo.value) == "E_FAULT"
-        assert "store.build" in str(excinfo.value)
+        assert "materialize" in str(excinfo.value)
         assert spec.fired == 1
 
     def test_fire_custom_error(self):
         boom = RuntimeError("boom")
-        spec = FaultSpec("x", error=boom)
+        spec = FaultSpec("materialize", error=boom)
         with pytest.raises(RuntimeError, match="boom"):
             spec.fire()
 
     def test_latency_kind_sleeps_not_raises(self):
-        spec = FaultSpec("x", kind="latency", latency_seconds=0.001)
+        spec = FaultSpec("materialize", kind="latency", latency_seconds=0.001)
         spec.fire()  # must not raise
         assert spec.fired == 1
 
@@ -83,38 +89,39 @@ class TestFaultSpec:
 class TestFaultPlan:
     def test_counts_calls_per_site(self):
         plan = FaultPlan(name="counting")
-        plan.fire("store.build")
-        plan.fire("store.build")
         plan.fire("materialize")
-        assert plan.calls("store.build") == 2
-        assert plan.calls("materialize") == 1
+        plan.fire("materialize")
+        plan.fire("serving.execute")
+        assert plan.calls("materialize") == 2
+        assert plan.calls("serving.execute") == 1
         assert plan.calls("httpd.write") == 0
 
     def test_fires_matching_spec_only(self):
         plan = FaultPlan(FaultSpec("materialize", at=1))
-        plan.fire("store.build")  # different site: no effect
+        plan.fire("serving.execute")  # different site: no effect
         with pytest.raises(FaultInjected):
             plan.fire("materialize")
         assert plan.fired() == 1
 
     def test_reset_replays_identically(self):
-        plan = FaultPlan(FaultSpec("store.build", at=2))
-        plan.fire("store.build")
+        plan = FaultPlan(FaultSpec("materialize", at=2))
+        plan.fire("materialize")
         with pytest.raises(FaultInjected):
-            plan.fire("store.build")
+            plan.fire("materialize")
         plan.reset()
-        assert plan.calls("store.build") == 0
-        plan.fire("store.build")
+        assert plan.calls("materialize") == 0
+        plan.fire("materialize")
         with pytest.raises(FaultInjected):
-            plan.fire("store.build")
+            plan.fire("materialize")
 
     def test_add_returns_self_for_chaining(self):
-        plan = FaultPlan().add(FaultSpec("a")).add(FaultSpec("b"))
+        plan = FaultPlan().add(FaultSpec("materialize")).add(
+            FaultSpec("serving.execute")
+        )
         assert len(plan.specs) == 2
 
     def test_sites_registry_names_the_engine_seams(self):
         assert set(SITES) == {
-            "store.build",
             "materialize",
             "admission.admit",
             "serving.resolve",
@@ -126,17 +133,17 @@ class TestFaultPlan:
 class TestInstallation:
     def test_trip_is_noop_without_plan(self):
         assert active_plan() is None
-        trip("store.build")  # must not raise
+        trip("materialize")  # must not raise
 
     def test_install_and_uninstall(self):
-        plan = FaultPlan(FaultSpec("store.build", at=1))
+        plan = FaultPlan(FaultSpec("materialize", at=1))
         install(plan)
         assert active_plan() is plan
         with pytest.raises(FaultInjected):
-            trip("store.build")
+            trip("materialize")
         uninstall()
         assert active_plan() is None
-        trip("store.build")  # no longer armed
+        trip("materialize")  # no longer armed
 
     def test_context_manager(self):
         plan = FaultPlan(FaultSpec("materialize", at=1))

@@ -8,6 +8,8 @@ import urllib.request
 import pytest
 
 from repro.core.engine import SecureQueryEngine
+from repro.obs.events import RingBufferSink
+from repro.robustness.faults import FaultPlan, FaultSpec
 from repro.serving.httpd import make_http_server
 from repro.serving.server import EngineCatalog, QueryServer
 from repro.workloads.hospital import (
@@ -91,6 +93,43 @@ class TestQueryEndpoint:
             urllib.request.urlopen(request, timeout=10)
         assert caught.value.code == 400
 
+
+
+class TestServerSideFailures:
+    """Failures on the server's side are 5xx, and the message of an
+    internal exception stays in the operator's audit trail."""
+
+    NURSE = {
+        "policy": "nurse",
+        "query": "//patient/name",
+        "document": "hospital",
+    }
+
+    def test_serving_fault_is_500(self, served):
+        _, base = served
+        with FaultPlan(FaultSpec("serving.execute", at=1)):
+            status, _, body = _post(base + "/query", self.NURSE)
+        assert status == 500
+        assert body["error_code"] == "E_FAULT"
+
+    def test_internal_error_is_500_without_its_message(self, served):
+        server, base = served
+        engine = server.catalog.engines()[0]
+        ring = engine.add_sink(RingBufferSink(capacity=64))
+        try:
+            with FaultPlan(
+                FaultSpec("materialize", error=KeyError("clinicalTrial"))
+            ):
+                status, _, body = _post(base + "/query", self.NURSE)
+        finally:
+            engine.remove_sink(ring)
+        assert status == 500
+        assert body["error_code"] == "E_UNKNOWN"
+        assert body["error_message"] == "internal error"
+        assert "clinicalTrial" not in json.dumps(body)
+        (event,) = ring.events(kind="error")
+        assert event.code == "E_UNKNOWN"
+        assert "clinicalTrial" in event.message
 
 class TestDebugTraces:
     def test_posted_query_findable_by_trace_id(self, served):
@@ -408,9 +447,8 @@ class TestDebugResilience:
         _, base = served
         status, _, payload = _get(base + "/debug/resilience")
         assert status == 200
-        assert set(payload) == {"shedding", "shed", "breakers", "drain"}
+        assert set(payload) == {"shedding", "shed", "drain"}
         assert set(payload["shed"]) == {"critical", "default", "sheddable"}
-        assert "hospital" in payload["breakers"]
         assert payload["drain"]["draining"] is False
 
 

@@ -118,6 +118,14 @@ class TestQueryResponse:
         )
         assert response.error_code == "E_LABEL_DENIED"
 
+    def test_from_error_hides_internal_messages(self):
+        request = QueryRequest(policy="nurse", query="//a")
+        internal = QueryResponse.from_error(request, KeyError("clinicalTrial"))
+        assert internal.error_code == "E_UNKNOWN"
+        assert internal.error_message == "internal error"
+        typed = QueryResponse.from_error(request, DeadlineExceeded("too slow"))
+        assert typed.error_message == "too slow"
+
     def test_round_trip(self):
         response = QueryResponse(
             policy="nurse",

@@ -12,7 +12,6 @@ from repro.serving.resilience import (
     CRITICALITIES,
     DEFAULT,
     SHEDDABLE,
-    BreakerBoard,
     BreakerSink,
     CircuitBreaker,
     OverloadDetector,
@@ -261,38 +260,6 @@ class TestCircuitBreaker:
         for thread in threads:
             thread.join()
         assert breaker.state in {"closed", "open", "half-open"}
-
-
-class TestBreakerBoard:
-    def test_breakers_keyed_and_cached_by_name(self):
-        board = BreakerBoard()
-        assert board.breaker("a") is board.breaker("a")
-        assert board.breaker("a") is not board.breaker("b")
-
-    def test_defaults_flow_to_new_breakers(self):
-        board = BreakerBoard(failure_threshold=1)
-        board.failure("seam")
-        assert board.state("seam") == "open"
-        assert not board.allow("seam")
-
-    def test_open_names_sorted(self):
-        clock = FakeClock()
-        board = BreakerBoard(clock=clock, failure_threshold=1, jitter=0.0)
-        board.allow("zeta")
-        board.failure("zeta")
-        board.allow("alpha")
-        board.failure("alpha")
-        board.allow("ok")
-        board.success("ok")
-        assert board.open_names() == ("alpha", "zeta")
-
-    def test_snapshot_covers_all_breakers(self):
-        board = BreakerBoard(failure_threshold=1)
-        board.allow("a")
-        board.failure("b")
-        snap = board.snapshot()
-        assert set(snap) == {"a", "b"}
-        assert snap["b"]["state"] == "open"
 
 
 class _Collector(EventSink):

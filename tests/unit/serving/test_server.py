@@ -430,22 +430,6 @@ class TestLifecycle:
         assert not ready
         assert "stopped" in payload["reasons"]
 
-    def test_ready_payload_gates_on_open_breakers(self, catalog):
-        engine = catalog.engines()[0]
-        board = engine.breakers
-        assert board is not None
-        server = QueryServer(catalog, workers=1).start()
-        try:
-            breaker = board.breaker("store.build")
-            for _ in range(breaker.failure_threshold):
-                breaker.record_failure()
-            ready, payload = server.ready_payload()
-            assert not ready
-            assert "store.build" in payload["open_breakers"]
-        finally:
-            board.breaker("store.build").record_success()
-            server.stop()
-
     def test_resilience_payload_shape(self, catalog):
         from repro.serving.resilience import OverloadDetector
 
@@ -460,7 +444,7 @@ class TestLifecycle:
                 "default",
                 "sheddable",
             }
-            assert "hospital" in payload["breakers"]
+            assert set(payload) == {"shedding", "shed", "drain"}
             assert payload["drain"]["draining"] is False
             assert payload["drain"]["report"] is None
         finally:

@@ -40,10 +40,15 @@ repro.SecureQueryEngine  # force one lazy resolution
 loaded_after = sorted(
     name for name in sys.modules if name.startswith("repro.")
 )
+repro.SecureQueryEngine(repro.parse_dtd("<!ELEMENT r (#PCDATA)>"))
+loaded_by_engine = sorted(
+    name for name in sys.modules if name.startswith("repro.")
+)
 print(json.dumps({
     "version": version,
     "before": loaded_before,
     "after": loaded_after,
+    "engine": loaded_by_engine,
 }))
 """
 
@@ -73,8 +78,16 @@ class TestLazyImport:
         assert "repro.core" not in set(probe["before"])
         assert "repro.core" in set(probe["after"])
 
+    def test_constructing_an_engine_loads_no_serving_code(self, probe):
+        serving = [
+            name for name in probe["engine"]
+            if name == "repro.serving" or name.startswith("repro.serving.")
+        ]
+        assert "repro.core.engine" in probe["engine"]
+        assert serving == []
+
     def test_version(self, probe):
-        assert probe["version"] == "4.0.0"
+        assert probe["version"] == "5.0.0"
 
     def test_pyproject_version_matches_package(self, probe):
         root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
