@@ -90,9 +90,7 @@ def _overhead_trial(catalog, requests, with_detector):
         TenantPolicy(max_concurrent=8, max_queue_depth=64),
         overload=OverloadDetector() if with_detector else None,
     )
-    with QueryServer(
-        catalog, admission=admission, workers=4, max_batch=8
-    ) as server:
+    with QueryServer(catalog, admission=admission, workers=4) as server:
         stats = replay(server, requests, clients=OVERHEAD_CLIENTS)
     assert not stats["errors"], stats["errors"]
     if with_detector:
@@ -201,7 +199,6 @@ def _goodput_run(catalog, load, shed, base_repetitions, service_seconds):
         catalog,
         admission=admission,
         workers=4,
-        max_batch=4,
         tracing=False,
         profiling=False,
     ).start()

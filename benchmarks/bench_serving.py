@@ -1,7 +1,7 @@
-"""Serving-layer benchmark: concurrent replay throughput and batched
-execution.
+"""Serving-layer benchmark: concurrent replay throughput and a
+canary-checked soak.
 
-Three measurements over the mixed-tenant hospital+Adex workload
+Two measurements over the mixed-tenant hospital+Adex workload
 (:func:`repro.serving.replay.mixed_workload` — every hospital query as
 nurse and as doctor plus the paper's Adex Q1-Q4 as the buyer):
 
@@ -10,20 +10,16 @@ nurse and as doctor plus the paper's Adex Q1-Q4 as the buyer):
   sequential run of the same request list.  The acceptance bar:
   concurrent QPS must beat sequential QPS (the engine's shared caches
   must scale across threads rather than serialize them).
-* **batch** — ``engine.query_batch`` (one pass, shared scan cache)
-  against the per-query loop on repeated query sets; the bar
-  is a geometric-mean speedup above 1 (batching must pay for itself).
 * **soak** — the full replay with the security canary sampling at
   100%: the acceptance bar is **zero canary violations**, i.e. the
   concurrent serving path answers exactly like the materialized-view
   oracle while under multi-threaded load.
 
 ``test_serving_report`` writes ``BENCH_serving.json`` at the repo root
-(p50/p95/p99 latency, QPS, speedups) for machine consumption.
+(p50/p95/p99 latency, QPS, speedup) for machine consumption.
 """
 
 import json
-import math
 import time
 from pathlib import Path
 
@@ -37,8 +33,6 @@ from repro.serving.replay import (
 )
 from repro.serving.server import QueryServer
 from repro.workloads.documents import bench_scale
-from repro.workloads.queries import HOSPITAL_QUERY_TEXTS
-from repro.xmlmodel.serialize import serialize
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPORT_PATH = REPO_ROOT / "BENCH_serving.json"
@@ -46,7 +40,6 @@ REPORT_PATH = REPO_ROOT / "BENCH_serving.json"
 REPLAY_CLIENTS = 16
 REPLAY_WORKERS = 8
 REPLAY_REPETITIONS = 6
-BATCH_ROUNDS = 3
 
 
 @pytest.fixture(scope="module")
@@ -74,9 +67,7 @@ def _sequential(catalog, requests):
 
 def test_replay_concurrent_beats_sequential(catalog, requests, request):
     sequential = _sequential(catalog, requests)
-    with QueryServer(
-        catalog, workers=REPLAY_WORKERS, max_batch=8
-    ) as server:
+    with QueryServer(catalog, workers=REPLAY_WORKERS) as server:
         concurrent = replay(server, requests, clients=REPLAY_CLIENTS)
     assert not concurrent["errors"], concurrent["errors"]
     test_replay_concurrent_beats_sequential.result = {
@@ -92,65 +83,6 @@ def test_replay_concurrent_beats_sequential(catalog, requests, request):
     )
 
 
-def _geomean(ratios):
-    return math.exp(sum(math.log(r) for r in ratios) / len(ratios))
-
-
-def _canonical(values):
-    return [
-        value if isinstance(value, str) else serialize(value)
-        for value in values
-    ]
-
-
-def test_batch_beats_loop(catalog, request):
-    """query_batch on repeated query sets vs the per-query loop,
-    per-set speedups aggregated by geometric mean."""
-    engine, document = catalog.resolve("hospital")
-    # repeated queries make the shared scan cache representative of
-    # the server coalescing same-document tenant traffic
-    batch = (list(HOSPITAL_QUERY_TEXTS.values()) * BATCH_ROUNDS)
-    # warm all caches so the measurement isolates execution
-    for text in set(batch):
-        engine.query("nurse", text, document)
-
-    def run_loop():
-        return [
-            engine.query("nurse", text, document)
-            for text in batch
-        ]
-
-    def run_batch():
-        return engine.query_batch("nurse", batch, document)
-
-    # answers agree exactly
-    assert [_canonical(r) for r in run_batch()] == [
-        _canonical(r) for r in run_loop()
-    ]
-    quick = request.config.getoption("--quick", default=False)
-    trials = 1 if quick else 5
-    loop_s = min(_time_once(run_loop) for _ in range(trials))
-    batch_s = min(_time_once(run_batch) for _ in range(trials))
-    speedup = loop_s / batch_s
-    test_batch_beats_loop.result = {
-        "loop_ms": loop_s * 1e3,
-        "batch_ms": batch_s * 1e3,
-        "speedup": speedup,
-    }
-    if quick:
-        return
-    assert speedup > 1.0, (
-        "query_batch (%.2f ms) did not beat the loop (%.2f ms)"
-        % (batch_s * 1e3, loop_s * 1e3)
-    )
-
-
-def _time_once(callable_):
-    start = time.perf_counter()
-    callable_()
-    return time.perf_counter() - start
-
-
 def test_soak_zero_canary_violations(catalog, requests):
     """The whole mixed-tenant replay with the canary sampling 100%:
     every served answer must match the materialized-view oracle."""
@@ -163,7 +95,7 @@ def test_soak_zero_canary_violations(catalog, requests):
         engine.enable_canary(1.0, seed=0)
         sinks.append((engine, sink))
     try:
-        with QueryServer(catalog, workers=4, max_batch=4) as server:
+        with QueryServer(catalog, workers=4) as server:
             stats = replay(server, requests, clients=8)
         assert not stats["errors"], stats["errors"]
         checks = violations = 0
@@ -190,9 +122,8 @@ def test_serving_report(catalog, requests, request):
     replay_result = getattr(
         test_replay_concurrent_beats_sequential, "result", None
     )
-    batch_result = getattr(test_batch_beats_loop, "result", None)
     soak_result = getattr(test_soak_zero_canary_violations, "result", None)
-    if not (replay_result and batch_result and soak_result):
+    if not (replay_result and soak_result):
         pytest.skip("run the full module to produce the report")
     report = {
         "scale": bench_scale(),
@@ -204,10 +135,8 @@ def test_serving_report(catalog, requests, request):
             "tenants": sorted(replay_result["concurrent"]["tenants"]),
         },
         "replay": replay_result,
-        "batch": batch_result,
         "soak": soak_result,
     }
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     assert report["replay"]["qps_speedup"] > 1.0
-    assert report["batch"]["speedup"] > 1.0
     assert report["soak"]["canary_violations"] == 0

@@ -70,7 +70,6 @@ def _replay_pass(requests, clients, tracing, trials):
         with QueryServer(
             catalog,
             workers=REPLAY_WORKERS,
-            max_batch=8,
             tracing=tracing,
         ) as server:
             # warm the engines so the measurement isolates serving

@@ -63,7 +63,6 @@ def _replay_pass(requests, clients, profiling, trials):
         with QueryServer(
             catalog,
             workers=REPLAY_WORKERS,
-            max_batch=8,
             profiling=profiling,
         ) as server:
             # warm the engines so the measurement isolates serving

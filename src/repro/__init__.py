@@ -51,7 +51,7 @@ The subpackages are usable on their own:
   (:class:`FaultPlan`) — see ``docs/robustness.md``;
 * :mod:`repro.serving` — the concurrent multi-tenant serving layer:
   the frozen :class:`QueryRequest` / :class:`QueryResponse` protocol,
-  per-tenant admission control, and the batch-coalescing
+  per-tenant admission control, and the thread-pool
   :class:`QueryServer` — see ``docs/serving.md``.
 
 Facade imports are **lazy** (PEP 562): ``import repro`` loads only
@@ -62,7 +62,7 @@ pay for observability, robustness, or serving imports.
 
 from typing import TYPE_CHECKING
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 #: Exported name → defining submodule.  The single source of truth for
 #: both ``__getattr__`` and ``__all__``.

@@ -16,11 +16,11 @@
     repro audit     stats LOG.jsonl [--policy P] [--json]
     repro metrics   SNAPSHOT.json [--format text|prometheus]
     repro table1    [--scale S] [--repeat N]
-    repro serve     [--host H] [--port P] [--workers N] [--max-batch N]
+    repro serve     [--host H] [--port P] [--workers N]
                     [--max-concurrent N] [--max-queue-depth N]
                     [--queue-timeout-ms MS] [--seed N]
     repro replay    [--clients N] [--repetitions N] [--workers N]
-                    [--max-batch N] [--seed N] [--json]
+                    [--seed N] [--json]
     repro trace     tail [--url URL] [-n N] [--tenant T] [--status S]
                     [--trace-id ID] [--json]
     repro workload  top    [--url URL] [--tenant T] [-n N] [--json]
@@ -465,7 +465,6 @@ def cmd_serve(arguments) -> int:
         catalog,
         admission=_admission(arguments),
         workers=arguments.workers,
-        max_batch=arguments.max_batch,
         **_tracing_kwargs(arguments)
     ).start()
     httpd = make_http_server(
@@ -536,7 +535,6 @@ def cmd_replay(arguments) -> int:
     with QueryServer(
         catalog,
         workers=arguments.workers,
-        max_batch=arguments.max_batch,
         **_tracing_kwargs(arguments)
     ) as server:
         stats = replay(
@@ -937,12 +935,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_serving_arguments(sub):
         sub.add_argument(
             "--workers", type=int, default=4, help="server worker threads"
-        )
-        sub.add_argument(
-            "--max-batch",
-            type=int,
-            default=8,
-            help="most requests one worker coalesces per pass",
         )
         sub.add_argument(
             "--seed", type=int, default=0, help="document-generation seed"

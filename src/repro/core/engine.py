@@ -43,11 +43,10 @@ from __future__ import annotations
 
 from threading import Lock, RLock
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Union as TypingUnion
+from typing import Dict, List, Optional, Union as TypingUnion
 
 from repro.errors import (
     QueryRejectedError,
-    ReproError,
     SecurityError,
 )
 from repro.obs.canary import SecurityCanary
@@ -430,42 +429,12 @@ class SecureQueryEngine:
         ``options=ExecutionOptions(...)`` (see ``docs/api.md``).
         """
         options = self._resolve_options(options)
-        return self._query_one(policy, query, document, options, None)
-
-    def query_batch(
-        self,
-        policy: str,
-        queries: Sequence[TypingUnion[str, Path]],
-        document,
-        options: Optional[ExecutionOptions] = None,
-    ) -> List[QueryResult]:
-        """Answer several view queries on *one* document, sharing work
-        across the batch.
-
-        Answers (and reports, and raised errors) are identical to
-        ``[engine.query(policy, q, document, options) for q in
-        queries]`` — the batch is an optimization, not a semantic
-        change.  The batch shares one postings scan cache: plans that
-        reach the same label with the same row frontier (the common
-        ``//a`` prefix case) reuse the first plan's scan instead of
-        re-slicing the posting lists (see
-        :class:`~repro.xpath.plan.PlanRuntime`).  The serving layer
-        uses this to coalesce same-document requests
-        (:class:`~repro.serving.server.QueryServer`)."""
-        options = self._resolve_options(options)
-        scan_cache: dict = {}
-        record("batch.calls")
-        record("batch.queries", len(queries))
-        return [
-            self._query_one(policy, query, document, options, scan_cache)
-            for query in queries
-        ]
+        return self._query_one(policy, query, document, options)
 
     def execute_request(
         self,
         request,
         document,
-        scan_cache: Optional[dict] = None,
         tracer: Optional[Tracer] = None,
         finish=None,
     ):
@@ -473,14 +442,13 @@ class SecureQueryEngine:
         against the (caller-resolved) ``document``, returning a
         :class:`~repro.serving.protocol.QueryResponse`.
 
-        Unlike :meth:`query`, library errors do not propagate: any
-        :class:`~repro.errors.ReproError` becomes an error response
-        carrying the stable code — the wire contract of the serving
-        layer.  ``scan_cache`` lets a caller thread one batch scan
-        cache through several calls (see :meth:`execute_batch`); a
-        caller-supplied ``tracer`` (the serving layer's per-request
-        one) collects the engine's stage spans under the caller's
-        open span instead of a private tracer.
+        Unlike :meth:`query`, errors do not propagate: any exception
+        becomes an error response — a :class:`~repro.errors.ReproError`
+        with its stable code, anything else as ``E_UNKNOWN`` with the
+        message withheld (the record keeps it) — the wire contract of
+        the serving layer.  A caller-supplied ``tracer`` (the serving
+        layer's per-request one) collects the engine's stage spans
+        under the caller's open span instead of a private tracer.
 
         ``finish`` is the serving layer's hook.  When given, the engine
         does not record the query: it calls ``finish(**fields)`` with
@@ -496,26 +464,13 @@ class SecureQueryEngine:
                 request.query,
                 document,
                 options,
-                scan_cache,
                 tracer=tracer,
                 request=request,
                 finish=finish,
             )
-        except ReproError as error:
+        except Exception as error:
             return QueryResponse.from_error(request, error)
         return QueryResponse.from_result(request, result)
-
-    def execute_batch(self, requests: Sequence, document) -> List:
-        """Answer several :class:`~repro.serving.protocol.QueryRequest`
-        values against one document — :meth:`execute_request` for each,
-        sharing a single batch scan cache (requests of *different*
-        policies still share scans: a postings slice depends only on
-        the store, the label, and the frontier)."""
-        shared: dict = {}
-        return [
-            self.execute_request(request, document, scan_cache=shared)
-            for request in requests
-        ]
 
     def _query_one(
         self,
@@ -523,14 +478,13 @@ class SecureQueryEngine:
         query: TypingUnion[str, Path],
         document,
         options: ExecutionOptions,
-        scan_cache: Optional[dict],
         tracer: Optional[Tracer] = None,
         request=None,
         finish=None,
     ) -> QueryResult:
-        """The shared core of :meth:`query` / :meth:`query_batch` /
-        :meth:`explain` / :meth:`execute_request`: answer, run the
-        sampled canary, then record the finished query as one
+        """The shared core of :meth:`query` / :meth:`explain` /
+        :meth:`execute_request`: answer, run the sampled canary, then
+        record the finished query as one
         :class:`~repro.obs.record.QueryRecord` published to
         :attr:`records` (or handed to the serving layer's ``finish``,
         see :meth:`execute_request`).  ``request`` supplies the ids of
@@ -550,7 +504,6 @@ class SecureQueryEngine:
                     query,
                     document,
                     options,
-                    scan_cache=scan_cache,
                     tracer=tracer,
                 )
             violations = self._run_canary(
@@ -1035,7 +988,6 @@ class SecureQueryEngine:
         query,
         document,
         options: ExecutionOptions,
-        scan_cache: Optional[dict] = None,
         tracer: Optional[Tracer] = None,
     ):
         entry = self._policy(policy)
@@ -1064,7 +1016,6 @@ class SecureQueryEngine:
                 self._store_for(document),
                 profile=collector,
                 budget=budget,
-                scan_cache=scan_cache,
             )
             with tracer.span("evaluate") as evaluate_span:
                 if options.project:

@@ -54,7 +54,7 @@ class TraceContext:
     """The request-scoped trace identity minted at ingress.
 
     ``trace_id`` correlates every span of one request across the
-    serving stack (queue wait, batch, engine stages) and is echoed on
+    serving stack (queue wait, engine stages) and is echoed on
     the :class:`~repro.serving.protocol.QueryResponse`;  ``span_id``
     names the server's root span; ``parent_span_id`` is the *client's*
     span when the caller propagated one (the ``X-Repro-Trace`` header

@@ -14,7 +14,7 @@ Instrumented sites (see ``docs/robustness.md`` for the full table):
 * ``materialize`` — view (subtree) materialization;
 * ``admission.admit`` — the serving layer's admission gate;
 * ``serving.resolve`` — catalog document-ref resolution;
-* ``serving.execute`` — batch execution of one admitted request;
+* ``serving.execute`` — execution of one admitted request;
 * ``httpd.write`` — the HTTP front end writing a response body.
 
 The sink seam needs no ``trip`` call: :class:`FaultySink` *is* the

@@ -15,8 +15,8 @@ engine — see ``docs/serving.md``:
   breakers over audit sinks, and
   per-tenant client retry budgets;
 * :mod:`repro.serving.server` — the thread-pool
-  :class:`~repro.serving.server.QueryServer` with same-document batch
-  coalescing over :class:`~repro.serving.server.EngineCatalog`;
+  :class:`~repro.serving.server.QueryServer` answering one request per
+  engine call over :class:`~repro.serving.server.EngineCatalog`;
 * :mod:`repro.serving.replay` — the mixed-tenant hospital+Adex replay
   harness behind ``repro replay`` and ``benchmarks/bench_serving.py``;
 * :mod:`repro.serving.httpd` — the stdlib HTTP front end behind

@@ -54,7 +54,7 @@ Stdlib-only (:mod:`http.server`), the endpoints:
     empty catalog.
 
 This is deliberately a thin shell: all semantics (admission,
-batching, tracing, audit) live in :class:`QueryServer`, so library
+shedding, tracing, audit) live in :class:`QueryServer`, so library
 users and HTTP users get identical behaviour.
 """
 

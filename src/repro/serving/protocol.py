@@ -3,8 +3,8 @@
 :class:`QueryRequest` and :class:`QueryResponse` are the *wire shape*
 of one secure query: immutable dataclasses with ``to_dict`` /
 ``from_dict`` round-trips, versioned by :data:`PROTOCOL_VERSION`
-independently of engine internals.  Both the batch API
-(:meth:`~repro.core.engine.SecureQueryEngine.execute_batch`) and the
+independently of engine internals.  Both the library call
+(:meth:`~repro.core.engine.SecureQueryEngine.execute_request`) and the
 :class:`~repro.serving.server.QueryServer` speak exactly these values,
 so a client serialized against version N keeps working while the
 engine's report/options internals evolve.

@@ -11,18 +11,16 @@ contract:
 * Per-tenant admission (:mod:`repro.serving.admission`) is applied
   around execution, so one flooding tenant exhausts only its own
   slots and queue.
-* Workers **coalesce** same-document requests: each worker drains up
-  to ``max_batch`` queued requests, groups them by document ref, and
-  executes each group through
-  :meth:`~repro.core.engine.SecureQueryEngine.execute_request` with a
-  shared scan cache — the batched-execution path that shares postings
-  scans across plans with a common label frontier (see
-  ``docs/serving.md`` and ``BENCH_serving.json``).
+* A worker takes one queued request at a time, resolves its document
+  ref, and answers it with one
+  :meth:`~repro.core.engine.SecureQueryEngine.execute_request` call,
+  so a request's answer, budget verdict and visit count never depend
+  on which other requests are queued with it.
 
 Document refs are resolved through an :class:`EngineCatalog`: a ref
 names ``(engine, document)``, which is what lets one server front the
 hospital and Adex workloads (different DTDs, different engines) at
-once while still coalescing within each.
+once.
 """
 
 from __future__ import annotations
@@ -37,11 +35,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import SecurityError
 from repro.robustness.faults import trip as fault_trip
 from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import (
-    observe as _observe,
-    record as _record,
-    set_gauge as _set_gauge,
-)
+from repro.obs.metrics import record as _record, set_gauge as _set_gauge
 from repro.obs.record import QueryRecord
 from repro.obs.slo import SLOTracker
 from repro.obs.trace import NULL_SPAN, Tracer, new_trace_id
@@ -56,7 +50,7 @@ class EngineCatalog(object):
 
     Thread-safe for concurrent resolve vs. add; refs are
     immutable-once-added (re-adding a ref raises) so resolution
-    results never change under an in-flight batch.
+    results never change under an in-flight request.
     """
 
     def __init__(self):
@@ -123,7 +117,7 @@ _STOP = object()
 
 
 class QueryServer(object):
-    """Thread-pool server with admission control and batch coalescing.
+    """Thread-pool server with per-tenant admission control.
 
     ``catalog``
         The :class:`EngineCatalog` resolving document refs.
@@ -132,14 +126,11 @@ class QueryServer(object):
         (default: one with default tenant bounds).
     ``workers``
         Worker threads draining the shared request queue.
-    ``max_batch``
-        Most requests one worker drains per pass; same-document
-        requests within a drain share one scan cache.
     ``tracing``
         Whether to trace requests end to end.  When on (the default)
         every request gets a ``trace_id`` minted at ingress (unless
         the client sent one), a span tree (``request`` → ``queue_wait``
-        → ``batch`` → engine stages), tail-sampled retention in the
+        → engine stages), tail-sampled retention in the
         :class:`~repro.obs.flight.FlightRecorder`, and per-tenant SLO
         accounting.  When off, the request path costs one attribute
         check — the engine still traces internally for its report.
@@ -165,7 +156,6 @@ class QueryServer(object):
         catalog: EngineCatalog,
         admission: Optional[AdmissionController] = None,
         workers: int = 4,
-        max_batch: int = 8,
         tracing: bool = True,
         flight: Optional[FlightRecorder] = None,
         slo: Optional[SLOTracker] = None,
@@ -174,11 +164,8 @@ class QueryServer(object):
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1, got %r" % (workers,))
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1, got %r" % (max_batch,))
         self.catalog = catalog
         self.admission = admission if admission is not None else AdmissionController()
-        self.max_batch = max_batch
         self.tracing = bool(tracing)
         self.flight = flight if flight is not None else (
             FlightRecorder() if self.tracing else None
@@ -377,74 +364,24 @@ class QueryServer(object):
             pending = self._queue.get()
             if pending is _STOP:
                 return
-            batch = [pending]
-            while len(batch) < self.max_batch:
-                try:
-                    extra = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if extra is _STOP:
-                    # Put the sentinel back for a sibling and finish
-                    # this batch first (drain semantics).
-                    self._queue.put(_STOP)
-                    break
-                batch.append(extra)
-            if len(batch) > 1:
-                _record("serving.batches.coalesced")
-            _observe("serving.batch_size", len(batch))
             _set_gauge("serving.queue_depth", self._queue.qsize())
             # a future cancelled while queued is abandoned here — it
             # must not occupy an admission slot or engine time, and it
             # must still leave the in-flight accounting balanced
-            live: List[_Pending] = []
-            for item in batch:
-                if item.future.set_running_or_notify_cancel():
-                    live.append(item)
-                else:
-                    _record("serving.cancelled")
-                    self._finish(item, None)
-            groups: Dict[str, List[_Pending]] = {}
-            for item in live:
-                groups.setdefault(item.request.document, []).append(item)
-            for ref, items in groups.items():
-                self._run_group(ref, items, batch_size=len(batch))
+            if pending.future.set_running_or_notify_cancel():
+                self._run_one(pending)
+            else:
+                _record("serving.cancelled")
+                self._finish(pending, None)
 
-    def _run_group(
-        self, ref: str, items: List[_Pending], batch_size: int = 1
-    ) -> None:
+    def _run_one(self, item: _Pending) -> None:
+        request = item.request
         try:
             fault_trip("serving.resolve")
-            engine, document = self.catalog.resolve(ref)
+            engine, document = self.catalog.resolve(request.document)
         except Exception as error:
-            for item in items:
-                self._finish(
-                    item, QueryResponse.from_error(item.request, error)
-                )
+            self._finish(item, QueryResponse.from_error(request, error))
             return
-        # One scan cache for the whole same-document group: postings
-        # slices are pure functions of (store, label, frontier), so
-        # plans sharing a label frontier reuse each other's scans.
-        shared_scans: dict = {}
-        for item in items:
-            self._run_one(
-                engine,
-                document,
-                shared_scans,
-                item,
-                batch_size=batch_size,
-                group_size=len(items),
-            )
-
-    def _run_one(
-        self,
-        engine,
-        document,
-        shared_scans,
-        item: _Pending,
-        batch_size: int = 1,
-        group_size: int = 1,
-    ) -> None:
-        request = item.request
         # Each request gets its own tracer (span trees are per-trace);
         # the engine must NOT be handed a disabled tracer — with no
         # tracer it builds its own enabled one, which QueryReport
@@ -462,30 +399,19 @@ class QueryServer(object):
         finished = {"policy": request.policy, "query": request.query}
         with root_span:
             try:
-                # The slot is held per request, not per batch: a batch
-                # acquiring several tenants' slots at once could deadlock
-                # against a sibling worker acquiring them in another order.
                 with self.admission.admit(
                     request.tenant_id,
                     enqueued_at=item.enqueued_at,
                     tracer=tracer,
                     criticality=request.criticality_class,
                 ):
-                    batch_span = NULL_SPAN if tracer is None else tracer.span(
-                        "batch",
-                        batch_size=batch_size,
-                        group_size=group_size,
-                        document=request.document,
+                    fault_trip("serving.execute")
+                    response = engine.execute_request(
+                        request,
+                        document,
+                        tracer=tracer,
+                        finish=finished.update,
                     )
-                    with batch_span:
-                        fault_trip("serving.execute")
-                        response = engine.execute_request(
-                            request,
-                            document,
-                            scan_cache=shared_scans,
-                            tracer=tracer,
-                            finish=finished.update,
-                        )
             except BaseException as error:  # never leak through a future
                 # admission rejections and serving faults finish here,
                 # outside the engine
@@ -583,7 +509,6 @@ class QueryServer(object):
             "version": repro.__version__,
             "uptime_seconds": uptime,
             "workers": len(self._threads),
-            "max_batch": self.max_batch,
             "tracing": self.tracing,
             "profiling": self.workload is not None,
             "documents": self.catalog.refs(),

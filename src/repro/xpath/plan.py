@@ -90,29 +90,15 @@ class PlanRuntime:
     same batch granularity (plus a strided per-node wall-clock check
     inside the unbounded descendant scans), raising typed
     ``E_DEADLINE``/``E_BUDGET`` errors; left ``None``, the cost is the
-    same single attribute check as an absent profile.
+    same single attribute check as an absent profile."""
 
-    Attaching a ``scan_cache`` (a plain dict, shared across the
-    runtimes of one batch) memoizes the postings scans: a child or
-    ``//label`` step keyed by ``(kind, label, frontier)`` returns its
-    previous output frontier without touching the posting lists again.
-    Sound because a posting slice is a pure function of the store, the
-    label, and the input frontier — plans from *different* queries
-    that reach the same label with the same frontier (the common
-    ``//a/...`` prefix case in a batch) share one scan.  The cache
-    holds row ids, which are deterministic for a given document
-    (preorder), so entries stay valid even across a NodeTable rebuild
-    of the same document mid-batch."""
+    __slots__ = ("store", "visits", "profile", "budget")
 
-    __slots__ = ("store", "visits", "profile", "budget", "scan_cache")
-
-    def __init__(self, store=None, profile=None, budget=None,
-                 scan_cache=None):
+    def __init__(self, store=None, profile=None, budget=None):
         self.store = store
         self.visits = 0
         self.profile = profile
         self.budget = budget
-        self.scan_cache = scan_cache
 
     def reset_counters(self) -> None:
         self.visits = 0
@@ -176,26 +162,7 @@ class LabelOp(_Op):
         label's posting list: while the posting is small relative to
         the frontier, one pass over the posting with a parent-membership
         probe yields the (already sorted) answer; for large postings
-        the kernel walks child links per frontier row instead.
-
-        With a batch ``scan_cache`` attached, the whole step memoizes
-        on ``("child", label, frontier)`` — plans of different queries
-        sharing a label frontier pay for one scan."""
-        cache = rt.scan_cache
-        cache_key = None
-        if cache is not None:
-            cache_key = ("child", self.name, tuple(rows))
-            hit = cache.get(cache_key)
-            if hit is not None:
-                _metric_record("batch.scan_cache_hits")
-                budget = rt.budget
-                if budget is not None:
-                    budget.checkpoint(rt.visits, len(hit))
-                if rt.profile is not None:
-                    rt.profile.record(
-                        self, len(rows), len(hit), kernel="scan-cache-hit"
-                    )
-                return hit
+        the kernel walks child links per frontier row instead."""
         store = rt.store
         rows_in = len(rows)
         label_id = store.label_index.get(self.name)
@@ -245,8 +212,6 @@ class LabelOp(_Op):
             budget.checkpoint(rt.visits, len(out))
         if rt.profile is not None:
             rt.profile.record(self, rows_in, len(out), kernel=kernel)
-        if cache_key is not None:
-            cache[cache_key] = out
         return out
 
 
@@ -375,34 +340,6 @@ class DescendantOp(_Op):
             return []
         store = rt.store
         if self.fast_label is not None:
-            # batch memoization of the pre-qualifier posting slice: the
-            # base frontier depends only on (label, input frontier), so
-            # plans with different qualifiers still share the scan
-            cache = rt.scan_cache
-            cache_key = None
-            if cache is not None:
-                cache_key = ("desc", self.fast_label, tuple(rows))
-                base = cache.get(cache_key)
-                if base is not None:
-                    _metric_record("batch.scan_cache_hits")
-                    budget = rt.budget
-                    if budget is not None:
-                        budget.checkpoint(rt.visits, len(base))
-                    results = base
-                    for qualifier in self.fast_qualifiers:
-                        results = [
-                            row
-                            for row in results
-                            if qualifier.test_row(rt, row)
-                        ]
-                    if rt.profile is not None:
-                        rt.profile.record(
-                            self,
-                            len(rows),
-                            len(results),
-                            kernel="scan-cache-hit",
-                        )
-                    return results
             label_id = store.label_index.get(self.fast_label)
             if label_id is None:
                 if rt.profile is not None:
@@ -433,8 +370,6 @@ class DescendantOp(_Op):
             budget = rt.budget
             if budget is not None:
                 budget.checkpoint(rt.visits, len(base))
-            if cache_key is not None:
-                cache[cache_key] = base
             results = base
             for qualifier in self.fast_qualifiers:
                 results = [

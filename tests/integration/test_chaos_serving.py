@@ -88,9 +88,7 @@ class TestChaosSoak:
             overload=detector,
         )
         requests = criticality_mix(mixed_workload(repetitions=2, seed=seed))
-        server = QueryServer(
-            catalog, admission=admission, workers=4, max_batch=4
-        ).start()
+        server = QueryServer(catalog, admission=admission, workers=4).start()
         plan = serving_fault_matrix(seed)
         with plan:
             stats = replay(server, requests, clients=16)
@@ -140,9 +138,7 @@ class TestChaosSoak:
         )
         requests = criticality_mix(mixed_workload(repetitions=2, seed=3))
         budget = RetryBudget(ratio=0.1, burst=4.0)
-        server = QueryServer(
-            catalog, admission=admission, workers=4, max_batch=4
-        ).start()
+        server = QueryServer(catalog, admission=admission, workers=4).start()
         stats = replay(server, requests, clients=16, retry_budget=budget)
         report = server.drain(deadline_seconds=10.0)
         assert report["unresolved"] == 0
@@ -163,7 +159,7 @@ class TestChaosDeterminism:
         requests = criticality_mix(mixed_workload(repetitions=1, seed=seed))
         plan = serving_fault_matrix(seed)
         outcomes = []
-        with QueryServer(catalog, workers=1, max_batch=1) as server:
+        with QueryServer(catalog, workers=1) as server:
             with plan:
                 for request in requests:
                     response = server.query(request, timeout=30)
@@ -185,7 +181,7 @@ class TestDrainUnderChaos:
     def test_drain_terminates_with_latency_faults_in_flight(self):
         catalog = standard_catalog(seed=0)
         requests = mixed_workload(repetitions=1, seed=0)
-        server = QueryServer(catalog, workers=2, max_batch=2).start()
+        server = QueryServer(catalog, workers=2).start()
         futures = []
         with FaultPlan(
             FaultSpec(
@@ -205,7 +201,7 @@ class TestDrainUnderChaos:
     def test_drain_past_deadline_rejects_rather_than_hangs(self):
         catalog = standard_catalog(seed=0)
         requests = mixed_workload(repetitions=2, seed=0)
-        server = QueryServer(catalog, workers=1, max_batch=1).start()
+        server = QueryServer(catalog, workers=1).start()
         with FaultPlan(
             FaultSpec(
                 "serving.execute",

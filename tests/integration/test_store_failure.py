@@ -67,10 +67,9 @@ def _run(path, engine, document, request):
             return error_code(error), None
         return "", None
     if path == "execute_request":
-        try:
-            response = engine.execute_request(request, document)
-        except Exception as error:
-            return error_code(error), None
+        # the wire contract: an error response, never an exception
+        response = engine.execute_request(request, document)
+        assert response.error_message == "internal error"
         return response.error_code, None
     catalog = EngineCatalog().add("hospital", engine, document)
     with QueryServer(catalog, workers=1) as server:
@@ -108,6 +107,8 @@ def test_failed_build_fails_the_query_and_caches_nothing(path, monkeypatch):
     document = hospital_document(seed=7, max_branch=4)
     request = QueryRequest(policy="nurse", query=QUERY, document="hospital")
     ring = engine.add_sink(RingBufferSink(capacity=64))
+    records = []
+    engine.records.subscribe(records.append)
     enable_metrics()
     try:
         before = _fallbacks()
@@ -125,6 +126,7 @@ def test_failed_build_fails_the_query_and_caches_nothing(path, monkeypatch):
     assert [event.kind for event in events] == ["error"]
     assert events[0].code == "E_UNKNOWN"
     assert "node table build failed" in events[0].message
+    assert [record.error_code for record in records] == ["E_UNKNOWN"]
     assert engine._stores == {}
 
     # the fault is gone: the next query builds the table and answers

@@ -12,7 +12,7 @@ references pin its answers:
 Random DAG DTDs, random Y/N policies, random conforming documents, and
 random fragment-``C`` queries (with qualifiers) exercise the plan and
 engine layers.  The workload queries (Adex Q1-Q4, the hospital suite)
-are pinned on every surface: direct, batch, ``execute_request``,
+are pinned on every surface: direct, ``execute_request``,
 ``QueryServer``, and HTTP, none of them falling back to the
 interpreter."""
 
@@ -106,8 +106,8 @@ def test_columnar_engine_is_answer_preserving(data):
     """Engine layer: random policy + random query.  The default path
     equals the materialization oracle (as a set of renderings), its raw
     answer is the interpreter's node list for the rewritten query, and
-    the legacy ``"columnar"`` alias returns the default answer
-    exactly."""
+    the legacy ``"columnar"`` alias and ``execute_request`` on a fresh
+    engine (cold caches) return the default answer exactly."""
     dtd = data.draw(dag_dtd_strategy())
     spec = data.draw(annotation_strategy(dtd))
     seed = data.draw(st.integers(0, 500))
@@ -124,6 +124,12 @@ def test_columnar_engine_is_answer_preserving(data):
     alias = engine.query("p", query, document, COLUMNAR)
     assert _rendered(alias) == _rendered(default)
     assert alias.report.strategy == "virtual"
+    fresh = SecureQueryEngine(dtd)
+    fresh.register_policy("p", spec)
+    response = fresh.execute_request(
+        QueryRequest(policy="p", query=query), document
+    )
+    assert response.ok and list(response.results) == _rendered(default)
 
     raw = engine.query("p", query, document, RAW)
     expected = XPathEvaluator().evaluate(
@@ -191,8 +197,6 @@ def _every_surface_agrees(served, query):
         before = _interpreter_fallbacks()
         direct = _rendered(engine.query(policy, query, document))
         assert sorted(direct) == sorted(oracle)
-        batch = engine.query_batch(policy, [query, query], document)
-        assert [_rendered(result) for result in batch] == [direct, direct]
         request = QueryRequest(policy=policy, query=query, document="doc")
         response = engine.execute_request(request, document)
         assert list(response.results) == direct

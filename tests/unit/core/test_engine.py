@@ -360,7 +360,6 @@ class TestOneBackendGuards:
                 for target in (document, other):
                     engine.query("nurse", text, target)
                     engine.query("doctor", text, target, options=raw)
-            engine.query_batch("nurse", list(self.QUERIES), document)
         assert [id(root) for root in builds] == [id(document), id(other)]
         assert sorts == []
 

@@ -47,19 +47,22 @@ class TestTraceRecord:
         with tracer.span("request") as root:
             with tracer.span("queue_wait"):
                 pass
-            with tracer.span("batch"):
-                with tracer.span("query"):
+            with tracer.span("query"):
+                with tracer.span("evaluate"):
                     pass
         spans = trace_dict(QueryRecord(trace_id="t1", span=root))["spans"]
         assert spans["name"] == "request"
         assert spans["span_id"] == "0001"
         assert spans["parent_span_id"] == ""
         children = spans["children"]
-        assert [c["name"] for c in children] == ["queue_wait", "batch"]
+        assert [c["name"] for c in children] == ["queue_wait", "query"]
         assert [c["span_id"] for c in children] == ["0002", "0003"]
         assert all(c["parent_span_id"] == "0001" for c in children)
-        query = children[1]["children"][0]
-        assert (query["name"], query["parent_span_id"]) == ("query", "0003")
+        evaluate = children[1]["children"][0]
+        assert (evaluate["name"], evaluate["parent_span_id"]) == (
+            "evaluate",
+            "0003",
+        )
 
     def test_canary_violations_are_tail_retained(self):
         recorder = FlightRecorder(capacity=1, tail_capacity=1)
@@ -174,7 +177,7 @@ class TestFlightRecorder:
 def test_render_trace_includes_header_and_span_tree():
     tracer = Tracer()
     with tracer.span("request") as root:
-        with tracer.span("batch", batch_size=3):
+        with tracer.span("query", policy="nurse"):
             pass
     record = QueryRecord(
         trace_id="abcd" * 8, tenant="nurse", query="//a", slow=True, span=root
@@ -184,4 +187,4 @@ def test_render_trace_includes_header_and_span_tree():
     assert "abcdabcdabcdabcd" in lines[0]
     assert "slow" in lines[0]
     assert any("request [0001]" in line for line in lines)
-    assert any("batch [0002]" in line and "batch_size=3" in line for line in lines)
+    assert any("query [0002]" in line and "policy=nurse" in line for line in lines)

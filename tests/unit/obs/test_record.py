@@ -134,16 +134,13 @@ def _requests():
 
 
 def _run_library(path, engine, document):
-    """The library paths: direct query, query_batch, execute_request."""
+    """The library paths: direct query and execute_request."""
     if path == "direct":
         for text in QUERIES:
             try:
                 engine.query("nurse", text, document)
             except QueryRejectedError:
                 pass
-    elif path == "batch":
-        with pytest.raises(QueryRejectedError):  # the denial comes last
-            engine.query_batch("nurse", QUERIES, document)
     else:
         for request in _requests()[:3]:
             engine.execute_request(request, document)
@@ -185,7 +182,7 @@ def _run_served(path, server):
 
 
 @pytest.mark.parametrize(
-    "path", ["direct", "batch", "execute_request", "server", "http"]
+    "path", ["direct", "execute_request", "server", "http"]
 )
 def test_one_record_per_finished_query(path):
     engine = _strict_engine()
@@ -193,7 +190,7 @@ def test_one_record_per_finished_query(path):
     ring = engine.add_sink(RingBufferSink(capacity=256))
     received = []
     engine.records.subscribe(received.append)
-    if path in ("direct", "batch", "execute_request"):
+    if path in ("direct", "execute_request"):
         profiler = engine.enable_workload_profiler()
         _run_library(path, engine, document)
         expected = len(QUERIES)

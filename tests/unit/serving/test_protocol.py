@@ -189,15 +189,16 @@ class TestEngineIntegration:
         from repro.xmlmodel.serialize import serialize
 
         engine, document = engine_and_document
-        request = QueryRequest(policy="nurse", query="//patient/name")
-        response = engine.execute_request(request, document)
-        direct = engine.query("nurse", "//patient/name", document)
-        assert response.ok
-        assert list(response.results) == [
-            value if isinstance(value, str) else serialize(value)
-            for value in direct
-        ]
-        assert response.report["result_count"] == len(direct)
+        for text in ("//patient/name", "//patient//bill", "//patient/name"):
+            request = QueryRequest(policy="nurse", query=text)
+            response = engine.execute_request(request, document)
+            direct = engine.query("nurse", text, document)
+            assert response.ok
+            assert list(response.results) == [
+                value if isinstance(value, str) else serialize(value)
+                for value in direct
+            ]
+            assert response.report["result_count"] == len(direct)
 
     def test_execute_request_wraps_failures(self, engine_and_document):
         engine, document = engine_and_document
@@ -205,19 +206,3 @@ class TestEngineIntegration:
         response = engine.execute_request(request, document)
         assert not response.ok
         assert response.error_code == "E_SECURITY"
-
-    def test_execute_batch_shares_scans(self, engine_and_document):
-        engine, document = engine_and_document
-        columnar = ExecutionOptions(strategy="columnar")
-        requests = [
-            QueryRequest(
-                policy="nurse", query=text, options=columnar, request_id=str(i)
-            )
-            for i, text in enumerate(
-                ["//patient/name", "//patient//bill", "//patient/name"]
-            )
-        ]
-        responses = engine.execute_batch(requests, document)
-        assert [r.request_id for r in responses] == ["0", "1", "2"]
-        assert all(r.ok for r in responses)
-        assert responses[0].results == responses[2].results

@@ -64,7 +64,7 @@ class TestMidReplayDrain:
         resolves, the remainder is skipped, and the summary says so."""
         catalog = standard_catalog(seed=0)
         requests = mixed_workload(repetitions=4, seed=0)
-        server = QueryServer(catalog, workers=2, max_batch=2).start()
+        server = QueryServer(catalog, workers=2).start()
         drained = {}
 
         def drain_soon():

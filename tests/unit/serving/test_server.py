@@ -1,5 +1,5 @@
-"""The QueryServer: catalog resolution, futures contract, batching,
-admission and audit parity."""
+"""The QueryServer: catalog resolution, futures contract, admission,
+budget independence and audit parity."""
 
 import threading
 
@@ -8,10 +8,12 @@ import pytest
 from repro.core.engine import SecureQueryEngine
 from repro.core.options import ExecutionOptions
 from repro.obs.events import RingBufferSink
+from repro.robustness.governor import QueryLimits
 from repro.serving.admission import AdmissionController, TenantPolicy
 from repro.serving.protocol import QueryRequest, QueryResponse
 from repro.serving.server import EngineCatalog, QueryServer
 from repro.workloads.hospital import (
+    doctor_spec,
     hospital_document,
     hospital_dtd,
     nurse_spec,
@@ -57,18 +59,30 @@ class TestQueryServer:
     def test_answers_match_direct_query(self, catalog, engine, document):
         from repro.xmlmodel.serialize import serialize
 
-        direct = [
-            value if isinstance(value, str) else serialize(value)
-            for value in engine.query("nurse", "//patient/name", document)
-        ]
+        texts = ["//patient/name", "//patient//bill", "//patient/name"] * 4
+        direct = {
+            text: [
+                value if isinstance(value, str) else serialize(value)
+                for value in engine.query("nurse", text, document)
+            ]
+            for text in texts
+        }
         with QueryServer(catalog, workers=2) as server:
-            response = server.query(
-                QueryRequest(
-                    policy="nurse", query="//patient/name", document="hospital"
+            futures = [
+                server.submit(
+                    QueryRequest(
+                        policy="nurse",
+                        query=text,
+                        document="hospital",
+                        request_id=str(index),
+                    )
                 )
-            )
-        assert response.ok
-        assert list(response.results) == direct
+                for index, text in enumerate(texts)
+            ]
+            responses = [future.result(timeout=30) for future in futures]
+        for text, response in zip(texts, responses):
+            assert response.ok
+            assert list(response.results) == direct[text]
 
     def test_unknown_document_resolves_future(self, catalog):
         with QueryServer(catalog, workers=1) as server:
@@ -87,30 +101,6 @@ class TestQueryServer:
         assert not response.ok
         assert response.error_code == "E_ADMISSION"
 
-    def test_batch_coalescing_preserves_answers(self, catalog, engine, document):
-        columnar = ExecutionOptions(strategy="columnar")
-        texts = ["//patient/name", "//patient//bill", "//patient/name"] * 4
-        with QueryServer(catalog, workers=1, max_batch=8) as server:
-            futures = [
-                server.submit(
-                    QueryRequest(
-                        policy="nurse",
-                        query=text,
-                        document="hospital",
-                        options=columnar,
-                        request_id=str(index),
-                    )
-                )
-                for index, text in enumerate(texts)
-            ]
-            responses = [future.result(timeout=30) for future in futures]
-        assert all(response.ok for response in responses)
-        # identical queries agree regardless of which batch served them
-        by_text = {}
-        for text, response in zip(texts, responses):
-            by_text.setdefault(text, set()).add(response.results)
-        assert all(len(variants) == 1 for variants in by_text.values())
-
     def test_admission_rejection_surfaces_and_audits(self, catalog, engine):
         sink = engine.add_sink(RingBufferSink())
         try:
@@ -124,7 +114,7 @@ class TestQueryServer:
             # One slot, zero queue depth: racing many same-tenant
             # requests across two workers must reject some at the gate.
             with QueryServer(
-                catalog, admission=admission, workers=2, max_batch=1
+                catalog, admission=admission, workers=2
             ) as server:
                 blocker = server.submit(
                     QueryRequest(
@@ -179,7 +169,7 @@ class TestQueryServer:
             ),
         )
         with QueryServer(
-            catalog, admission=admission, workers=4, max_batch=4
+            catalog, admission=admission, workers=4
         ) as server:
             flood = [
                 server.submit(
@@ -209,6 +199,51 @@ class TestQueryServer:
         # the flooder is bounded: not everything gets through at once
         flood_codes = {r.error_code for r in flood_responses if not r.ok}
         assert flood_codes <= {"E_ADMISSION", "E_DEADLINE"}
+
+    @pytest.mark.parametrize("neighbour", ["nurse", "doctor"])
+    def test_budget_verdict_ignores_neighbouring_requests(
+        self, document, neighbour
+    ):
+        """A request's budget verdict and visit count are its own: an
+        unlimited request queued just before it (same document, same
+        query, same or another policy) must not lend it any work."""
+        dtd = hospital_dtd()
+        engine = SecureQueryEngine(dtd)
+        engine.register_policy("nurse", nurse_spec(dtd), wardNo="2")
+        engine.register_policy("doctor", doctor_spec(dtd))
+        catalog = EngineCatalog().add("hospital", engine, document)
+        text = "//patient/name"
+        solo = engine.query("nurse", text, document).report.visits
+        assert solo > 1
+        limited = ExecutionOptions(limits=QueryLimits(max_visits=solo - 1))
+        server = QueryServer(catalog, workers=1)
+        # queued before the worker starts, so both wait side by side
+        futures = [
+            server.submit(
+                QueryRequest(policy=neighbour, query=text, document="hospital")
+            ),
+            server.submit(
+                QueryRequest(
+                    policy="nurse",
+                    query=text,
+                    document="hospital",
+                    options=limited,
+                )
+            ),
+            server.submit(
+                QueryRequest(policy="nurse", query=text, document="hospital")
+            ),
+        ]
+        server.start()
+        try:
+            unlimited, budgeted, again = [f.result(timeout=30) for f in futures]
+        finally:
+            server.stop()
+        assert unlimited.ok
+        assert not budgeted.ok
+        assert budgeted.error_code == "E_BUDGET"
+        assert again.ok
+        assert again.report["visits"] == solo
 
     def test_context_manager_and_request_ids(self, catalog):
         with QueryServer(catalog, workers=1) as server:
@@ -276,10 +311,10 @@ class TestRequestTracing:
         assert record.request_id == "rq-1"
         assert record.tenant == "nurse"
         names = self._span_names(trace_dict(record)["spans"])
-        # queue wait, batch coalescing, and the engine stages all
-        # appear in one request-rooted tree
+        # queue wait and the engine stages all appear in one
+        # request-rooted tree
         assert names[0] == "request"
-        for expected in ("queue_wait", "batch", "query", "parse", "evaluate"):
+        for expected in ("queue_wait", "query", "parse", "evaluate"):
             assert expected in names
 
     def test_denied_requests_always_tail_retained(self, document):
@@ -398,9 +433,7 @@ class TestLifecycle:
         admission = AdmissionController(
             TenantPolicy(max_concurrent=1, max_queue_depth=64)
         )
-        server = QueryServer(
-            catalog, admission=admission, workers=1, max_batch=1
-        )
+        server = QueryServer(catalog, admission=admission, workers=1)
         # queue up work BEFORE starting workers so cancellation wins
         futures = [server.submit(self.request()) for _ in range(6)]
         cancelled = [future for future in futures if future.cancel()]
