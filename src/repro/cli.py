@@ -5,7 +5,7 @@
     repro view-dtd  DTD.dtd  SPEC.txt  [--bind name=value ...]
     repro rewrite   DTD.dtd  SPEC.txt  QUERY [--bind ...] [--no-optimize]
     repro query     DTD.dtd  SPEC.txt  DOC.xml QUERY [--bind ...]
-                    [--no-optimize] [--explain] [--no-cache]
+                    [--explain] [--no-cache]
                     [--strategy virtual|columnar|materialized]
                     [--trace] [--metrics] [--json]
                     [--audit-log PATH] [--slow-ms MS]
@@ -176,7 +176,6 @@ def cmd_query(arguments) -> int:
         )
     options = ExecutionOptions(
         strategy=arguments.strategy,
-        optimize=not arguments.no_optimize,
         use_cache=not arguments.no_cache,
         trace=arguments.trace,
         slow_query_threshold=(
@@ -781,7 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_policy_arguments(query_cmd)
     query_cmd.add_argument("document")
     query_cmd.add_argument("query")
-    query_cmd.add_argument("--no-optimize", action="store_true")
     query_cmd.add_argument("--explain", action="store_true")
     query_cmd.add_argument(
         "--strategy",

@@ -9,31 +9,35 @@ architecture diagram does:
    ``derive``; the *exposed* view DTD is available to the user class,
    while sigma and the document DTD stay hidden;
 3. a user query over the view is rewritten (Algorithm ``rewrite``,
-   after unfolding if the view is recursive) and optionally optimized
-   (Algorithm ``optimize``) into a query over the document;
-4. the rewritten query is evaluated on the document; results are
-   *projected through the view* (dummy relabeling, hidden descendants
-   removed) before being returned.
+   after unfolding if the view is recursive) into one document query
+   per view node it reaches, and each element target's query is
+   optimized (Algorithm ``optimize``);
+4. the per-target queries are evaluated on the document; every result
+   is *projected through the view* (dummy relabeling, hidden
+   descendants removed) before being returned.
 
 The security view is never materialized; projection only copies the
 actual result subtrees.
 
-Serving-path amortization: because steps 3's outputs depend only on
-``(policy, query text, optimize flag)`` — not on the document — the
-engine keeps a bounded LRU :class:`~repro.core.plancache.PlanCache`
-of compiled queries (parsed/rewritten/optimized ASTs plus executable
-:mod:`~repro.xpath.plan` operator trees), so repeated queries skip
-straight to evaluation.  Execution knobs are grouped in
+Serving-path amortization: because step 3's outputs depend only on
+``(policy, query text)`` — not on the document, except for the
+unfolding height of a recursive view — the engine keeps a bounded LRU
+:class:`~repro.core.plancache.PlanCache` of compiled queries (parsed
+and rewritten ASTs plus one executable :mod:`~repro.xpath.plan`
+operator tree per view target), so repeated queries skip straight to
+evaluation.  Execution knobs are grouped in
 :class:`~repro.core.options.ExecutionOptions` (the 1.x per-call
 boolean keywords were removed in 2.0; see ``docs/api.md``).
 
 Thread safety: one engine may serve queries from many threads
-concurrently (see ``docs/serving.md``).  Every expensive per-key
-artifact — compiled plans, NodeTables, materialized view trees,
-unfolded rewriters — is *immutable after build* and built under a
-single per-key lock, so concurrent first requests for the same
-artifact serialize on its build while requests for other keys
-proceed; once built, readers share the structure without locking.
+concurrently (see ``docs/serving.md``).  Every cached artifact is
+*immutable after build*.  NodeTables, materialized view trees and
+unfolded rewriters are built under a single per-key lock, so
+concurrent first requests for the same artifact serialize on its
+build while requests for other keys proceed.  A compiled query is
+built whole before it is cached (concurrent misses of one query may
+each compile it; the last one cached wins).  Once built, readers share
+the structure without locking.
 Administrative mutation (``register_policy``, ``drop_policy``,
 ``invalidate``) takes the engine's admin lock; queries in flight keep
 the (still-consistent) structures they already hold.
@@ -76,7 +80,7 @@ from repro.core.rewrite import Rewriter
 from repro.core.spec import AccessSpec
 from repro.core.unfold import unfold_view
 from repro.core.view import SecurityView
-from repro.xpath.ast import Absolute, Label, Path
+from repro.xpath.ast import Label, Path, union
 from repro.xpath.evaluator import XPathEvaluator
 from repro.xpath.fingerprint import query_fingerprint
 from repro.xpath.parser import parse_xpath
@@ -116,7 +120,13 @@ class QueryReport:
     from the engine's trace spans), the end-to-end wall time of the
     enclosing query span, and — when the query ran with
     ``ExecutionOptions(trace=True)`` — the per-operator
-    :class:`~repro.obs.profile.ExplainProfile`."""
+    :class:`~repro.obs.profile.ExplainProfile`.
+
+    ``rewritten`` is the union of the per-view-target document
+    queries; ``optimized`` is the union of the paths that actually run
+    (each element target optimized, text targets as rewritten).  Both
+    are document-side and stay operator-side: the serving wire report
+    is :meth:`view_dict`, which omits them."""
 
     __slots__ = (
         "policy",
@@ -198,14 +208,13 @@ class QueryReport:
             lines.append("total    : %.3fms" % (self.total_seconds * 1e3))
         return "\n".join(lines)
 
-    def to_dict(self) -> dict:
-        """JSON-safe export (the CLI's ``--json`` payload; the profile
-        tree is included when the query was traced)."""
-        out: dict = {
+    def view_dict(self) -> dict:
+        """The view-level facts as a JSON-safe dict — what a tenant may
+        read (the serving wire report): the view query, counts,
+        strategy, cache status, fingerprint and timings."""
+        return {
             "policy": self.policy,
             "query": str(self.original),
-            "rewritten": str(self.rewritten),
-            "optimized": str(self.optimized),
             "result_count": self.result_count,
             "visits": self.visits,
             "strategy": self.strategy,
@@ -218,6 +227,15 @@ class QueryReport:
                 else self.total_time()
             ),
         }
+
+    def to_dict(self) -> dict:
+        """JSON-safe export (the CLI's ``--json`` payload):
+        :meth:`view_dict` plus the document-side ``rewritten`` and
+        ``optimized`` queries and, when the query was traced, the
+        profile tree."""
+        out = self.view_dict()
+        out["rewritten"] = str(self.rewritten)
+        out["optimized"] = str(self.optimized)
         if self.profile is not None:
             out["profile"] = self.profile.to_dict()
         return out
@@ -390,9 +408,7 @@ class SecureQueryEngine:
         is served from — and primes — the engine's plan cache."""
         entry = self._policy(policy)
         if use_cache:
-            compiled, _ = self._compiled(
-                entry, query, document, optimize=False
-            )
+            compiled, _ = self._compiled(entry, query, document)
             return compiled.rewritten
         parsed = self._parse(entry, query)
         return self._rewriter(entry, document).rewrite(parsed)
@@ -406,8 +422,8 @@ class SecureQueryEngine:
     ) -> QueryResult:
         """Answer a view query on ``document``.
 
-        Execution knobs (strategy, optimizer, projection, plan cache)
-        are grouped in ``options``, an
+        Execution knobs (strategy, plan cache, tracing, limits) are
+        grouped in ``options``, an
         :class:`~repro.core.options.ExecutionOptions`:
 
         * ``strategy="virtual"`` (default, the paper's approach) — the
@@ -419,10 +435,9 @@ class SecureQueryEngine:
           (cached per document until :meth:`invalidate`) and the query
           runs directly on it.
 
-        Returns a :class:`QueryResult` — a list of results (view
-        projected copies by default; see ``options.project``) whose
-        ``report`` attribute carries the rewriting stages, cache
-        status, and per-stage timings.
+        Returns a :class:`QueryResult` — a list of results (copies
+        projected through the view) whose ``report`` attribute carries
+        the rewriting stages, cache status, and per-stage timings.
 
         The 1.x per-call boolean keywords (``optimize=``, ``project=``,
         ``strategy=``, ...) were removed in 2.0; pass
@@ -506,9 +521,7 @@ class SecureQueryEngine:
                     options,
                     tracer=tracer,
                 )
-            violations = self._run_canary(
-                policy, document, results, report, options
-            )
+            violations = self._run_canary(policy, document, results, report)
         except Exception as caught:
             error = caught
         fields = dict(
@@ -698,20 +711,13 @@ class SecureQueryEngine:
         if profiler is not None:
             profiler.record_query(record)
 
-    def _run_canary(
-        self, policy, document, results, report, options: ExecutionOptions
-    ) -> int:
+    def _run_canary(self, policy, document, results, report) -> int:
         """The sampled oracle comparison of one answered query (see
         :class:`~repro.obs.canary.SecurityCanary`); returns the
         violations it found.  Guarded: a canary failure is counted,
         never raised — the user already has their answer."""
         canary = self._canary
-        if (
-            canary is None
-            or not options.project
-            or document is None
-            or not canary.should_sample()
-        ):
+        if canary is None or document is None or not canary.should_sample():
             return 0
         try:
             view_tree, _ = self._materialized_view(
@@ -860,21 +866,23 @@ class SecureQueryEngine:
         entry: _Policy,
         query,
         document,
-        optimize: bool,
         use_cache: bool = True,
         tracer: Optional[Tracer] = None,
     ):
         """The cached compilation of ``query`` under ``entry``'s
-        policy: ``(CompiledQuery, cache_hit)``.  With
-        ``use_cache=False`` the cache is neither consulted nor
-        primed (compilation still runs, once per call).  Stage spans
-        open on ``tracer`` (a private one if the caller has none); the
+        policy: ``(CompiledQuery, cache_hit)``.  A miss parses,
+        rewrites once per view target, optimizes each element target's
+        path and compiles every target's plan before the entry is
+        cached; text targets run their raw rewritten path.  With
+        ``use_cache=False`` the cache is neither consulted nor primed
+        (compilation still runs, once per call).  Stage spans open on
+        ``tracer`` (a private one if the caller has none); the
         measured durations feed the entry's ``timings``."""
         query_text = query if isinstance(query, str) else str(query)
         height = (
             self._unfold_height(entry, document) if entry.recursive else None
         )
-        key = (entry.name, query_text, optimize, height)
+        key = (entry.name, query_text, height)
         if use_cache:
             cached = self._plan_cache.get(key)
             if cached is not None:
@@ -887,98 +895,40 @@ class SecureQueryEngine:
         timings["parse"] = span.duration
         rewriter = self._rewriter(entry, document)
         with tracer.span("rewrite") as span:
-            rewritten = rewriter.rewrite(parsed)
+            targets, rewritten = rewriter.rewrite_targets(parsed)
         timings["rewrite"] = span.duration
-        if optimize:
-            with tracer.span("optimize") as span:
-                optimized = self._optimizer.optimize(rewritten)
-            timings["optimize"] = span.duration
-        else:
-            optimized = rewritten
+        with tracer.span("optimize") as span:
+            paths = []
+            for target, path in sorted(targets.items()):
+                is_text = target.startswith("#text")
+                if not is_text:
+                    path = self._optimizer.optimize(path)
+                paths.append((target, is_text, path))
+        timings["optimize"] = span.duration
+        with tracer.span("compile") as span:
+            plans = tuple(
+                (target, is_text, compile_path(path))
+                for target, is_text, path in paths
+            )
+        timings["compile"] = span.duration
         compiled = CompiledQuery(
             entry.name,
             query_text,
-            optimize,
             height,
             parsed,
             rewritten,
-            optimized,
+            union(path for _, _, path in paths),
             rewriter.view,
+            plans,
+            # computed once per compilation (from the already-parsed
+            # AST) and carried by the cache entry, so warm requests pay
+            # a field read, never a re-parse or re-mask
+            query_fingerprint(parsed),
             timings,
         )
-        # computed once per compilation (from the already-parsed AST)
-        # and carried by the cache entry, so warm requests pay a field
-        # read, never a re-parse or re-mask
-        compiled.fingerprint = query_fingerprint(parsed)
         if use_cache:
             self._plan_cache.put(key, compiled)
         return compiled, False
-
-    def _whole_query_plan(
-        self, compiled: CompiledQuery, tracer: Optional[Tracer] = None
-    ):
-        if compiled.plan is None:
-            # double-checked on the entry's build lock: concurrent
-            # first executions of a shared cache entry compile once,
-            # then every reader shares the immutable plan
-            with compiled.build_lock:
-                if compiled.plan is None:
-                    if tracer is None:
-                        tracer = Tracer()
-                    with tracer.span("compile") as span:
-                        plan = compile_path(compiled.optimized)
-                    compiled.timings["compile"] = (
-                        compiled.timings.get("compile", 0.0) + span.duration
-                    )
-                    compiled.plan = plan
-        return compiled.plan
-
-    def _projected_plans(
-        self,
-        entry: _Policy,
-        compiled: CompiledQuery,
-        tracer: Optional[Tracer] = None,
-    ):
-        """Per-view-target plans for projected evaluation: text
-        targets run the raw rewritten path; element targets run the
-        optimized one."""
-        if compiled.projected is not None:
-            return compiled.projected
-        with compiled.build_lock:
-            if compiled.projected is not None:
-                return compiled.projected
-            if tracer is None:
-                tracer = Tracer()
-            with tracer.span("compile") as span:
-                rewriter = entry.rewriters.get(compiled.height)
-                if rewriter is None:  # entry resurrected after drop
-                    rewriter = self._rewriter(entry, compiled.height)
-                parsed = compiled.parsed
-                if isinstance(parsed, Absolute):
-                    per_target = rewriter._rw(parsed.inner, "#document")
-                    wrap_absolute = True
-                else:
-                    per_target = rewriter._rw(parsed, rewriter.view.root_key)
-                    wrap_absolute = False
-                plans = []
-                for target, path in sorted(per_target.items()):
-                    document_path = Absolute(path) if wrap_absolute else path
-                    if target.startswith("#text"):
-                        plans.append(
-                            (target, True, compile_path(document_path))
-                        )
-                    else:
-                        optimized_path = self._optimizer.optimize(
-                            document_path
-                        )
-                        plans.append(
-                            (target, False, compile_path(optimized_path))
-                        )
-            compiled.timings["compile"] = (
-                compiled.timings.get("compile", 0.0) + span.duration
-            )
-            compiled.projected = tuple(plans)
-        return compiled.projected
 
     # -- execution ---------------------------------------------------------------
 
@@ -1005,7 +955,6 @@ class SecureQueryEngine:
                 entry,
                 query,
                 document,
-                options.optimize,
                 use_cache=options.use_cache,
                 tracer=tracer,
             )
@@ -1018,22 +967,14 @@ class SecureQueryEngine:
                 budget=budget,
             )
             with tracer.span("evaluate") as evaluate_span:
-                if options.project:
-                    results, project_seconds = self._execute_projected(
-                        entry, compiled, document, runtime, tracer,
-                        budget=budget,
-                    )
-                else:
-                    plan = self._whole_query_plan(compiled, tracer)
-                    results = plan.execute(document, runtime=runtime)
-                    if budget is not None:
-                        budget.charge_results(len(results))
+                results, project_seconds = self._execute_projected(
+                    entry, compiled, document, runtime, budget=budget
+                )
             evaluate_span.set(results=len(results), visits=runtime.visits)
         timings = dict(compiled.timings)
         timings["evaluate"] = evaluate_span.duration
-        if options.project:
-            # nested inside evaluate: the materialize_subtree share
-            timings["project"] = project_seconds
+        # nested inside evaluate: the materialize_subtree share
+        timings["project"] = project_seconds
         report = QueryReport(
             policy,
             compiled.parsed,
@@ -1057,24 +998,17 @@ class SecureQueryEngine:
         options: ExecutionOptions,
     ) -> Optional[ExplainProfile]:
         """Assemble the EXPLAIN ANALYZE tree for a traced execution:
-        one root per view-target plan (projected runs) or the single
-        whole-query plan, annotated with the collector's stats."""
+        one root per view-target plan, annotated with the collector's
+        stats."""
         if collector is None:
             return None
-        roots: List[ProfileNode] = []
-        if options.project and compiled.projected is not None:
-            for target, _, plan in compiled.projected:
-                roots.append(
-                    ProfileNode(
-                        "target", target, None, [plan.profile(collector)]
-                    )
-                )
-        elif compiled.plan is not None:
-            roots.append(compiled.plan.profile(collector))
         return ExplainProfile(
             str(compiled.optimized),
             strategy=options.strategy,
-            roots=roots,
+            roots=[
+                ProfileNode("target", target, None, [plan.profile(collector)])
+                for target, _, plan in compiled.plans
+            ],
             events=collector.events,
         )
 
@@ -1084,7 +1018,6 @@ class SecureQueryEngine:
         compiled: CompiledQuery,
         document,
         runtime,
-        tracer: Optional[Tracer] = None,
         budget=None,
     ):
         """Evaluate per target view node so each raw result can be
@@ -1096,8 +1029,7 @@ class SecureQueryEngine:
         project_seconds = 0.0
         projected = []
         seen = set()
-        plans = self._projected_plans(entry, compiled, tracer)
-        for target, is_text, plan in plans:
+        for target, is_text, plan in compiled.plans:
             if is_text:
                 for node in plan.execute(document, runtime=runtime):
                     if id(node) not in seen:

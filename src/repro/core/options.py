@@ -1,12 +1,14 @@
 """Execution options for :meth:`repro.core.engine.SecureQueryEngine.query`.
 
-Historically ``query()`` grew a flag per feature (``optimize``,
-``project``, ``strategy``, ...); :class:`ExecutionOptions`
+Historically ``query()`` grew a flag per feature (``strategy``,
+``trace``, ...); :class:`ExecutionOptions`
 collapses them into one immutable value object so call sites read as
 intent (``ExecutionOptions(strategy="materialized")``) and new knobs
 do not widen the method signature.  The 1.x per-call boolean keywords
 were removed in 2.0 — ``options=ExecutionOptions(...)`` is the only
-spelling (see the migration note in ``docs/api.md``).
+spelling (see the migration note in ``docs/api.md``).  There is no
+option to skip projection or the optimizer: every answer is projected
+through the view, and every element target runs optimized (7.0).
 
 ``to_dict``/``from_dict`` give the options a versioned wire shape so
 a serialized :class:`~repro.serving.protocol.QueryRequest` can carry
@@ -46,12 +48,6 @@ class ExecutionOptions:
         :class:`~repro.xmlmodel.store.NodeTable` — the legacy
         spellings ``"rewrite"`` and ``"columnar"`` are accepted) or
         ``"materialized"`` (query a cached materialized view tree).
-    ``optimize``
-        Run the DTD-aware optimizer on the rewritten query.
-    ``project``
-        Return view-projected copies (dummies relabeled, hidden
-        descendants removed).  With ``False``, raw document nodes are
-        returned — callers must not expose them to users.
     ``use_cache``
         Serve parse/rewrite/optimize/compile results from the engine's
         plan cache.  With ``False`` the cache is neither consulted nor
@@ -86,8 +82,6 @@ class ExecutionOptions:
     """
 
     strategy: str = STRATEGY_VIRTUAL
-    optimize: bool = True
-    project: bool = True
     use_cache: bool = True
     trace: bool = False
     slow_query_threshold: Optional[float] = None
@@ -135,8 +129,6 @@ class ExecutionOptions:
         dict (``None`` when ungoverned)."""
         return {
             "strategy": self.strategy,
-            "optimize": self.optimize,
-            "project": self.project,
             "use_cache": self.use_cache,
             "trace": self.trace,
             "slow_query_threshold": self.slow_query_threshold,
@@ -147,14 +139,12 @@ class ExecutionOptions:
     def from_dict(cls, payload: dict) -> "ExecutionOptions":
         """Inverse of :meth:`to_dict`; missing keys take the engine
         defaults, unknown keys are ignored (forward compatibility, and
-        retired 2.x keys)."""
+        retired keys such as 6.x's ``optimize`` and ``project``)."""
         from repro.robustness.governor import QueryLimits
 
         limits = payload.get("limits")
         return cls(
             strategy=payload.get("strategy", STRATEGY_VIRTUAL),
-            optimize=payload.get("optimize", True),
-            project=payload.get("project", True),
             use_cache=payload.get("use_cache", True),
             trace=payload.get("trace", False),
             slow_query_threshold=payload.get("slow_query_threshold"),

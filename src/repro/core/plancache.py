@@ -1,16 +1,16 @@
 """Engine-level query-plan cache.
 
 The paper's views are *virtual*: every request over a security view
-pays parse → rewrite → optimize before a single document node is
-touched.  Those three stages depend only on ``(policy, query text,
-optimize flag)`` — not on the document — so a serving engine should
-pay them once per distinct query, not once per request (Mahfoud &
-Imine make the same argument for recursive-view rewriting).
+pays parse → rewrite → optimize → compile before a single document
+node is touched.  Those stages depend only on ``(policy, query
+text)`` — not on the document — so a serving engine should pay them
+once per distinct query, not once per request (Mahfoud & Imine make
+the same argument for recursive-view rewriting).
 
 :class:`PlanCache` is a bounded LRU over :class:`CompiledQuery`
 entries.  Each entry carries the full compilation pipeline for one
-query — parsed, rewritten, and optimized ASTs plus the lazily built
-executable plans (:mod:`repro.xpath.plan`) — together with per-stage
+query — parsed and rewritten ASTs plus one executable plan
+(:mod:`repro.xpath.plan`) per view target — together with per-stage
 compile timings.  The cache keeps hit/miss/eviction/invalidation
 counters for observability; the engine wires invalidation into
 ``register_policy``, ``drop_policy``, and ``invalidate``.
@@ -24,10 +24,8 @@ so the key carries nothing about how the entry will be executed.
 The cache is thread-safe: an LRU lookup *mutates* the recency order
 (``move_to_end``), so even read-mostly serving traffic hits the
 underlying ``OrderedDict`` with writes.  One lock guards every
-entry-map operation; entries themselves are immutable after build
-except for the lazily compiled plans, which the engine builds under
-its own per-entry lock (see
-:meth:`repro.core.engine.SecureQueryEngine._whole_query_plan`).
+entry-map operation; entries are fully compiled before they are
+stored and immutable afterwards.
 """
 
 from __future__ import annotations
@@ -41,75 +39,66 @@ from repro.obs.metrics import record as _metric_record
 
 class CompiledQuery:
     """One cached compilation: the pipeline stages for a single
-    ``(policy, query, optimize, height)`` combination.
+    ``(policy, query, height)`` combination.
 
-    ``plan`` (whole-query execution) and ``projected`` (per-view-target
-    plans for projected results) are built lazily by the engine on the
-    first execution that needs them, so a cache entry never compiles
-    plans a workload does not use.  ``timings`` maps stage names
-    (``parse``, ``rewrite``, ``optimize``, ``compile``) to seconds
-    spent building this entry.  ``build_lock`` serializes the lazy
-    plan builds so concurrent first executions of a shared entry
-    compile once and then share the immutable plan."""
+    ``plans`` holds one ``(target, is_text, CompiledPlan)`` per view
+    node the query reaches, in target order: element targets run
+    their optimized document path, text targets the raw rewritten
+    one.  ``rewritten`` is the union of the per-target rewrites,
+    ``optimized`` the union of the paths the plans run.  ``timings``
+    maps stage names (``parse``, ``rewrite``, ``optimize``,
+    ``compile``) to seconds spent building this entry.  An entry is
+    complete when it is cached and immutable afterwards (``hits`` is
+    the cache's own counter)."""
 
     __slots__ = (
         "policy",
         "query_text",
-        "optimize",
         "height",
         "parsed",
         "rewritten",
         "optimized",
         "view",
-        "plan",
-        "projected",
+        "plans",
         "fingerprint",
         "timings",
         "hits",
-        "build_lock",
     )
 
     def __init__(
         self,
         policy: str,
         query_text: str,
-        optimize: bool,
         height: Optional[int],
         parsed,
         rewritten,
         optimized,
         view,
+        plans: Tuple,
+        fingerprint,
         timings: Dict[str, float],
     ):
         self.policy = policy
         self.query_text = query_text
-        self.optimize = optimize
         self.height = height
         self.parsed = parsed
         self.rewritten = rewritten
         self.optimized = optimized
         self.view = view
-        self.plan = None
-        self.projected = None
-        self.fingerprint = None
+        self.plans = plans
+        self.fingerprint = fingerprint
         self.timings = timings
         self.hits = 0
-        self.build_lock = Lock()
 
     @property
     def key(self) -> Tuple:
-        return (
-            self.policy,
-            self.query_text,
-            self.optimize,
-            self.height,
-        )
+        return (self.policy, self.query_text, self.height)
 
     def __repr__(self):
-        return "CompiledQuery(policy=%r, query=%r, optimize=%r, hits=%d)" % (
+        return "CompiledQuery(policy=%r, query=%r, targets=%d, hits=%d)" % (
             self.policy,
             self.query_text,
-            self.optimize,
+            len(self.plans),
             self.hits,
         )
 
@@ -173,8 +162,9 @@ class PlanCacheStats:
 class PlanCache:
     """Bounded LRU cache of :class:`CompiledQuery` entries.
 
-    Keys are ``(policy, query_text, optimize_flag, height)`` tuples (the cache itself is key-agnostic — only the
-    leading policy component matters, for invalidation).  A
+    Keys are ``(policy, query_text, height)`` tuples (the cache
+    itself is key-agnostic — only the leading policy component
+    matters, for invalidation).  A
     ``capacity`` of 0 disables caching (every lookup misses, stores
     are dropped) without the engine needing a special case."""
 

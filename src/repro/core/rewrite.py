@@ -104,14 +104,27 @@ class Rewriter:
         query over the document.  Relative queries are rewritten at the
         view root (pass ``context_key`` to override); absolute queries
         are anchored at the virtual document node."""
+        return self.rewrite_targets(query, context_key)[1]
+
+    def rewrite_targets(
+        self, query: Path, context_key: Optional[str] = None
+    ) -> Tuple[RwMap, Path]:
+        """:meth:`rewrite` kept per target view node, as ``(targets,
+        rewritten)``: ``targets`` maps each view node ``query`` reaches
+        to the document path landing there (anchored at the document
+        for absolute queries), ``rewritten`` is their union — what
+        :meth:`rewrite` returns.  ``targets`` may be the memo's own
+        mapping: read it, never mutate it."""
         if isinstance(query, Absolute):
             inner = self._rw(query.inner, DOCUMENT_KEY)
             combined = union(inner.values())
+            targets = {key: Absolute(path) for key, path in inner.items()}
             if combined.is_empty:
-                return combined
-            return Absolute(combined)
+                return targets, combined
+            return targets, Absolute(combined)
         context = self.view.root_key if context_key is None else context_key
-        return union(self._rw(query, context).values())
+        targets = self._rw(query, context)
+        return targets, union(targets.values())
 
     def reach(self, query: Path, context_key: Optional[str] = None) -> List[str]:
         """View nodes reachable from the context via ``query``."""

@@ -43,20 +43,13 @@ XML_NODE_BYTES = 160
 
 def _entry_bytes(entry) -> int:
     """Estimated bytes of one plan-cache entry: the query text, the
-    three pipeline ASTs, and (when built) the compiled plans — all as
-    node counts times :data:`AST_NODE_BYTES`."""
+    three pipeline ASTs, and each per-target plan sized by the path it
+    runs — all as node counts times :data:`AST_NODE_BYTES`."""
     total = sys.getsizeof(entry.query_text)
-    for tree in (entry.parsed, entry.rewritten, entry.optimized):
-        if tree is not None:
-            total += tree.size() * AST_NODE_BYTES
-    # lazily built plans mirror the optimized AST's shape; projected
-    # runs hold one per-view-target plan of comparable size each
-    if entry.plan is not None:
-        total += entry.optimized.size() * AST_NODE_BYTES
-    if entry.projected is not None:
-        total += (
-            len(entry.projected) * entry.optimized.size() * AST_NODE_BYTES
-        )
+    trees = [entry.parsed, entry.rewritten, entry.optimized]
+    trees.extend(plan.path for _, _, plan in entry.plans)
+    for tree in trees:
+        total += tree.size() * AST_NODE_BYTES
     return total
 
 

@@ -11,8 +11,7 @@ engine — see ``docs/serving.md``:
   plus priority load shedding (``E_SHED``);
 * :mod:`repro.serving.resilience` — the overload survival layer:
   criticality classes, the utilization
-  :class:`~repro.serving.resilience.OverloadDetector`, circuit
-  breakers over audit sinks, and
+  :class:`~repro.serving.resilience.OverloadDetector`, and
   per-tenant client retry budgets;
 * :mod:`repro.serving.server` — the thread-pool
   :class:`~repro.serving.server.QueryServer` answering one request per
@@ -31,8 +30,6 @@ from repro.serving.resilience import (
     CRITICALITIES,
     DEFAULT,
     SHEDDABLE,
-    BreakerSink,
-    CircuitBreaker,
     OverloadDetector,
     RetryBudget,
 )
@@ -54,7 +51,5 @@ __all__ = [
     "SHEDDABLE",
     "CRITICALITIES",
     "OverloadDetector",
-    "CircuitBreaker",
-    "BreakerSink",
     "RetryBudget",
 ]

@@ -147,9 +147,13 @@ class QueryResponse:
         Tuple of strings: serialized XML for element results, raw
         values for ``text()`` results.  Empty on failure.
     ``report``
-        The :class:`~repro.core.engine.QueryReport` as a plain dict
-        (``None`` on failure) — kept as data so the response shape
-        does not depend on engine classes.
+        :meth:`QueryReport.view_dict
+        <repro.core.engine.QueryReport.view_dict>` (``None`` on
+        failure): counts, strategy, cache status, fingerprint and stage
+        timings.  The document-side rewritten and optimized queries
+        and the operator profile are left out — a tenant learns only
+        the view DTD and the answer; operators read them from the
+        in-process report, audit events and ``/debug/traces``.
     ``retry_after_seconds``
         Back-pressure hint on shed/rejected failures (``E_SHED`` /
         ``E_ADMISSION``): when a retry has a chance.  Surfaced over
@@ -183,7 +187,7 @@ class QueryResponse:
                 value if isinstance(value, str) else serialize(value)
                 for value in result
             ),
-            report=result.report.to_dict(),
+            report=result.report.view_dict(),
             request_id=request.request_id,
             tenant=request.tenant_id,
             trace_id=request.trace_id,

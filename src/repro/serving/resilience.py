@@ -1,6 +1,6 @@
 """Overload-and-failure survival for the serving layer.
 
-Four small, composable pieces (see ``docs/serving.md`` "Overload &
+Three small, composable pieces (see ``docs/serving.md`` "Overload &
 lifecycle" and ``docs/robustness.md``):
 
 **Criticality classes.**  Every request carries one of three
@@ -19,15 +19,6 @@ EWMA crosses their class's threshold — ``sheddable`` at
 The detector is deterministic given its observation sequence, which is
 what the chaos suite leans on.
 
-**CircuitBreaker.**  A thread-safe closed → open → half-open breaker
-for a dependency that fails repeatedly: instead of re-probing a broken
-audit sink on *every* event, the breaker opens after
-``failure_threshold`` consecutive failures and short-circuits callers
-until a seeded-jitter exponential backoff elapses; then exactly one
-probe runs half-open and either re-closes the breaker or re-opens it
-with a longer backoff.  :class:`BreakerSink` wraps an audit sink in
-one.
-
 **RetryBudget.**  The client-side complement: a per-tenant token
 bucket that caps retries to a fraction of successful traffic so shed
 or rejected requests cannot amplify an overload into a retry storm.
@@ -39,12 +30,9 @@ metric namespace; state is surfaced at ``GET /debug/resilience``.
 
 from __future__ import annotations
 
-from random import Random
 from threading import Lock
-from time import monotonic
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.obs.events import Event, EventSink
 from repro.obs.metrics import record as _record, set_gauge as _set_gauge
 
 __all__ = [
@@ -54,8 +42,6 @@ __all__ = [
     "CRITICALITIES",
     "normalize_criticality",
     "OverloadDetector",
-    "CircuitBreaker",
-    "BreakerSink",
     "RetryBudget",
 ]
 
@@ -179,218 +165,6 @@ class OverloadDetector(object):
             self._ewma,
             list(self.shed_classes()),
         )
-
-
-#: Breaker states.
-STATE_CLOSED = "closed"
-STATE_OPEN = "open"
-STATE_HALF_OPEN = "half-open"
-
-
-class CircuitBreaker(object):
-    """Thread-safe closed/open/half-open circuit breaker.
-
-    * **closed** — calls flow; ``failure_threshold`` *consecutive*
-      failures open the breaker.
-    * **open** — :meth:`allow` returns ``False`` (callers take their
-      fallback without paying for the failing call) until the backoff
-      elapses: ``reset_timeout_seconds * backoff_multiplier**(opens-1)``
-      capped at ``max_backoff_seconds``, with seeded ±``jitter``
-      fractional noise so a fleet of breakers doesn't re-probe in
-      lockstep (the RNG is seeded — chaos runs replay exactly).
-    * **half-open** — the first :meth:`allow` after the backoff admits
-      exactly one probe; its :meth:`record_success` re-closes the
-      breaker (and resets the backoff), its :meth:`record_failure`
-      re-opens with the next longer backoff.
-
-    The closed-state fast paths of :meth:`allow` and
-    :meth:`record_success` are lock-free reads (a benignly racy extra
-    call during a state transition is acceptable; transitions
-    themselves always hold the lock).
-    """
-
-    __slots__ = (
-        "name",
-        "failure_threshold",
-        "reset_timeout_seconds",
-        "backoff_multiplier",
-        "max_backoff_seconds",
-        "jitter",
-        "_clock",
-        "_rng",
-        "_lock",
-        "_state",
-        "_failures",
-        "_opens",
-        "_open_until",
-        "opened",
-        "reclosed",
-        "probes",
-        "short_circuits",
-    )
-
-    def __init__(
-        self,
-        name: str = "",
-        failure_threshold: int = 3,
-        reset_timeout_seconds: float = 0.5,
-        backoff_multiplier: float = 2.0,
-        max_backoff_seconds: float = 30.0,
-        jitter: float = 0.1,
-        seed: int = 0,
-        clock: Callable[[], float] = monotonic,
-    ):
-        if failure_threshold < 1:
-            raise ValueError(
-                "failure_threshold must be >= 1, got %r" % (failure_threshold,)
-            )
-        self.name = name
-        self.failure_threshold = failure_threshold
-        self.reset_timeout_seconds = reset_timeout_seconds
-        self.backoff_multiplier = backoff_multiplier
-        self.max_backoff_seconds = max_backoff_seconds
-        self.jitter = jitter
-        self._clock = clock
-        self._rng = Random(seed)
-        self._lock = Lock()
-        self._state = STATE_CLOSED
-        self._failures = 0
-        #: Consecutive opens since the last close (drives the backoff).
-        self._opens = 0
-        self._open_until = 0.0
-        self.opened = 0
-        self.reclosed = 0
-        self.probes = 0
-        self.short_circuits = 0
-
-    @property
-    def state(self) -> str:
-        return self._state
-
-    def allow(self) -> bool:
-        """Whether the protected call may proceed right now."""
-        if self._state == STATE_CLOSED:  # lock-free hot path
-            return True
-        with self._lock:
-            if self._state == STATE_CLOSED:
-                return True
-            if (
-                self._state == STATE_OPEN
-                and self._clock() >= self._open_until
-            ):
-                self._state = STATE_HALF_OPEN
-                self.probes += 1
-                _record(
-                    "resilience.breaker.probes", labels={"name": self.name}
-                )
-                return True
-            # open (still backing off) or half-open (probe in flight)
-            self.short_circuits += 1
-            _record(
-                "resilience.breaker.short_circuits",
-                labels={"name": self.name},
-            )
-            return False
-
-    def record_success(self) -> None:
-        if self._state == STATE_CLOSED and self._failures == 0:
-            return  # lock-free hot path
-        with self._lock:
-            self._failures = 0
-            if self._state != STATE_CLOSED:
-                self._state = STATE_CLOSED
-                self._opens = 0
-                self.reclosed += 1
-                _record(
-                    "resilience.breaker.reclosed", labels={"name": self.name}
-                )
-
-    def record_failure(self) -> None:
-        with self._lock:
-            if self._state == STATE_HALF_OPEN:
-                self._open()
-                return
-            if self._state == STATE_OPEN:
-                return
-            self._failures += 1
-            if self._failures >= self.failure_threshold:
-                self._open()
-
-    def _open(self) -> None:
-        """(Re-)open with the next exponential backoff.  Caller holds
-        the lock."""
-        self._opens += 1
-        backoff = min(
-            self.max_backoff_seconds,
-            self.reset_timeout_seconds
-            * self.backoff_multiplier ** (self._opens - 1),
-        )
-        backoff *= 1.0 + self.jitter * (2.0 * self._rng.random() - 1.0)
-        self._state = STATE_OPEN
-        self._failures = 0
-        self._open_until = self._clock() + backoff
-        self.opened += 1
-        _record("resilience.breaker.opened", labels={"name": self.name})
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            remaining = (
-                max(0.0, self._open_until - self._clock())
-                if self._state == STATE_OPEN
-                else 0.0
-            )
-            return {
-                "state": self._state,
-                "failures": self._failures,
-                "consecutive_opens": self._opens,
-                "backoff_remaining_seconds": round(remaining, 6),
-                "opened": self.opened,
-                "reclosed": self.reclosed,
-                "probes": self.probes,
-                "short_circuits": self.short_circuits,
-            }
-
-    def __repr__(self):
-        return "CircuitBreaker(%r, state=%r, opened=%d)" % (
-            self.name,
-            self._state,
-            self.opened,
-        )
-
-
-class BreakerSink(EventSink):
-    """An audit sink wrapper with a circuit breaker: a sink that fails
-    repeatedly (dead disk, full pipe) is skipped outright until its
-    backoff elapses, instead of paying a raise-and-drop on every event.
-
-    Skipped events count into ``resilience.sink.skipped`` and the
-    sink's own ``skipped`` counter; failures still propagate to the
-    :class:`~repro.obs.events.EventPipeline` per-sink guard, which is
-    what keeps any sink failure from ever failing a query.
-    """
-
-    __slots__ = ("inner", "breaker", "skipped")
-
-    def __init__(
-        self, inner: EventSink, breaker: Optional[CircuitBreaker] = None
-    ):
-        self.inner = inner
-        self.breaker = breaker if breaker is not None else CircuitBreaker(
-            name="sink.%s" % type(inner).__name__
-        )
-        self.skipped = 0
-
-    def emit(self, event: Event) -> None:
-        if not self.breaker.allow():
-            self.skipped += 1
-            _record("resilience.sink.skipped")
-            return
-        try:
-            self.inner.emit(event)
-        except BaseException:
-            self.breaker.record_failure()
-            raise
-        self.breaker.record_success()
 
 
 class RetryBudget(object):

@@ -16,6 +16,10 @@ contract:
   :meth:`~repro.core.engine.SecureQueryEngine.execute_request` call,
   so a request's answer, budget verdict and visit count never depend
   on which other requests are queued with it.
+* Every submitted request that is not cancelled while queued finishes
+  as exactly one :class:`~repro.obs.record.QueryRecord`, also when it
+  never reaches an engine (an unknown document ref, a drain or stop
+  rejection).
 
 Document refs are resolved through an :class:`EngineCatalog`: a ref
 names ``(engine, document)``, which is what lets one server front the
@@ -36,7 +40,7 @@ from repro.errors import SecurityError
 from repro.robustness.faults import trip as fault_trip
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import record as _record, set_gauge as _set_gauge
-from repro.obs.record import QueryRecord
+from repro.obs.record import QueryRecord, RecordFanout, record_metrics
 from repro.obs.slo import SLOTracker
 from repro.obs.trace import NULL_SPAN, Tracer, new_trace_id
 from repro.serving.admission import AdmissionController
@@ -181,6 +185,8 @@ class QueryServer(object):
         if self.flight is not None and self.tracing:
             consumers.append(self.flight.record)
         self._consumers = tuple(consumers)
+        # the fan-out of requests that never reach an engine
+        self._unrouted = RecordFanout((record_metrics,))
         if workload is None and profiling:
             from repro.obs.workload import WorkloadProfiler
 
@@ -376,12 +382,6 @@ class QueryServer(object):
 
     def _run_one(self, item: _Pending) -> None:
         request = item.request
-        try:
-            fault_trip("serving.resolve")
-            engine, document = self.catalog.resolve(request.document)
-        except Exception as error:
-            self._finish(item, QueryResponse.from_error(request, error))
-            return
         # Each request gets its own tracer (span trees are per-trace);
         # the engine must NOT be handed a disabled tracer — with no
         # tracer it builds its own enabled one, which QueryReport
@@ -394,11 +394,14 @@ class QueryServer(object):
             request_id=request.request_id,
         )
         started = monotonic()
-        # what the engine (or the admission failure) tells us about
+        # what the engine (or the failure before it) tells us about
         # the finished query; the engine fills it through ``finish``
         finished = {"policy": request.policy, "query": request.query}
+        engine = None
         with root_span:
             try:
+                fault_trip("serving.resolve")
+                engine, document = self.catalog.resolve(request.document)
                 with self.admission.admit(
                     request.tenant_id,
                     enqueued_at=item.enqueued_at,
@@ -413,30 +416,42 @@ class QueryServer(object):
                         finish=finished.update,
                     )
             except BaseException as error:  # never leak through a future
-                # admission rejections and serving faults finish here,
-                # outside the engine
+                # unresolved refs, admission rejections and serving
+                # faults finish here, outside the engine
                 finished["error"] = error
                 response = QueryResponse.from_error(request, error)
             if not response.ok:
                 root_span.set(error_code=response.error_code)
         latency = monotonic() - started
         slo = self.slo
-        record = QueryRecord.finished(
-            trace_id=request.trace_id,
-            request_id=request.request_id,
-            tenant=request.tenant_id,
-            document=request.document,
-            latency_seconds=latency,
-            e2e_seconds=monotonic() - item.enqueued_at,
-            slo_breach=(
-                slo is not None and latency > slo.objective.threshold_seconds
+        self._publish(
+            engine,
+            QueryRecord.finished(
+                trace_id=request.trace_id,
+                request_id=request.request_id,
+                tenant=request.tenant_id,
+                document=request.document,
+                latency_seconds=latency,
+                e2e_seconds=monotonic() - item.enqueued_at,
+                slo_breach=(
+                    slo is not None
+                    and latency > slo.objective.threshold_seconds
+                ),
+                span=tracer.root if tracer is not None else None,
+                served=True,
+                **finished,
             ),
-            span=tracer.root if tracer is not None else None,
-            served=True,
-            **finished,
         )
-        engine.records.publish(record, self._consumers)
         self._finish(item, response)
+
+    def _publish(self, engine, record: QueryRecord) -> None:
+        """Hand one served request's record to ``engine``'s fan-out
+        (metrics, audit, workload) and then to the server's SLO and
+        flight consumers.  A request that never reached an engine (an
+        unresolved ref, a shutdown rejection) goes to the metrics
+        registry and the server's consumers only."""
+        fanout = engine.records if engine is not None else self._unrouted
+        fanout.publish(record, self._consumers)
 
     # -- debug introspection ---------------------------------------------
 
@@ -593,16 +608,29 @@ class QueryServer(object):
         from repro.errors import AdmissionRejected
 
         _record("serving.admission.rejected")
+        request = item.request
         reason = "draining" if self._draining and not self._stopped \
             else "stopped"
-        response = QueryResponse.from_error(
-            item.request,
-            AdmissionRejected(
-                "server is %s" % reason,
-                tenant=item.request.tenant_id,
-                retry_after_seconds=1.0,
+        error = AdmissionRejected(
+            "server is %s" % reason,
+            tenant=request.tenant_id,
+            retry_after_seconds=1.0,
+        )
+        self._publish(
+            None,
+            QueryRecord.finished(
+                policy=request.policy,
+                query=request.query,
+                error=error,
+                trace_id=request.trace_id,
+                request_id=request.request_id,
+                tenant=request.tenant_id,
+                document=request.document,
+                e2e_seconds=monotonic() - item.enqueued_at,
+                served=True,
             ),
         )
+        response = QueryResponse.from_error(request, error)
         if track:
             self._finish(item, response)
         elif not item.future.cancelled():

@@ -92,17 +92,17 @@ class TestInjectedLeak:
         ring = engine.add_sink(RingBufferSink(capacity=64))
         engine.enable_canary(sample_rate=1.0)
         # warm the cache so the compiled entry (and its per-target
-        # projected plans) exist ...
+        # plans) exist ...
         engine.query("nurse", self.QUERY, document)
-        key = ("nurse", self.QUERY, True, None)
+        key = ("nurse", self.QUERY, None)
         compiled = engine._plan_cache.get(key)
-        assert compiled is not None and compiled.projected
-        # ... then swap every projected plan for the leaky one,
+        assert compiled is not None and compiled.plans
+        # ... then swap every per-target plan for the leaky one,
         # keeping the (target, is_text) envelope intact
         leaky = compile_path(parse_xpath("//name"))
-        compiled.projected = tuple(
+        compiled.plans = tuple(
             (target, is_text, leaky)
-            for target, is_text, _ in compiled.projected
+            for target, is_text, _ in compiled.plans
         )
         ring.clear()
         return engine, ring

@@ -2,7 +2,8 @@
 
     for every query p over the view:   p(Tv)  ==  rewrite(p)(T)
 
-and additionally optimize preserves the answer.  Runs a grid of
+where the engine's answer runs each element target's optimized
+path, so optimize preserves the answer too.  Runs a grid of
 queries x documents x policies over both workloads and the recursive
 catalog DTD.
 """
@@ -11,12 +12,11 @@ import pytest
 
 from repro.core.derive import derive
 from repro.core.materialize import materialize
-from repro.core.optimize import Optimizer
 from repro.core.rewrite import Rewriter
 from repro.core.spec import AccessSpec
 from repro.core.unfold import unfold_view
 from repro.dtd.generator import DocumentGenerator
-from repro.workloads.hospital import doctor_spec, hospital_document, hospital_dtd
+from repro.workloads.hospital import doctor_spec, hospital_document
 from repro.xpath.evaluator import XPathEvaluator
 from repro.xpath.parser import parse_xpath
 
@@ -50,7 +50,7 @@ DOCTOR_QUERIES = [
 ]
 
 
-def run_oracle(document, view, spec, query_texts, optimizer=None):
+def run_oracle(document, view, spec, query_texts):
     """Compare ``p(Tv)`` against the engine's answer for every query.
 
     Results over the view are view elements; results over the document
@@ -58,7 +58,6 @@ def run_oracle(document, view, spec, query_texts, optimizer=None):
     so both sides serialize identically when the rewriting is correct.
     """
     from repro.core.engine import SecureQueryEngine
-    from repro.core.options import ExecutionOptions
     from repro.xmlmodel.serialize import serialize
 
     view_tree = materialize(document, view, spec)
@@ -71,29 +70,18 @@ def run_oracle(document, view, spec, query_texts, optimizer=None):
             serialize(node) if node.is_element else node.value
             for node in evaluator.evaluate(query, view_tree)
         )
-        for use_optimizer in (False, True) if optimizer else (False,):
-            results = engine.query(
-                "oracle",
-                query,
-                document,
-                options=ExecutionOptions(optimize=use_optimizer),
-            )
-            actual = sorted(
-                value if isinstance(value, str) else serialize(value)
-                for value in results
-            )
-            assert expected == actual, (
-                text,
-                "optimize" if use_optimizer else "rewrite",
-            )
+        actual = sorted(
+            value if isinstance(value, str) else serialize(value)
+            for value in engine.query("oracle", query, document)
+        )
+        assert expected == actual, text
 
 
 class TestNursePolicy:
     @pytest.mark.parametrize("seed", [0, 7, 13, 21, 35])
     def test_oracle_grid(self, nurse, nurse_view, seed):
         document = hospital_document(seed=seed, max_branch=4)
-        optimizer = Optimizer(hospital_dtd())
-        run_oracle(document, nurse_view, nurse, NURSE_QUERIES, optimizer)
+        run_oracle(document, nurse_view, nurse, NURSE_QUERIES)
 
 
 class TestDoctorPolicy:
@@ -102,8 +90,7 @@ class TestDoctorPolicy:
         spec = doctor_spec(hospital)
         view = derive(spec)
         document = hospital_document(seed=seed, max_branch=4)
-        optimizer = Optimizer(hospital)
-        run_oracle(document, view, spec, DOCTOR_QUERIES, optimizer)
+        run_oracle(document, view, spec, DOCTOR_QUERIES)
 
 
 class TestAdexPolicy:
@@ -123,8 +110,7 @@ class TestAdexPolicy:
         from repro.workloads.adex import adex_document
 
         document = adex_document(seed=seed, buyers=10, ads=30)
-        optimizer = Optimizer(adex)
-        run_oracle(document, adex_view, adex_policy, self.QUERIES, optimizer)
+        run_oracle(document, adex_view, adex_policy, self.QUERIES)
 
 
 class TestRecursivePolicy:

@@ -107,18 +107,14 @@ class TestContentConfidentiality:
         )
 
     def test_raw_mode_documented_leak_is_projected_away(self, engine, document):
-        # raw document nodes would expose the 'regular' label...
-        from repro.core.options import ExecutionOptions
+        # the rewritten document query lands on 'regular' elements...
+        from repro.xpath.evaluator import evaluate
 
-        raw = engine.query(
-            "nurse",
-            "//dummy2",
-            document,
-            options=ExecutionOptions(project=False),
-        )
+        raw = evaluate(engine.rewrite_query("nurse", "//dummy2"), document)
         assert any(node.label == "regular" for node in raw)
-        # ...which is why the default projects:
+        # ...which is why every answer is projected:
         projected = engine.query("nurse", "//dummy2", document)
+        assert projected
         assert all(element.label == "dummy2" for element in projected)
 
 

@@ -5,7 +5,7 @@ document's columnar :class:`~repro.xmlmodel.store.NodeTable`.  Two
 references pin its answers:
 
 * the interpreter (:class:`~repro.xpath.evaluator.XPathEvaluator`) for
-  the rewritten document query — node-for-node, in document order;
+  each compiled document path — node-for-node, in document order;
 * the materialization oracle — the view query evaluated over the
   materialized view tree ``Tv``, the paper's definition of the answer.
 
@@ -47,7 +47,6 @@ from tests.property.strategies import (
 )
 
 COLUMNAR = ExecutionOptions(strategy="columnar")  # the legacy alias
-RAW = ExecutionOptions(project=False)
 MATERIALIZED = ExecutionOptions(strategy="materialized")
 
 
@@ -104,10 +103,11 @@ def test_columnar_plan_matches_interpreter_at_inner_contexts(data):
 @given(st.data())
 def test_columnar_engine_is_answer_preserving(data):
     """Engine layer: random policy + random query.  The default path
-    equals the materialization oracle (as a set of renderings), its raw
-    answer is the interpreter's node list for the rewritten query, and
-    the legacy ``"columnar"`` alias and ``execute_request`` on a fresh
-    engine (cold caches) return the default answer exactly."""
+    equals the materialization oracle (as a set of renderings), every
+    per-target plan it ran returns the interpreter's node list for its
+    document path, and the legacy ``"columnar"`` alias and
+    ``execute_request`` on a fresh engine (cold caches) return the
+    default answer exactly."""
     dtd = data.draw(dag_dtd_strategy())
     spec = data.draw(annotation_strategy(dtd))
     seed = data.draw(st.integers(0, 500))
@@ -131,11 +131,14 @@ def test_columnar_engine_is_answer_preserving(data):
     )
     assert response.ok and list(response.results) == _rendered(default)
 
-    raw = engine.query("p", query, document, RAW)
-    expected = XPathEvaluator().evaluate(
-        raw.report.optimized, document, ordered=True
-    )
-    assert [id(node) for node in raw] == [id(node) for node in expected]
+    (compiled,) = engine.plan_cache.entries()
+    store = build_node_table(document)
+    for _, _, plan in compiled.plans:
+        expected = XPathEvaluator().evaluate(
+            plan.path, document, ordered=True
+        )
+        actual = plan.execute(document, runtime=PlanRuntime(store=store))
+        assert [id(node) for node in actual] == [id(n) for n in expected]
 
 
 def _post(base, payload):
@@ -219,3 +222,33 @@ def test_adex_queries_agree(adex, name):
 @pytest.mark.parametrize("name", sorted(HOSPITAL_QUERY_TEXTS))
 def test_hospital_queries_agree(hospital, name):
     _every_surface_agrees(hospital, HOSPITAL_QUERY_TEXTS[name])
+
+
+def test_retired_options_still_get_projected_answers(hospital):
+    """6.x's ``project: false`` returned raw document subtrees (with
+    ``clinicalTrial`` and ``regular``) and ``optimize: false`` skipped
+    the optimizer.  Both keys are now ignored on every surface: the
+    answer is the oracle's, projected through the view."""
+    engine, document, server, base = hospital
+    query = "/hospital/dept"
+    retired = {"project": False, "optimize": False}
+    oracle = _rendered(engine.query("nurse", query, document, MATERIALIZED))
+    assert oracle
+    request = QueryRequest.from_dict(
+        {"policy": "nurse", "query": query, "document": "doc",
+         "options": retired}
+    )
+    answers = {
+        "execute_request": engine.execute_request(request, document).results,
+        "server": server.query(request, timeout=30).results,
+        "http": _post(
+            base,
+            {"policy": "nurse", "query": query, "document": "doc",
+             "options": retired},
+        )["results"],
+    }
+    for surface, results in answers.items():
+        assert sorted(results) == sorted(oracle), surface
+        for result in results:
+            assert "clinicalTrial" not in result, surface
+            assert "regular" not in result, surface

@@ -19,7 +19,6 @@ from repro.core.accessibility import compute_accessibility
 from repro.core.derive import derive
 from repro.core.engine import SecureQueryEngine
 from repro.core.materialize import materialize
-from repro.core.options import ExecutionOptions
 from repro.core.optimize import Optimizer
 from repro.core.spec import ANN_N, ANN_Y
 from repro.dtd.generator import DocumentGenerator
@@ -148,17 +147,11 @@ def test_rewrite_equivalence_random_queries(query, seed):
         serialize(node) if node.is_element else node.value
         for node in evaluator.evaluate(query, view_tree)
     )
-    for optimize in (False, True):
-        actual = sorted(
-            value if isinstance(value, str) else serialize(value)
-            for value in engine.query(
-                "nurse",
-                query,
-                document,
-                options=ExecutionOptions(optimize=optimize),
-            )
-        )
-        assert expected == actual
+    actual = sorted(
+        value if isinstance(value, str) else serialize(value)
+        for value in engine.query("nurse", query, document)
+    )
+    assert expected == actual
 
 
 @settings(max_examples=40, deadline=None)

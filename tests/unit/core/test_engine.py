@@ -81,14 +81,18 @@ class TestQuerying:
             assert child_labels <= {"dummy1", "dummy2"}
 
     def test_raw_results_opt_out(self, engine, document):
-        raw = engine.query(
+        # the 6.x raw opt-out is gone: the option does not exist, and
+        # a wire payload that still carries it gets projected copies
+        with pytest.raises(TypeError):
+            ExecutionOptions(project=False)
+        results = engine.query(
             "nurse",
             "//treatment",
             document,
-            options=ExecutionOptions(project=False),
+            options=ExecutionOptions.from_dict({"project": False}),
         )
-        assert raw
-        assert all(node.parent is not None for node in raw)
+        assert results
+        assert all(element.parent is None for element in results)
 
     def test_results_restricted_by_policy(self, engine, document):
         nurse_names = {
@@ -120,19 +124,19 @@ class TestQuerying:
         assert results and all(isinstance(value, str) for value in results)
 
     def test_optimize_toggle_preserves_results(self, engine, document):
-        fast = engine.query(
+        # the optimize toggle is retired: the option does not exist,
+        # and a wire payload that still carries it runs the default
+        with pytest.raises(TypeError):
+            ExecutionOptions(optimize=False)
+        default = engine.query("nurse", "//patient/name", document)
+        retired = engine.query(
             "nurse",
             "//patient/name",
             document,
-            options=ExecutionOptions(optimize=True),
+            options=ExecutionOptions.from_dict({"optimize": False}),
         )
-        slow = engine.query(
-            "nurse",
-            "//patient/name",
-            document,
-            options=ExecutionOptions(optimize=False),
-        )
-        assert len(fast) == len(slow)
+        assert retired.report.cache_hit
+        assert [str(n) for n in retired] == [str(n) for n in default]
 
 
 class TestMaterializedStrategy:
@@ -228,8 +232,8 @@ class TestRecursivePolicies:
 
 class TestColumnarStrategy:
     """``strategy="columnar"`` is the legacy name of the default
-    virtual strategy: same projected copies, same raw node identities,
-    both running set-at-a-time over the cached NodeTable."""
+    virtual strategy: same projected copies, both running
+    set-at-a-time over the cached NodeTable."""
 
     QUERIES = (
         "//patient/name",
@@ -257,16 +261,6 @@ class TestColumnarStrategy:
                 for value in via_virtual
             ], text
             assert via_columnar.report.strategy == "virtual"
-
-    def test_raw_answers_are_identical_nodes(self, engine, document):
-        from repro.core.options import ExecutionOptions
-
-        raw_virtual = ExecutionOptions(project=False)
-        raw_columnar = ExecutionOptions(project=False, strategy="columnar")
-        for text in self.QUERIES:
-            a = engine.query("nurse", text, document, options=raw_virtual)
-            b = engine.query("nurse", text, document, options=raw_columnar)
-            assert [id(node) for node in b] == [id(node) for node in a], text
 
     def test_node_table_cached_per_document(self, engine, document):
         from repro.core.options import ExecutionOptions
@@ -354,12 +348,11 @@ class TestOneBackendGuards:
             evaluator_module, "_document_order", counting_order
         )
         other = hospital_document(seed=8, max_branch=4)
-        raw = ExecutionOptions(project=False)
         for _ in range(3):
             for text in self.QUERIES:
                 for target in (document, other):
                     engine.query("nurse", text, target)
-                    engine.query("doctor", text, target, options=raw)
+                    engine.query("doctor", text, target)
         assert [id(root) for root in builds] == [id(document), id(other)]
         assert sorts == []
 

@@ -144,18 +144,20 @@ class TestCanaryWiring:
         engine.query("nurse", "//patient", document)
         assert ring.events(kind="canary") == []
 
-    def test_unprojected_results_are_not_checked(self, document):
-        # project=False returns raw document nodes, which by design do
-        # not match the view-projected oracle — the canary must skip.
+    def test_retired_project_key_is_projected_and_checked(self, document):
+        # 6.x's project=False returned raw nodes and skipped the
+        # canary; the key is now ignored, so the answer is projected
+        # and the canary checks it and finds it clean.
         engine, ring = build_engine()
         engine.enable_canary(sample_rate=1.0)
         engine.query(
             "nurse",
             "//patient",
             document,
-            options=ExecutionOptions(project=False),
+            options=ExecutionOptions.from_dict({"project": False}),
         )
-        assert ring.events(kind="canary") == []
+        (event,) = ring.events(kind="canary")
+        assert event.ok
 
     def test_canary_counts_in_metrics(self, document):
         from repro.obs.metrics import (

@@ -34,11 +34,11 @@ class TestExecutionOptions:
     def test_defaults(self):
         options = ExecutionOptions()
         assert options.strategy == "virtual"
-        assert options.optimize and options.project and options.use_cache
+        assert options.use_cache and not options.trace
         assert options == DEFAULT_OPTIONS
         assert [field.name for field in dataclasses.fields(options)] == [
-            "strategy", "optimize", "project", "use_cache", "trace",
-            "slow_query_threshold", "limits",
+            "strategy", "use_cache", "trace", "slow_query_threshold",
+            "limits",
         ]
 
     def test_legacy_strategy_alias_normalized(self):
@@ -144,17 +144,15 @@ class TestLegacyKeywordsRemoved:
                 "nurse",
                 "//patient",
                 document,
-                options=ExecutionOptions(optimize=False),
+                options=ExecutionOptions(use_cache=False),
             )
 
     def test_options_replaces_each_legacy_spelling(self, engine, document):
-        raw = engine.query(
-            "nurse",
-            "//patient",
-            document,
-            options=ExecutionOptions(project=False),
-        )
-        assert raw and all(node.parent is not None for node in raw)
+        # optimize= and project= have no spelling since 7.0: every
+        # answer is projected and every element target runs optimized
+        for retired in ("optimize", "project"):
+            with pytest.raises(TypeError):
+                ExecutionOptions(**{retired: False})
         result = engine.query(
             "nurse",
             "//patient",
@@ -162,15 +160,13 @@ class TestLegacyKeywordsRemoved:
             options=ExecutionOptions(strategy="materialized"),
         )
         assert result.report.strategy == "materialized"
-        unoptimized = engine.query(
+        uncached = engine.query(
             "nurse",
             "//patient",
             document,
-            options=ExecutionOptions(optimize=False),
+            options=ExecutionOptions(use_cache=False),
         )
-        assert (
-            unoptimized.report.optimized == unoptimized.report.rewritten
-        )
+        assert not uncached.report.cache_hit
 
 
 class TestOptionsWireShape:

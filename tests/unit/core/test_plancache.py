@@ -37,18 +37,18 @@ class TestPlanCacheUnit:
 
     def test_lru_eviction_order(self):
         cache = PlanCache(capacity=2)
-        cache.put(("p", "a", True, None), self._entry("a"))
-        cache.put(("p", "b", True, None), self._entry("b"))
-        assert cache.get(("p", "a", True, None)) is not None  # a now MRU
-        cache.put(("p", "c", True, None), self._entry("c"))  # evicts b
-        assert ("p", "b", True, None) not in cache
-        assert ("p", "a", True, None) in cache
-        assert ("p", "c", True, None) in cache
+        cache.put(("p", "a", None), self._entry("a"))
+        cache.put(("p", "b", None), self._entry("b"))
+        assert cache.get(("p", "a", None)) is not None  # a now MRU
+        cache.put(("p", "c", None), self._entry("c"))  # evicts b
+        assert ("p", "b", None) not in cache
+        assert ("p", "a", None) in cache
+        assert ("p", "c", None) in cache
         assert cache.evictions == 1
 
     def test_hit_miss_counters(self):
         cache = PlanCache(capacity=4)
-        key = ("p", "q", True, None)
+        key = ("p", "q", None)
         assert cache.get(key) is None
         cache.put(key, self._entry("q"))
         assert cache.get(key) is not None
@@ -61,7 +61,7 @@ class TestPlanCacheUnit:
 
     def test_capacity_zero_disables(self):
         cache = PlanCache(capacity=0)
-        key = ("p", "q", True, None)
+        key = ("p", "q", None)
         cache.put(key, self._entry("q"))
         assert cache.get(key) is None
         assert len(cache) == 0
@@ -72,17 +72,17 @@ class TestPlanCacheUnit:
 
     def test_policy_scoped_invalidation(self):
         cache = PlanCache(capacity=8)
-        cache.put(("p1", "a", True, None), self._entry("a"))
-        cache.put(("p2", "b", True, None), self._entry("b"))
+        cache.put(("p1", "a", None), self._entry("a"))
+        cache.put(("p2", "b", None), self._entry("b"))
         removed = cache.invalidate("p1")
         assert removed == 1
-        assert ("p2", "b", True, None) in cache
+        assert ("p2", "b", None) in cache
         assert cache.invalidations == 1
 
     def test_clear_resets_counters(self):
         cache = PlanCache(capacity=2)
-        cache.put(("p", "a", True, None), self._entry("a"))
-        cache.get(("p", "a", True, None))
+        cache.put(("p", "a", None), self._entry("a"))
+        cache.get(("p", "a", None))
         cache.clear()
         stats = cache.stats()
         assert len(cache) == 0
@@ -96,13 +96,6 @@ class TestEngineIntegration:
         stats = engine.plan_cache_stats()
         assert stats.hits >= 1
         assert stats.misses >= 1
-
-    def test_cache_key_includes_optimize_flag(self, engine, document):
-        options_on = ExecutionOptions(optimize=True)
-        options_off = ExecutionOptions(optimize=False)
-        engine.query("nurse", "//patient", document, options=options_on)
-        engine.query("nurse", "//patient", document, options=options_off)
-        assert len(engine.plan_cache) == 2
 
     def test_string_and_ast_queries_share_entries(self, engine, document):
         from repro.xpath.parser import parse_xpath
@@ -154,12 +147,7 @@ class TestEngineIntegration:
     def test_rewrite_query_primes_cache(self, engine, document):
         rewritten = engine.rewrite_query("nurse", "//patient")
         assert len(engine.plan_cache) == 1
-        result = engine.query(
-            "nurse",
-            "//patient",
-            document,
-            options=ExecutionOptions(optimize=False),
-        )
+        result = engine.query("nurse", "//patient", document)
         assert result.report.cache_hit
         assert str(result.report.rewritten) == str(rewritten)
 
@@ -263,16 +251,21 @@ class TestExecutionShapeKeys:
         ]
 
     def test_keys_carry_no_execution_shape(self, engine, document):
+        # the key is (policy, query, height): neither the strategy
+        # alias nor tracing nor the retired 6.x optimize/project keys
+        # open a second entry
         engine.query("nurse", "//patient", document)
-        engine.query(
-            "nurse",
-            "//patient",
-            document,
-            options=ExecutionOptions(strategy="columnar"),
-        )
+        for options in (
+            ExecutionOptions(strategy="columnar"),
+            ExecutionOptions(trace=True),
+            ExecutionOptions.from_dict({"optimize": False, "project": False}),
+        ):
+            engine.query("nurse", "//patient", document, options=options)
         assert engine.plan_cache.keys() == [
-            ("nurse", "//patient", True, None)
+            ("nurse", "//patient", None)
         ]
+        (entry,) = engine.plan_cache.entries()
+        assert entry.key == ("nurse", "//patient", None)
 
     def test_columnar_without_cache_does_not_prime(self, engine, document):
         result = engine.query(
@@ -284,3 +277,88 @@ class TestExecutionShapeKeys:
         assert not result.report.cache_hit
         assert result.report.strategy == "virtual"
         assert len(engine.plan_cache) == 0
+
+
+class TestOneCompilePerQuery:
+    """A cold compile rewrites once, optimizes each element target once
+    and compiles each target once.  The union queries below used to
+    pay a whole-query optimize as well, whose output only the removed
+    unprojected path ran; its DTD simulation checks dominated compile
+    time."""
+
+    SHAPES = (
+        ("nurse", '//dept[patientInfo/patient/name = "k"]//staff/* | '
+                  '//patient[wardNo = "k"]/name'),
+        ("nurse", '//patient[name = "k" or not(wardNo = "k")]//bill | '
+                  '//staffInfo//*[. = "k"]'),
+        ("doctor", '//dept[.//patient/wardNo = "k"]/patientInfo//bill | '
+                   '//trial/bill'),
+        ("doctor", '//*[wardNo = "k" or name = "k"]//text() | '
+                   '//regular/*'),
+        ("buyer", '//house[r-e.warranty = "k"]//text() | '
+                  '//apartment[not(r-e.rent = "k")]/r-e.location/text()'),
+        ("buyer", '//*[r-e.unit-type = "k"]/r-e.asking-price/text() | '
+                  '//buyer-info[company-id = "k"]/company-id/text()'),
+    )
+
+    #: ``simulation._check`` calls for one cold compile of SHAPES: 1,494
+    #: when this bound was pinned, 12,836 with the whole-query optimize.
+    MAX_CHECKS = 2_000
+
+    @pytest.fixture()
+    def engines(self):
+        from repro.workloads.adex import adex_document, adex_engine
+        from repro.workloads.hospital import doctor_spec
+
+        dtd = hospital_dtd()
+        hospital = SecureQueryEngine(dtd)
+        hospital.register_policy("nurse", nurse_spec(dtd), wardNo="2")
+        hospital.register_policy("doctor", doctor_spec(dtd))
+        adex = adex_engine()
+        return {
+            "nurse": (hospital, "nurse", hospital_document(seed=0)),
+            "doctor": (hospital, "doctor", hospital_document(seed=0)),
+            "buyer": (
+                adex,
+                adex.policies()[0],
+                adex_document(seed=0, buyers=4, ads=8),
+            ),
+        }
+
+    def _counting(self, monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_simulation_checks_stay_bounded(self, engines, monkeypatch):
+        from repro.core import simulation
+
+        checks = self._counting(monkeypatch, simulation, "_check")
+        for key, text in self.SHAPES:
+            engine, policy, document = engines[key]
+            assert not engine.query(policy, text, document).report.cache_hit
+        assert 0 < len(checks) <= self.MAX_CHECKS
+
+    def test_optimize_once_per_element_target(self, engines, monkeypatch):
+        from repro.core.optimize import Optimizer
+        from repro.core.rewrite import Rewriter
+
+        rewrites = self._counting(monkeypatch, Rewriter, "rewrite_targets")
+        optimizes = self._counting(monkeypatch, Optimizer, "optimize")
+        for key, text in self.SHAPES:
+            engine, policy, document = engines[key]
+            del rewrites[:], optimizes[:]
+            result = engine.query(policy, text, document)
+            compiled = engine.plan_cache.get((policy, text, None))
+            element_targets = [
+                plan for _, is_text, plan in compiled.plans if not is_text
+            ]
+            assert len(rewrites) == 1
+            assert len(optimizes) == len(element_targets)
+            assert str(result.report.optimized) == str(compiled.optimized)

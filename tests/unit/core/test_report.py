@@ -213,17 +213,20 @@ class TestTraceProfile:
         )
         assert [str(n) for n in plain] == [str(n) for n in traced]
 
-    def test_whole_query_profile_without_projection(self, engine, document):
+    def test_profile_has_one_root_per_view_target(self, engine, document):
         result = engine.query(
             "nurse",
-            "//patient",
+            "//patient//bill | //patient/name/text()",
             document,
-            options=ExecutionOptions(trace=True, project=False),
+            options=ExecutionOptions(trace=True),
         )
         profile = result.report.profile
-        assert profile is not None
-        assert len(profile.roots) == 1
-        assert profile.roots[0].name != "target"
+        (compiled,) = engine.plan_cache.entries()
+        assert len(compiled.plans) > 1
+        assert [root.detail for root in profile.roots] == [
+            target for target, _, _ in compiled.plans
+        ]
+        assert all(root.name == "target" for root in profile.roots)
 
 
 class TestEngineMetrics:

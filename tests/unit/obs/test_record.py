@@ -232,6 +232,56 @@ def test_one_record_per_finished_query(path):
     assert len({id(record) for record in received}) == expected
 
 
+@pytest.mark.parametrize("case", ["ghost", "drained"])
+def test_one_record_for_a_request_that_never_reaches_an_engine(case):
+    """An unresolved document ref and a submit after ``drain()`` finish
+    in the server, not the engine: each still yields exactly one
+    record, seen by the metrics registry, the SLO tracker and the
+    flight recorder (and no engine consumer, having no engine)."""
+    engine = _strict_engine()
+    received = []
+    engine.records.subscribe(received.append)
+    catalog = EngineCatalog().add(
+        "hospital", engine, hospital_document(seed=7, max_branch=4)
+    )
+    server = QueryServer(
+        catalog, workers=1, flight=FlightRecorder(capacity=8, tail_capacity=8)
+    ).start()
+    registry = metrics_registry()
+    registry.reset()
+    enable_metrics()
+    try:
+        if case == "ghost":
+            request = QueryRequest(
+                policy="nurse", query="//patient/name", document="ghost"
+            )
+            response = server.query(request, timeout=10)
+            expected_code = "E_SECURITY"
+        else:
+            server.drain(deadline_seconds=5.0)
+            request = QueryRequest(
+                policy="nurse", query="//patient/name", document="hospital"
+            )
+            response = server.submit(request).result(timeout=10)
+            expected_code = "E_ADMISSION"
+        counters = registry.snapshot()["counters"]
+    finally:
+        disable_metrics()
+        server.stop()
+    assert response.error_code == expected_code
+    assert received == []
+    assert server.flight.stats()["recorded"] == 1
+    record = server.flight.get(response.trace_id)
+    assert record is not None and record.served
+    assert record.error_code == expected_code
+    assert record.tenant == "nurse" and record.document == request.document
+    tenants = server.slo.snapshot()["tenants"]
+    assert list(tenants) == ["nurse"]
+    assert tenants["nurse"]["requests"] == 1
+    assert counters.get("serving.errors") == 1
+    assert counters.get("serving.errors.%s" % expected_code) == 1
+
+
 def test_engine_leaves_the_callers_span_alone():
     """The record carries fingerprint and canary verdict: the engine
     writes neither onto the caller's root span."""
@@ -262,12 +312,14 @@ class TestProjectStage:
         assert result.report.cache_hit
 
     def test_no_project_stage_without_projection(self, adex):
+        # the materialized strategy queries the view tree itself, so
+        # no result is projected afterwards
         engine, document = adex
         result = engine.query(
             "real-estate-buyer",
             "//buyer-info/contact-info",
             document,
-            options=ExecutionOptions(project=False),
+            options=ExecutionOptions(strategy="materialized"),
         )
         assert "project" not in result.report.timings
 

@@ -84,6 +84,28 @@ class TestQueryEndpoint:
         assert body["trace_id"] == trace_id
         assert headers["X-Repro-Trace"] == trace_id
 
+    def test_traced_response_carries_view_level_facts_only(self, served):
+        # the rewritten and optimized queries and the operator profile
+        # name document labels and the policy's ward condition; the
+        # tenant's response must carry neither, even when traced
+        _, base = served
+        status, _, body = _post(
+            base + "/query",
+            {
+                "policy": "nurse",
+                "query": "//patient/name",
+                "document": "hospital",
+                "options": {"trace": True},
+            },
+        )
+        assert status == 200 and body["ok"] and body["results"]
+        report = body["report"]
+        assert report["result_count"] == len(body["results"])
+        assert not {"rewritten", "optimized", "profile"} & set(report)
+        text = json.dumps(body)
+        assert "clinicalTrial" not in text
+        assert "wardNo" not in text
+
     def test_malformed_body_is_400(self, served):
         _, base = served
         request = urllib.request.Request(

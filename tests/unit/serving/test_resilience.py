@@ -1,34 +1,16 @@
-"""The overload survival layer: detector, breakers, retry budgets."""
-
-import threading
+"""The overload survival layer: detector and retry budgets."""
 
 import pytest
 
-from repro.errors import FaultInjected
-from repro.obs.events import EventSink, QueryEvent
-from repro.robustness.faults import FaultySink
 from repro.serving.resilience import (
     CRITICAL,
     CRITICALITIES,
     DEFAULT,
     SHEDDABLE,
-    BreakerSink,
-    CircuitBreaker,
     OverloadDetector,
     RetryBudget,
     normalize_criticality,
 )
-
-
-class FakeClock:
-    def __init__(self, now=0.0):
-        self.now = now
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
 
 
 class TestCriticality:
@@ -136,186 +118,6 @@ class TestOverloadDetector:
             "reference_seconds",
         }
         assert snap["samples"] == 1
-
-
-class TestCircuitBreaker:
-    def make(self, clock, **kw):
-        kw.setdefault("failure_threshold", 3)
-        kw.setdefault("reset_timeout_seconds", 1.0)
-        kw.setdefault("jitter", 0.0)
-        return CircuitBreaker("seam", clock=clock, **kw)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-
-    def test_closed_allows_and_single_failures_do_not_open(self):
-        breaker = self.make(FakeClock())
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "closed"  # success reset the streak
-        assert breaker.allow()
-
-    def test_consecutive_failures_open_then_short_circuit(self):
-        clock = FakeClock()
-        breaker = self.make(clock)
-        for _ in range(3):
-            assert breaker.allow()
-            breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        assert breaker.short_circuits == 1
-
-    def test_half_open_probe_recloses_on_success(self):
-        clock = FakeClock()
-        breaker = self.make(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(1.01)
-        assert breaker.allow()  # the single half-open probe
-        assert breaker.state == "half-open"
-        assert not breaker.allow()  # siblings still short-circuit
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.reclosed == 1
-        assert breaker.allow()
-
-    def test_half_open_probe_failure_reopens_with_longer_backoff(self):
-        clock = FakeClock()
-        breaker = self.make(clock, backoff_multiplier=2.0)
-        for _ in range(3):
-            breaker.record_failure()
-        first = breaker.snapshot()["backoff_remaining_seconds"]
-        clock.advance(1.01)
-        assert breaker.allow()
-        breaker.record_failure()  # probe failed
-        assert breaker.state == "open"
-        second = breaker.snapshot()["backoff_remaining_seconds"]
-        assert second == pytest.approx(first * 2.0, rel=0.01)
-        assert breaker.opened == 2
-
-    def test_backoff_caps_at_max(self):
-        clock = FakeClock()
-        breaker = self.make(
-            clock, backoff_multiplier=10.0, max_backoff_seconds=5.0
-        )
-        for _ in range(3):
-            breaker.record_failure()
-        for _ in range(4):  # keep failing probes
-            clock.advance(1000.0)
-            assert breaker.allow()
-            breaker.record_failure()
-        assert breaker.snapshot()["backoff_remaining_seconds"] <= 5.0
-
-    def test_jitter_is_seeded_and_bounded(self):
-        def opened_backoff(seed):
-            clock = FakeClock()
-            breaker = CircuitBreaker(
-                "s",
-                failure_threshold=1,
-                reset_timeout_seconds=1.0,
-                jitter=0.1,
-                seed=seed,
-                clock=clock,
-            )
-            breaker.record_failure()
-            return breaker.snapshot()["backoff_remaining_seconds"]
-
-        assert opened_backoff(7) == opened_backoff(7)  # deterministic
-        for seed in range(5):
-            assert 0.9 <= opened_backoff(seed) <= 1.1
-
-    def test_success_reset_keeps_backoff_ladder_fresh(self):
-        clock = FakeClock()
-        breaker = self.make(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(1.01)
-        breaker.allow()
-        breaker.record_success()  # reclose resets the opens counter
-        for _ in range(3):
-            breaker.record_failure()
-        # backoff restarted from the base timeout, not doubled
-        assert breaker.snapshot()["backoff_remaining_seconds"] == (
-            pytest.approx(1.0, rel=0.01)
-        )
-
-    def test_thread_safety_smoke(self):
-        breaker = CircuitBreaker("s", failure_threshold=2)
-        stop = threading.Event()
-
-        def churn():
-            while not stop.is_set():
-                if breaker.allow():
-                    breaker.record_failure()
-                    breaker.record_success()
-
-        threads = [threading.Thread(target=churn) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        stop.set()
-        for thread in threads:
-            thread.join()
-        assert breaker.state in {"closed", "open", "half-open"}
-
-
-class _Collector(EventSink):
-    def __init__(self):
-        self.events = []
-
-    def emit(self, event):
-        self.events.append(event)
-
-
-class TestBreakerSink:
-    def event(self):
-        return QueryEvent(policy="p", query="//a", result_count=0)
-
-    def test_healthy_sink_passes_through(self):
-        inner = _Collector()
-        sink = BreakerSink(inner)
-        sink.emit(self.event())
-        assert len(inner.events) == 1
-        assert sink.skipped == 0
-
-    def test_failing_sink_opens_and_skips(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            "sink", failure_threshold=2, jitter=0.0, clock=clock
-        )
-        sink = BreakerSink(FaultySink(), breaker=breaker)
-        for _ in range(2):
-            with pytest.raises(FaultInjected):
-                sink.emit(self.event())
-        assert breaker.state == "open"
-        # open: emits are skipped outright, no raise
-        sink.emit(self.event())
-        sink.emit(self.event())
-        assert sink.skipped == 2
-
-    def test_recovered_sink_recloses(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            "sink",
-            failure_threshold=1,
-            reset_timeout_seconds=0.5,
-            jitter=0.0,
-            clock=clock,
-        )
-        flaky = FaultySink(after=0)
-        sink = BreakerSink(flaky, breaker=breaker)
-        with pytest.raises(FaultInjected):
-            sink.emit(self.event())
-        assert breaker.state == "open"
-        clock.advance(0.6)
-        flaky.after = 10**9  # sink healed
-        flaky.emitted = 0
-        sink.emit(self.event())  # the half-open probe succeeds
-        assert breaker.state == "closed"
-        assert breaker.reclosed == 1
 
 
 class TestRetryBudget:

@@ -136,6 +136,23 @@ class TestPolicyCommands:
         assert code == 0
         assert "<name>ann</name>" in capsys.readouterr().out
 
+    def test_query_has_no_optimize_flag(self, workspace):
+        # every element target runs optimized: the flag went in 7.0
+        with pytest.raises(SystemExit) as info:
+            main(
+                [
+                    "query",
+                    str(workspace / "hospital.dtd"),
+                    str(workspace / "nurse.spec"),
+                    str(workspace / "doc.xml"),
+                    "//patient/name",
+                    "--bind",
+                    "wardNo=2",
+                    "--no-optimize",
+                ]
+            )
+        assert info.value.code == 2
+
     def test_query_explain(self, workspace, capsys):
         code = main(
             [
