@@ -675,9 +675,6 @@ def cmd_workload_top(arguments) -> int:
 
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    if not payload.get("enabled", True):
-        print("workload profiling is disabled on the server", file=sys.stderr)
-        return 1
     tenants = payload.get("tenants", {})
     if not tenants:
         print("no workload recorded yet")

@@ -17,7 +17,7 @@ engine — see ``docs/serving.md``:
   :class:`~repro.serving.server.QueryServer` answering one request per
   engine call over :class:`~repro.serving.server.EngineCatalog`;
 * :mod:`repro.serving.replay` — the mixed-tenant hospital+Adex replay
-  harness behind ``repro replay`` and ``benchmarks/bench_serving.py``;
+  harness behind ``repro replay`` and the serving canary soak;
 * :mod:`repro.serving.httpd` — the stdlib HTTP front end behind
   ``repro serve``.
 """

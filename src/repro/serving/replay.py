@@ -6,9 +6,10 @@ workload) and replays a shuffled multi-tenant request stream against a
 :class:`~repro.serving.server.QueryServer` from N concurrent client
 threads, measuring end-to-end latency percentiles and throughput.
 
-This is both the ``repro replay`` CLI command and the engine room of
-``benchmarks/bench_serving.py`` — the benchmark checks the numbers in
-and asserts on them, the CLI prints them.
+This is the engine room of the ``repro replay`` CLI command, which
+prints the numbers, and of the canary soak in
+``tests/integration/test_canary.py``, which replays the workload with
+every answer checked against the materialized-view oracle.
 """
 
 from __future__ import annotations

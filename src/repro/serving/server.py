@@ -143,16 +143,15 @@ class QueryServer(object):
         :class:`~repro.obs.slo.SLOTracker` (sizing, SLO objective,
         seeded sampling for tests).  Ignored-by-default when
         ``tracing`` is off unless passed explicitly.
-    ``profiling`` / ``workload``
-        Workload intelligence (see :mod:`repro.obs.workload`).  With
-        ``profiling`` (the default) the server owns one
-        :class:`~repro.obs.workload.WorkloadProfiler` and installs it
-        on every catalog engine at :meth:`start` that doesn't already
-        have one, so a multi-engine catalog aggregates into a single
-        per-tenant heavy-hitter report (``GET /debug/workload``,
-        ``repro workload top``).  Pass ``workload`` to share or size
-        the profiler yourself; ``profiling=False`` leaves engines
-        unprofiled (one attribute check per query).
+    ``workload``
+        Workload intelligence (see :mod:`repro.obs.workload`).  The
+        server always owns one
+        :class:`~repro.obs.workload.WorkloadProfiler` (``workload``
+        when passed, to size or share it; a default one otherwise) and
+        installs it on every catalog engine at :meth:`start` that
+        doesn't already have one, so a multi-engine catalog aggregates
+        into a single per-tenant heavy-hitter report
+        (``GET /debug/workload``, ``repro workload top``).
     """
 
     def __init__(
@@ -163,7 +162,6 @@ class QueryServer(object):
         tracing: bool = True,
         flight: Optional[FlightRecorder] = None,
         slo: Optional[SLOTracker] = None,
-        profiling: bool = True,
         workload=None,
     ):
         if workers < 1:
@@ -187,7 +185,7 @@ class QueryServer(object):
         self._consumers = tuple(consumers)
         # the fan-out of requests that never reach an engine
         self._unrouted = RecordFanout((record_metrics,))
-        if workload is None and profiling:
+        if workload is None:
             from repro.obs.workload import WorkloadProfiler
 
             workload = WorkloadProfiler()
@@ -221,12 +219,11 @@ class QueryServer(object):
                 return self
             self._started = True
             self._started_at = monotonic()
-        if self.workload is not None:
-            # one shared sketch across the catalog; an engine with its
-            # own profiler (attached by the owner) keeps it
-            for engine in self.catalog.engines():
-                if engine.workload is None:
-                    engine.enable_workload_profiler(profiler=self.workload)
+        # one shared sketch across the catalog; an engine with its own
+        # profiler (attached by the owner) keeps it
+        for engine in self.catalog.engines():
+            if engine.workload is None:
+                engine.enable_workload_profiler(profiler=self.workload)
         for thread in self._threads:
             thread.start()
         return self
@@ -483,8 +480,6 @@ class QueryServer(object):
     ) -> dict:
         """The ``GET /debug/workload`` payload (per-tenant heavy
         hitters with count/latency-percentile/cache-hit stats)."""
-        if self.workload is None:
-            return {"enabled": False, "capacity": 0, "tenants": {}}
         payload = self.workload.report(tenant=tenant, n=n)
         payload["enabled"] = True
         return payload
@@ -525,14 +520,12 @@ class QueryServer(object):
             "uptime_seconds": uptime,
             "workers": len(self._threads),
             "tracing": self.tracing,
-            "profiling": self.workload is not None,
+            "profiling": True,
             "documents": self.catalog.refs(),
             "queue_depth": self._queue.qsize(),
             "admission": self.admission.snapshot(),
             "cache_bytes": cache_bytes,
-            "workload": (
-                self.workload.stats() if self.workload is not None else {}
-            ),
+            "workload": self.workload.stats(),
         }
 
     def ready_payload(self) -> Tuple[bool, dict]:

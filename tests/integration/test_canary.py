@@ -1,13 +1,17 @@
 """The security canary end-to-end: at sample rate 1.0 a correct
 engine produces zero violations across both workloads, and an
 engine with a deliberately poisoned plan cache (a mis-rewritten
-query that leaks inaccessible names) makes the canary fire."""
+query that leaks inaccessible names) makes the canary fire.  A
+concurrent soak replays the mixed-tenant serving workload with every
+answer checked."""
 
 import pytest
 
 from repro.core.engine import SecureQueryEngine
 from repro.core.options import ExecutionOptions
 from repro.obs.events import RingBufferSink
+from repro.serving.replay import mixed_workload, replay, standard_catalog
+from repro.serving.server import QueryServer
 from repro.workloads.adex import adex_document, adex_dtd, adex_spec
 from repro.workloads.hospital import (
     doctor_spec,
@@ -75,6 +79,29 @@ class TestZeroViolations:
         assert len(checks) == len(ADEX_QUERY_TEXTS)
         assert all(event.violations == 0 for event in checks)
         assert canary.violations == 0
+
+
+class TestServedSoak:
+    def test_concurrent_replay_is_clean(self):
+        """The mixed-tenant replay through an 8-client, 4-worker
+        ``QueryServer`` with the canary sampling every answer: the
+        concurrent serving path answers exactly like the
+        materialized-view oracle."""
+        catalog = standard_catalog(seed=0)
+        rings = []
+        for ref in catalog.refs():
+            engine = catalog.resolve(ref)[0]
+            rings.append(engine.add_sink(RingBufferSink(capacity=256)))
+            engine.enable_canary(sample_rate=1.0, seed=0)
+        requests = mixed_workload(repetitions=2, seed=0)
+        with QueryServer(catalog, workers=4) as server:
+            stats = replay(server, requests, clients=8)
+        assert not stats["errors"], stats["errors"]
+        checks = [
+            event for ring in rings for event in ring.events(kind="canary")
+        ]
+        assert len(checks) == len(requests) > 0
+        assert sum(event.violations for event in checks) == 0
 
 
 class TestInjectedLeak:

@@ -12,9 +12,7 @@ import pytest
 
 from repro.core.derive import derive
 from repro.core.materialize import materialize
-from repro.core.rewrite import Rewriter
 from repro.core.spec import AccessSpec
-from repro.core.unfold import unfold_view
 from repro.dtd.generator import DocumentGenerator
 from repro.workloads.hospital import doctor_spec, hospital_document
 from repro.xpath.evaluator import XPathEvaluator

@@ -1,15 +1,12 @@
 """Security-property integration tests: no query over the view can
 observe confidential labels, content, or structure."""
 
-import itertools
-
 import pytest
 
 from repro.core.accessibility import compute_accessibility
 from repro.core.engine import SecureQueryEngine
 from repro.workloads.hospital import hospital_document, hospital_dtd, nurse_spec
 from repro.xmlmodel.serialize import serialize
-from repro.xpath.parser import parse_xpath
 
 #: A broad battery of probing queries a curious nurse might try.
 PROBES = [

@@ -5,16 +5,38 @@ import pytest
 
 from repro.core.engine import QueryReport, SecureQueryEngine
 from repro.core.options import ExecutionOptions
+from repro.obs.events import Event, RingBufferSink
 from repro.obs.metrics import (
     disable_metrics,
     enable_metrics,
     metrics_registry,
 )
+from repro.obs.profile import ProfileCollector
+from repro.robustness.governor import Budget, QueryLimits
 from repro.workloads.hospital import (
     hospital_document,
     hospital_dtd,
     nurse_spec,
 )
+
+
+def _count_calls(monkeypatch, **targets):
+    """Wrap each ``name: (owner, attribute)`` method so that every call
+    counts under ``name``; returns the live counts."""
+    calls = dict.fromkeys(targets, 0)
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name, (owner, attribute) in targets.items():
+        monkeypatch.setattr(
+            owner, attribute, counting(name, getattr(owner, attribute))
+        )
+    return calls
 
 
 @pytest.fixture()
@@ -250,14 +272,49 @@ class TestEngineMetrics:
         assert snap["histograms"]["stage.parse_seconds"]["count"] == 1
         assert snap["histograms"]["stage.evaluate_seconds"]["count"] == 2
 
-    def test_disabled_metrics_record_nothing(self, engine, document):
+    def test_disabled_metrics_record_nothing(
+        self, engine, document, monkeypatch
+    ):
         registry = metrics_registry()
         registry.reset()
-        engine.query("nurse", "//patient", document)
+        calls = _count_calls(
+            monkeypatch,
+            collectors=(ProfileCollector, "__init__"),
+            events=(Event, "__init__"),
+            budgets=(Budget, "__init__"),
+            checkpoints=(Budget, "checkpoint"),
+            ticks=(Budget, "tick"),
+        )
+        for _ in range(2):  # cold, then warm
+            engine.query("nurse", "//patient", document)
         snap = engine.metrics()
         # handles created by earlier enabled runs survive reset() with
         # value 0; a disabled run must not move any of them
         assert snap["counters"].get("query.count", 0) == 0
+        # untraced, no slow threshold, no sink, no limits: the default
+        # path builds no profile, no audit event and no budget
+        assert calls == dict.fromkeys(calls, 0)
+        # each of those counters moves as soon as its feature is on
+        engine.query(
+            "nurse", "//patient", document,
+            options=ExecutionOptions(trace=True),
+        )
+        engine.query(
+            "nurse", "//patient", document,
+            options=ExecutionOptions(slow_query_threshold=60.0),
+        )
+        assert calls["collectors"] == 2
+        sink = engine.add_sink(RingBufferSink(capacity=4))
+        engine.query("nurse", "//patient", document)
+        engine.remove_sink(sink)
+        assert calls["events"] == 1 and sink.emitted == 1
+        engine.query(
+            "nurse", "//patient", document,
+            options=ExecutionOptions(
+                limits=QueryLimits(max_visits=10**9)
+            ),
+        )
+        assert calls["budgets"] == 1 and calls["checkpoints"] > 0
 
     def test_columnar_records_node_table_build(self, engine, document):
         registry = metrics_registry()

@@ -637,31 +637,6 @@ class TestBackPressureStatusMapping:
             gated.close()
 
 
-class TestDisabledProfiling:
-    def test_workload_endpoint_reports_disabled(self):
-        dtd = hospital_dtd()
-        engine = SecureQueryEngine(dtd)
-        engine.register_policy("nurse", nurse_spec(dtd), wardNo="2")
-        catalog = EngineCatalog().add(
-            "hospital", engine, hospital_document(seed=7, max_branch=4)
-        )
-        with QueryServer(catalog, workers=1, profiling=False) as server:
-            httpd = make_http_server(server, port=0)
-            thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-            thread.start()
-            base = "http://127.0.0.1:%d" % httpd.server_address[1]
-            try:
-                _, _, workload = _get(base + "/debug/workload")
-                _, _, vars_payload = _get(base + "/debug/vars")
-            finally:
-                httpd.shutdown()
-                httpd.server_close()
-                thread.join(timeout=5)
-        assert workload == {"enabled": False, "capacity": 0, "tenants": {}}
-        assert vars_payload["profiling"] is False
-        assert vars_payload["workload"] == {}
-
-
 class TestDisabledTracing:
     def test_debug_endpoints_report_disabled(self):
         dtd = hospital_dtd()

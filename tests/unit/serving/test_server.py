@@ -1,13 +1,14 @@
 """The QueryServer: catalog resolution, futures contract, admission,
 budget independence and audit parity."""
 
-import threading
-
 import pytest
 
 from repro.core.engine import SecureQueryEngine
 from repro.core.options import ExecutionOptions
 from repro.obs.events import RingBufferSink
+from repro.obs.flight import FlightRecorder
+from repro.obs.slo import SLOTracker
+from repro.obs.trace import Tracer
 from repro.robustness.governor import QueryLimits
 from repro.serving.admission import AdmissionController, TenantPolicy
 from repro.serving.protocol import QueryRequest, QueryResponse
@@ -318,8 +319,6 @@ class TestRequestTracing:
             assert expected in names
 
     def test_denied_requests_always_tail_retained(self, document):
-        from repro.obs.flight import FlightRecorder
-
         dtd = hospital_dtd()
         strict = SecureQueryEngine(dtd, strict=True)
         strict.register_policy("nurse", nurse_spec(dtd), wardNo="2")
@@ -362,23 +361,56 @@ class TestRequestTracing:
         assert "nurse" in payload["tenants"]
         assert payload["tenants"]["nurse"]["requests"] == 1
 
-    def test_tracing_disabled_is_inert(self, catalog):
+    def test_tracing_disabled_is_inert(self, catalog, monkeypatch):
+        spans = []
+        calls = {"record": 0, "observe": 0}
+        span = Tracer.span
+
+        def counted_span(tracer, name, **attributes):
+            spans.append(name)
+            return span(tracer, name, **attributes)
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Tracer, "span", counted_span)
+        monkeypatch.setattr(
+            FlightRecorder, "record", counting("record", FlightRecorder.record)
+        )
+        monkeypatch.setattr(
+            SLOTracker, "observe", counting("observe", SLOTracker.observe)
+        )
+        request = QueryRequest(
+            policy="nurse", query="//patient", document="hospital"
+        )
         with QueryServer(catalog, workers=1, tracing=False) as server:
-            response = server.query(
-                QueryRequest(
-                    policy="nurse", query="//patient", document="hospital"
-                )
-            )
+            responses = [server.query(request) for _ in range(3)]
             traces = server.trace_payload()
             slo = server.slo_payload()
-        assert response.ok
-        assert response.trace_id == ""
+        assert all(response.ok for response in responses)
+        assert all(response.trace_id == "" for response in responses)
         # the engine still times its stages for the report
-        assert response.report["total_seconds"] > 0
-        assert response.report["timings"]
+        assert responses[0].report["total_seconds"] > 0
+        assert responses[0].report["timings"]
         assert server.flight is None and server.slo is None
         assert traces == {"enabled": False, "stats": {}, "traces": []}
         assert slo["enabled"] is False
+        # no server-side span, flight record or SLO observation per
+        # request; only the engine's private stage spans open
+        assert spans.count("query") == 3
+        assert "request" not in spans and "queue_wait" not in spans
+        assert calls == {"record": 0, "observe": 0}
+        # the same counters see each request once with tracing on
+        del spans[:]
+        with QueryServer(catalog, workers=1) as server:
+            for _ in range(3):
+                server.query(request)
+        assert spans.count("request") == spans.count("queue_wait") == 3
+        assert calls == {"record": 3, "observe": 3}
 
 
 class TestLifecycle:
