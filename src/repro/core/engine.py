@@ -29,10 +29,18 @@ evaluation.  Execution knobs are grouped in
 :class:`~repro.core.options.ExecutionOptions` (the 1.x per-call
 boolean keywords were removed in 2.0; see ``docs/api.md``).
 
+Projection amortization: accessibility (Prop. 3.1) depends only on
+``(policy, document)``, so each policy keeps one row-indexed
+accessibility column per document beside the document's NodeTable
+(see :mod:`~repro.core.projection`), built on the first projected
+query and dropped with the NodeTable.  Each query builds one
+:class:`~repro.core.projection.Projector` from it.
+
 Thread safety: one engine may serve queries from many threads
 concurrently (see ``docs/serving.md``).  Every cached artifact is
-*immutable after build*.  NodeTables, materialized view trees and
-unfolded rewriters are built under a single per-key lock, so
+*immutable after build*.  NodeTables, accessibility columns,
+materialized view trees and unfolded rewriters are built under a
+single per-key lock, so
 concurrent first requests for the same artifact serialize on its
 build while requests for other keys proceed.  A compiled query is
 built whole before it is cached (concurrent misses of one query may
@@ -76,6 +84,7 @@ from repro.core.options import (
     ExecutionOptions,
 )
 from repro.core.plancache import CompiledQuery, PlanCache, PlanCacheStats
+from repro.core.projection import Projector, accessibility_column
 from repro.core.rewrite import Rewriter
 from repro.core.spec import AccessSpec
 from repro.core.unfold import unfold_view
@@ -282,7 +291,8 @@ class QueryResult(List):
 
 class _Policy:
     __slots__ = (
-        "name", "spec", "view", "recursive", "rewriters", "materialized"
+        "name", "spec", "view", "recursive", "rewriters", "materialized",
+        "columns",
     )
 
     def __init__(self, name: str, spec: AccessSpec, view: SecurityView):
@@ -295,6 +305,9 @@ class _Policy:
         # id(document) -> (document, materialized view tree); the
         # strong document reference keeps the id stable
         self.materialized: Dict[int, tuple] = {}
+        # id(document) -> (NodeTable, accessibility column); a column
+        # answers only for the very NodeTable its rows came from
+        self.columns: Dict[int, tuple] = {}
 
 
 class SecureQueryEngine:
@@ -569,9 +582,11 @@ class SecureQueryEngine:
         return self.query(policy, query, document, options).report
 
     def invalidate(self, policy: Optional[str] = None) -> None:
-        """Drop cached materialized views, NodeTables, and compiled
-        query plans (call after document or policy updates).
-        Without ``policy``, caches of all policies clear.
+        """Drop cached materialized views, NodeTables, accessibility
+        columns and compiled query plans (call after document or
+        policy updates).  Without ``policy``, caches of all policies
+        clear; NodeTables, and with them every policy's columns, clear
+        either way.
 
         Safe to call with queries in flight: in-flight executions keep
         the (internally consistent) structures they already hold and
@@ -580,6 +595,8 @@ class SecureQueryEngine:
             names = [policy] if policy is not None else list(self._policies)
             for name in names:
                 self._policy(name).materialized.clear()
+            for entry in self._policies.values():
+                entry.columns.clear()
             self._stores.clear()
             self._plan_cache.invalidate(policy)
             self._build_locks.clear()
@@ -652,8 +669,8 @@ class SecureQueryEngine:
     def introspect(self) -> dict:
         """One JSON-safe report of what this engine's caches hold and
         cost: plan cache (entries, bytes, hit/eviction counters),
-        columnar NodeTables, and materialized view trees, each with
-        entry counts and byte estimates (see
+        columnar NodeTables, accessibility columns and materialized
+        view trees, each with entry counts and byte estimates (see
         :mod:`repro.obs.introspect`)."""
         from repro.obs.introspect import engine_report
 
@@ -828,7 +845,10 @@ class SecureQueryEngine:
                 "document (its height bounds the unfolding, Section 4.2)"
                 % entry.name
             )
-        return document if isinstance(document, int) else document.height()
+        if isinstance(document, int):
+            return document
+        # recorded by the NodeTable build: no walk per query
+        return self._store_for(document).height
 
     def _store_for(self, document):
         """The (cached) columnar :class:`NodeTable` of ``document``,
@@ -846,6 +866,21 @@ class SecureQueryEngine:
             store = NodeTable(document)
             self._stores[id(document)] = (document, store)
         return store
+
+    def _projector(self, entry: _Policy, view, store, budget=None):
+        """One query's :class:`~repro.core.projection.Projector` over
+        ``store``, reading ``entry``'s accessibility column of the
+        document.  The column is built once per (policy, NodeTable),
+        under its key's lock."""
+        key = id(store.root)
+        cached = entry.columns.get(key)
+        if cached is None or cached[0] is not store:
+            with self._build_locks(("access", entry.name, key)):
+                cached = entry.columns.get(key)
+                if cached is None or cached[0] is not store:
+                    cached = (store, accessibility_column(store, entry.spec))
+                    entry.columns[key] = cached
+        return Projector(store, cached[1], view, budget=budget)
 
     # -- resource governance -------------------------------------------------
 
@@ -973,7 +1008,8 @@ class SecureQueryEngine:
             evaluate_span.set(results=len(results), visits=runtime.visits)
         timings = dict(compiled.timings)
         timings["evaluate"] = evaluate_span.duration
-        # nested inside evaluate: the materialize_subtree share
+        # nested inside evaluate: projecting the results through the
+        # view, the first query's accessibility column build included
         timings["project"] = project_seconds
         report = QueryReport(
             policy,
@@ -1023,12 +1059,14 @@ class SecureQueryEngine:
         """Evaluate per target view node so each raw result can be
         projected through the view (dummies relabeled, hidden
         descendants removed): ``(results, project_seconds)``, the
-        second being the time spent in ``materialize_subtree``.
-        Result charging is incremental so a ``max_results`` breach
-        stops before projecting further subtrees."""
+        second being the time spent projecting.  One projector serves
+        every result of the query; it is built on the first element
+        result.  Result charging is incremental so a ``max_results``
+        breach stops before projecting further subtrees."""
         project_seconds = 0.0
         projected = []
         seen = set()
+        projector = None
         for target, is_text, plan in compiled.plans:
             if is_text:
                 for node in plan.execute(document, runtime=runtime):
@@ -1043,6 +1081,10 @@ class SecureQueryEngine:
                     continue
                 seen.add(id(node))
                 started = perf_counter()
+                if projector is None:
+                    projector = self._projector(
+                        entry, compiled.view, runtime.store, budget=budget
+                    )
                 projected.append(
                     materialize_subtree(
                         document,
@@ -1050,7 +1092,7 @@ class SecureQueryEngine:
                         entry.spec,
                         target,
                         node,
-                        budget=budget,
+                        projector=projector,
                     )
                 )
                 project_seconds += perf_counter() - started

@@ -14,6 +14,12 @@ annotations at the origin, keeping only accessible nodes (for real
 labels; dummy elements are structural and may be anchored at hidden
 document nodes).  The per-shape rules (1)-(5) of Section 3.3 apply;
 rule violations raise :class:`MaterializationAborted`.
+
+The rules live in :class:`ViewExpander`.  :func:`materialize` is the
+oracle: its expander computes accessibility and document order itself,
+per call.  The engine projects results through the same rules with a
+:class:`repro.core.projection.Projector`, which reads both from
+NodeTable rows; this module imports nothing from that path.
 """
 
 from __future__ import annotations
@@ -38,32 +44,38 @@ from repro.xmlmodel.nodes import XMLElement, XMLText
 from repro.xpath.evaluator import XPathEvaluator
 
 
-class _Materializer:
-    def __init__(
-        self, document_root, view: SecurityView, spec: AccessSpec, budget=None
-    ):
-        self.document_root = document_root
+class ViewExpander:
+    """The Section 3.3 rules (1)-(5): expand a view element from its
+    document origin by evaluating the sigma annotations there.
+
+    Which extracted elements are accessible, and what document order
+    is, is left to :meth:`_select`: the oracle (:class:`_Materializer`)
+    answers from its own accessibility pass, the engine's projector
+    (:class:`repro.core.projection.Projector`) from a NodeTable row
+    column."""
+
+    def __init__(self, view: SecurityView, budget=None):
         self.view = view
-        self.spec = spec
         self.budget = budget
         self.evaluator = XPathEvaluator(budget=budget)
-        self.accessible = compute_accessibility(document_root, spec)
-        self.doc_order: Dict[int, int] = {
-            id(node): index
-            for index, node in enumerate(document_root.iter())
-        }
 
-    def run(self) -> XMLElement:
-        root_node = self.view.root
-        if root_node.label != self.document_root.label:
-            raise MaterializationAborted(
-                "document root %r does not match view root %r"
-                % (self.document_root.label, root_node.label)
-            )
-        view_root = XMLElement(root_node.label)
-        self._copy_attributes(view_root, root_node.key, self.document_root)
-        self._expand(view_root, root_node.key, self.document_root)
-        return view_root
+    def _select(self, nodes: List, dummy: bool) -> List:
+        """The element nodes of one sigma answer that the view keeps
+        (all of them for a dummy target, the accessible ones
+        otherwise), in document order."""
+        raise NotImplementedError
+
+    def project(self, key: str, origin) -> XMLElement:
+        """The view subtree anchored at view node ``key`` with document
+        origin ``origin``."""
+        # the visit budget is per projected subtree, not per query
+        self.evaluator.reset_counters()
+        node = self.view.node(key)
+        element = XMLElement(node.label)
+        if not node.is_dummy:
+            self._copy_attributes(element, key, origin)
+        self._expand(element, key, origin)
+        return element
 
     def _copy_attributes(self, view_element, key: str, origin) -> None:
         hidden = self.view.hidden_attributes_of(key)
@@ -153,18 +165,10 @@ class _Materializer:
     def _extract_all(self, parent_key: str, child_key: str, origin) -> List:
         """rule (5): all accessible nodes, in document order."""
         path = self.view.sigma_of(parent_key, child_key)
-        child_node = self.view.node(child_key)
-        nodes = self.evaluator.evaluate(path, origin)
-        if not child_node.is_dummy:
-            nodes = [
-                node
-                for node in nodes
-                if node.is_element and self.accessible.get(id(node), False)
-            ]
-        else:
-            nodes = [node for node in nodes if node.is_element]
-        nodes.sort(key=lambda node: self.doc_order.get(id(node), -1))
-        return nodes
+        return self._select(
+            self.evaluator.evaluate(path, origin),
+            self.view.node(child_key).is_dummy,
+        )
 
     def _extract_one(self, parent_key: str, child_key: str, origin):
         """rules (2)/(3): the annotation must produce exactly one
@@ -186,6 +190,48 @@ class _Materializer:
         self._expand(child_element, child_key, origin)
 
 
+class _Materializer(ViewExpander):
+    """The reference materializer: its own accessibility pass
+    (:func:`compute_accessibility`) and document-order map over the
+    whole document, built per instance."""
+
+    def __init__(
+        self, document_root, view: SecurityView, spec: AccessSpec, budget=None
+    ):
+        super().__init__(view, budget=budget)
+        self.document_root = document_root
+        self.spec = spec
+        self.accessible = compute_accessibility(document_root, spec)
+        self.doc_order: Dict[int, int] = {
+            id(node): index
+            for index, node in enumerate(document_root.iter())
+        }
+
+    def run(self) -> XMLElement:
+        root_node = self.view.root
+        if root_node.label != self.document_root.label:
+            raise MaterializationAborted(
+                "document root %r does not match view root %r"
+                % (self.document_root.label, root_node.label)
+            )
+        view_root = XMLElement(root_node.label)
+        self._copy_attributes(view_root, root_node.key, self.document_root)
+        self._expand(view_root, root_node.key, self.document_root)
+        return view_root
+
+    def _select(self, nodes: List, dummy: bool) -> List:
+        if not dummy:
+            nodes = [
+                node
+                for node in nodes
+                if node.is_element and self.accessible.get(id(node), False)
+            ]
+        else:
+            nodes = [node for node in nodes if node.is_element]
+        nodes.sort(key=lambda node: self.doc_order.get(id(node), -1))
+        return nodes
+
+
 def materialize(document_root, view: SecurityView, spec: AccessSpec, budget=None):
     """Materialize ``Tv`` from a document, a view, and the (concrete,
     parameter-free) specification the view was derived from.
@@ -203,6 +249,7 @@ def materialize_subtree(
     key: str,
     origin,
     budget=None,
+    projector=None,
 ) -> XMLElement:
     """Materialize only the view subtree anchored at view node ``key``
     with document origin ``origin``.
@@ -210,12 +257,15 @@ def materialize_subtree(
     This is how query results are *projected through the view* without
     materializing the whole view: a result element's copy carries the
     view label (dummies stay renamed) and only view-visible
-    descendants."""
+    descendants.
+
+    The engine passes the query's ``projector`` (a
+    :class:`~repro.core.projection.Projector`, built with its own view
+    and budget), which answers from the policy's accessibility column.
+    Without one, a one-off reference materializer recomputes
+    accessibility over the whole document, so a call costs
+    O(document)."""
     fault_trip("materialize")
-    materializer = _Materializer(document_root, view, spec, budget=budget)
-    node = view.node(key)
-    element = XMLElement(node.label)
-    if not node.is_dummy:
-        materializer._copy_attributes(element, key, origin)
-    materializer._expand(element, key, origin)
-    return element
+    if projector is None:
+        projector = _Materializer(document_root, view, spec, budget=budget)
+    return projector.project(key, origin)

@@ -2,8 +2,9 @@
 
 Every serving-path cache in :class:`~repro.core.engine.SecureQueryEngine`
 trades memory for latency — the plan cache, the per-document columnar
-:class:`~repro.xmlmodel.store.NodeTable`, and the per-policy
-materialized view trees.  A view-selection policy (and an operator
+:class:`~repro.xmlmodel.store.NodeTable`, the per-(policy, document)
+accessibility columns beside it, and the per-policy materialized view
+trees.  A view-selection policy (and an operator
 sizing a deployment) needs to see that trade: entry counts, byte
 costs, and hit/eviction counters, in one JSON-safe report.
 
@@ -75,7 +76,8 @@ def plan_cache_report(cache) -> Dict[str, object]:
 def engine_report(engine) -> Dict[str, object]:
     """The one-stop cache report of a
     :class:`~repro.core.engine.SecureQueryEngine`: plan cache, columnar
-    NodeTables, and per-policy materialized view trees, each with entry counts and byte estimates, plus a
+    NodeTables, per-policy accessibility columns and materialized view
+    trees, each with entry counts and byte estimates, plus a
     ``total_bytes`` roll-up."""
     plan_cache = plan_cache_report(engine.plan_cache)
 
@@ -84,6 +86,17 @@ def engine_report(engine) -> Dict[str, object]:
         "entries": len(stores),
         "rows": sum(store.size for _, store in stores),
         "bytes": sum(store.nbytes() for _, store in stores),
+    }
+
+    # one byte per NodeTable row, per (policy, document)
+    columns = [
+        column
+        for policy in list(engine._policies.values())
+        for _, column in list(policy.columns.values())
+    ]
+    accessibility_columns = {
+        "entries": len(columns),
+        "bytes": sum(len(column) for column in columns),
     }
 
     materialized_entries = 0
@@ -105,6 +118,7 @@ def engine_report(engine) -> Dict[str, object]:
     report = {
         "plan_cache": plan_cache,
         "node_tables": node_tables,
+        "accessibility_columns": accessibility_columns,
         "materialized_views": materialized,
     }
     report["total_bytes"] = report_total_bytes(report)

@@ -23,7 +23,10 @@ that makes structural joins possible:
   partitioned posting lists that descendant kernels slice with two
   binary searches per context interval;
 * ``first_child[r]`` / ``next_sibling[r]`` encode the child axis as a
-  linked scan over rows (``-1`` terminates).
+  linked scan over rows (``-1`` terminates);
+* ``height`` is the tree's height in element levels (a lone root
+  element has height 1), recorded during the build so a recursive
+  view's unfolding bound costs no extra walk.
 
 The table is immutable with respect to the document: rebuild after
 structural updates (the engine caches one per document and drops it
@@ -63,6 +66,7 @@ class NodeTable:
         "postings",
         "nodes",
         "text_label_id",
+        "height",
         "_row_of",
     )
 
@@ -109,6 +113,7 @@ class NodeTable:
         nodes = self.nodes
         row_of = self._row_of
         text_label_id = self.text_label_id
+        deepest = -1
 
         # iterative preorder: (node, parent_row, depth); a second stack
         # of open rows closes subtree intervals on the way back up
@@ -135,6 +140,8 @@ class NodeTable:
                     next_sibling[previous] = row
                 last_child[parent_row] = row
             if node.is_element:
+                if node_depth > deepest:
+                    deepest = node_depth
                 label_id = self._intern(node.label)
                 label_ids.append(label_id)
                 while len(postings) <= label_id:
@@ -148,6 +155,7 @@ class NodeTable:
             else:
                 label_ids.append(text_label_id)
                 postings[text_label_id].append(row)
+        self.height = deepest + 1
 
     # -- row <-> node mapping ------------------------------------------
 

@@ -11,7 +11,9 @@ deadlock, or a wrong result.
 Run just this suite with ``pytest -m concurrency``.
 """
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -300,6 +302,90 @@ class TestPlanCacheConcurrency:
         def worker(index):
             with pytest.raises(ReproError):
                 engine.query("ghost-%d" % index, "//patient", document)
+
+        _hammer(worker)
+
+
+def _oracle_answers(policy_spec, document, texts):
+    """Each query's sorted answer over the materialized view tree."""
+    from repro.core.derive import derive
+    from repro.core.materialize import materialize
+    from repro.xpath.evaluator import XPathEvaluator
+    from repro.xpath.parser import parse_xpath
+
+    view_tree = materialize(document, derive(policy_spec), policy_spec)
+    evaluator = XPathEvaluator()
+    return {
+        text: _canonical(
+            node if node.is_element else node.value
+            for node in evaluator.evaluate(parse_xpath(text), view_tree)
+        )
+        for text in texts
+    }
+
+
+class TestAccessibilityColumnConcurrency:
+    """The per-(policy, document) accessibility column is built under
+    its own lock and dropped by invalidate()."""
+
+    TEXTS = (".", "//patient//bill", "//staffInfo//*")
+
+    def test_first_query_stampede_builds_one_column(self, monkeypatch):
+        engine_module = sys.modules["repro.core.engine"]
+        builds = []
+        build = engine_module.accessibility_column
+
+        def counted(store, spec):
+            builds.append(store)
+            time.sleep(0.01)  # widen the race window: let others arrive
+            return build(store, spec)
+
+        monkeypatch.setattr(engine_module, "accessibility_column", counted)
+        engine = _build_engine()
+        document = hospital_document(seed=11, max_branch=8)
+        expected = _oracle_answers(
+            nurse_spec(hospital_dtd()).bind(wardNo="2"), document, self.TEXTS
+        )
+        # NodeTable and plans ready: the threads race on the column only
+        engine.query("doctor", "//patient/name", document)
+        for text in self.TEXTS:
+            engine.rewrite_query("nurse", text, document)
+        builds.clear()
+
+        def worker(index):
+            text = self.TEXTS[index % len(self.TEXTS)]
+            actual = _canonical(engine.query("nurse", text, document))
+            assert actual == expected[text], text
+
+        _hammer(worker)
+        assert len(builds) == 1
+
+    def test_racing_invalidate_never_yields_a_non_oracle_answer(self):
+        engine = _build_engine()
+        document = hospital_document(seed=7, max_branch=4)
+        expected = _oracle_answers(
+            nurse_spec(hospital_dtd()).bind(wardNo="2"), document, self.TEXTS
+        )
+        stop = threading.Event()
+        lock = threading.Lock()
+        # invalidate until the last querying thread is done
+        querying = [THREADS - len(range(0, THREADS, 4))]
+
+        def worker(index):
+            if index % 4 == 0:
+                while not stop.is_set():
+                    engine.invalidate()
+                return
+            try:
+                for round_no in range(ROUNDS):
+                    text = self.TEXTS[(index + round_no) % len(self.TEXTS)]
+                    actual = _canonical(engine.query("nurse", text, document))
+                    assert actual == expected[text], text
+            finally:
+                with lock:
+                    querying[0] -= 1
+                    if not querying[0]:
+                        stop.set()
 
         _hammer(worker)
 

@@ -152,3 +152,29 @@ def annotation_strategy(draw, dtd):
             if choice != "inherit":
                 spec.annotate(parent, child, choice)
     return spec
+
+
+@st.composite
+def conditional_annotation_strategy(draw, dtd):
+    """A random access specification over a DTD that also draws
+    conditional ``[q]`` annotations.  Each qualifier tests paths over
+    the DTD's own labels, so it holds at some elements and fails at
+    others.  Materialization may abort under such a spec (Section 3.3's
+    rules), unlike under :func:`annotation_strategy`."""
+    from repro.core.spec import AccessSpec
+
+    labels = tuple(sorted(dtd.element_types))
+    qualifiers = qualifier_strategy(
+        path_strategy(labels, max_leaves=3), labels
+    )
+    spec = AccessSpec(dtd, name="random-conditional")
+    for parent in dtd.element_types:
+        for child in dtd.children_of(parent):
+            choice = draw(
+                st.sampled_from(["inherit", "inherit", "Y", "N", "cond"])
+            )
+            if choice == "cond":
+                spec.annotate(parent, child, draw(qualifiers))
+            elif choice != "inherit":
+                spec.annotate(parent, child, choice)
+    return spec
