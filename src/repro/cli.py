@@ -6,7 +6,6 @@
     repro rewrite   DTD.dtd  SPEC.txt  QUERY [--bind ...] [--no-optimize]
     repro query     DTD.dtd  SPEC.txt  DOC.xml QUERY [--bind ...]
                     [--explain] [--no-cache]
-                    [--strategy virtual|columnar|materialized]
                     [--trace] [--metrics] [--json]
                     [--audit-log PATH] [--slow-ms MS]
                     [--canary RATE] [--canary-seed N]
@@ -175,7 +174,6 @@ def cmd_query(arguments) -> int:
             max_visits=arguments.max_visits,
         )
     options = ExecutionOptions(
-        strategy=arguments.strategy,
         use_cache=not arguments.no_cache,
         trace=arguments.trace,
         slow_query_threshold=(
@@ -255,12 +253,11 @@ def _render_event(event) -> str:
         "%Y-%m-%dT%H:%M:%S", _time.localtime(event.timestamp)
     )
     if event.kind == "query":
-        detail = "%s -> %s  results=%d  %.3fms  %s%s%s" % (
+        detail = "%s -> %s  results=%d  %.3fms%s%s" % (
             event.query,
             event.rewritten,
             event.result_count,
             event.latency_seconds * 1e3,
-            event.strategy,
             " cache-hit" if event.cache_hit else "",
             " SLOW" if event.slow else "",
         )
@@ -778,13 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
     query_cmd.add_argument("document")
     query_cmd.add_argument("query")
     query_cmd.add_argument("--explain", action="store_true")
-    query_cmd.add_argument(
-        "--strategy",
-        choices=["virtual", "columnar", "materialized"],
-        default="virtual",
-        help="virtual (rewrite; default; 'columnar' is its legacy "
-        "name) or materialized view",
-    )
     query_cmd.add_argument(
         "--no-cache",
         action="store_true",

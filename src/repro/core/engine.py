@@ -16,8 +16,10 @@ architecture diagram does:
    is *projected through the view* (dummy relabeling, hidden
    descendants removed) before being returned.
 
-The security view is never materialized; projection only copies the
-actual result subtrees.
+The security view is never materialized to answer a query; projection
+only copies the actual result subtrees.  Only the oracle,
+:func:`~repro.core.materialize.materialize`, builds whole view trees
+(an enabled :class:`~repro.obs.canary.SecurityCanary` keeps a few).
 
 Serving-path amortization: because step 3's outputs depend only on
 ``(policy, query text)`` — not on the document, except for the
@@ -38,9 +40,8 @@ query and dropped with the NodeTable.  Each query builds one
 
 Thread safety: one engine may serve queries from many threads
 concurrently (see ``docs/serving.md``).  Every cached artifact is
-*immutable after build*.  NodeTables, accessibility columns,
-materialized view trees and unfolded rewriters are built under a
-single per-key lock, so
+*immutable after build*.  NodeTables, accessibility columns and
+unfolded rewriters are built under a single per-key lock, so
 concurrent first requests for the same artifact serialize on its
 build while requests for other keys proceed.  A compiled query is
 built whole before it is cached (concurrent misses of one query may
@@ -72,17 +73,12 @@ from repro.obs.export import prometheus_text
 from repro.obs.metrics import metrics_registry, record
 from repro.obs.profile import ExplainProfile, ProfileCollector, ProfileNode
 from repro.obs.record import QueryRecord, RecordFanout, record_metrics
-from repro.obs.trace import NULL_SPAN, Tracer
+from repro.obs.trace import Tracer
 from repro.dtd.dtd import DTD
 from repro.core.derive import derive
-from repro.core.materialize import materialize, materialize_subtree
+from repro.core.materialize import materialize_subtree
 from repro.core.optimize import Optimizer
-from repro.core.options import (
-    DEFAULT_OPTIONS,
-    STRATEGY_MATERIALIZED,
-    STRATEGY_VIRTUAL,
-    ExecutionOptions,
-)
+from repro.core.options import DEFAULT_OPTIONS, ExecutionOptions
 from repro.core.plancache import CompiledQuery, PlanCache, PlanCacheStats
 from repro.core.projection import Projector, accessibility_column
 from repro.core.rewrite import Rewriter
@@ -90,7 +86,6 @@ from repro.core.spec import AccessSpec
 from repro.core.unfold import unfold_view
 from repro.core.view import SecurityView
 from repro.xpath.ast import Label, Path, union
-from repro.xpath.evaluator import XPathEvaluator
 from repro.xpath.fingerprint import query_fingerprint
 from repro.xpath.parser import parse_xpath
 from repro.xpath.plan import PlanRuntime, compile_path
@@ -98,8 +93,8 @@ from repro.xpath.plan import PlanRuntime, compile_path
 
 class _KeyedLocks:
     """One build lock per cache key.  Concurrent first requests for
-    the same expensive artifact (a NodeTable, a materialized view
-    tree, an unfolded rewriter) serialize on their key's lock and
+    the same expensive artifact (a NodeTable, an accessibility
+    column, an unfolded rewriter) serialize on their key's lock and
     build once; requests for different keys build in
     parallel.  Lock objects are tiny and keys are bounded by the
     engine's own caches, so entries are only pruned on
@@ -144,7 +139,6 @@ class QueryReport:
         "optimized",
         "result_count",
         "visits",
-        "strategy",
         "cache_hit",
         "timings",
         "total_seconds",
@@ -160,7 +154,6 @@ class QueryReport:
         optimized,
         result_count,
         visits,
-        strategy: str = STRATEGY_VIRTUAL,
         cache_hit: bool = False,
         timings: Optional[Dict[str, float]] = None,
         total_seconds: Optional[float] = None,
@@ -173,7 +166,6 @@ class QueryReport:
         self.optimized = optimized
         self.result_count = result_count
         self.visits = visits
-        self.strategy = strategy
         self.cache_hit = cache_hit
         self.timings = dict(timings) if timings else {}
         self.total_seconds = total_seconds
@@ -207,8 +199,7 @@ class QueryReport:
             "query    : %s" % self.original,
             "rewritten: %s" % self.rewritten,
             "optimized: %s" % self.optimized,
-            "strategy : %s (plan cache %s)"
-            % (self.strategy, "hit" if self.cache_hit else "miss"),
+            "cache    : plan cache %s" % ("hit" if self.cache_hit else "miss"),
             "results  : %d  (node visits: %d)"
             % (self.result_count, self.visits),
             "timings  : %s" % self._timings_text(),
@@ -219,14 +210,13 @@ class QueryReport:
 
     def view_dict(self) -> dict:
         """The view-level facts as a JSON-safe dict — what a tenant may
-        read (the serving wire report): the view query, counts,
-        strategy, cache status, fingerprint and timings."""
+        read (the serving wire report): the view query, counts, cache
+        status, fingerprint and timings."""
         return {
             "policy": self.policy,
             "query": str(self.original),
             "result_count": self.result_count,
             "visits": self.visits,
-            "strategy": self.strategy,
             "cache_hit": self.cache_hit,
             "fingerprint": str(self.fingerprint) if self.fingerprint else "",
             "timings": dict(self.timings),
@@ -252,8 +242,8 @@ class QueryReport:
     def __repr__(self):
         return (
             "QueryReport(policy=%r, original=%s, rewritten=%s, "
-            "optimized=%s, results=%d, visits=%d, strategy=%r, "
-            "cache_hit=%r, timings={%s})"
+            "optimized=%s, results=%d, visits=%d, cache_hit=%r, "
+            "timings={%s})"
             % (
                 self.policy,
                 self.original,
@@ -261,7 +251,6 @@ class QueryReport:
                 self.optimized,
                 self.result_count,
                 self.visits,
-                self.strategy,
                 self.cache_hit,
                 self._timings_text(),
             )
@@ -291,8 +280,7 @@ class QueryResult(List):
 
 class _Policy:
     __slots__ = (
-        "name", "spec", "view", "recursive", "rewriters", "materialized",
-        "columns",
+        "name", "spec", "view", "recursive", "rewriters", "columns",
     )
 
     def __init__(self, name: str, spec: AccessSpec, view: SecurityView):
@@ -302,9 +290,6 @@ class _Policy:
         # a DTD reachability walk: computed once here, never per query
         self.recursive = view.is_recursive()
         self.rewriters: Dict[Optional[int], Rewriter] = {}
-        # id(document) -> (document, materialized view tree); the
-        # strong document reference keeps the id stable
-        self.materialized: Dict[int, tuple] = {}
         # id(document) -> (NodeTable, accessibility column); a column
         # answers only for the very NodeTable its rows came from
         self.columns: Dict[int, tuple] = {}
@@ -435,25 +420,20 @@ class SecureQueryEngine:
     ) -> QueryResult:
         """Answer a view query on ``document``.
 
-        Execution knobs (strategy, plan cache, tracing, limits) are
-        grouped in ``options``, an
-        :class:`~repro.core.options.ExecutionOptions`:
-
-        * ``strategy="virtual"`` (default, the paper's approach) — the
-          view stays virtual; the query is rewritten over the document
-          and its compiled plan runs set-at-a-time over a cached
-          columnar :class:`~repro.xmlmodel.store.NodeTable` (built per
-          document, dropped by :meth:`invalidate`);
-        * ``strategy="materialized"`` — the view tree is materialized
-          (cached per document until :meth:`invalidate`) and the query
-          runs directly on it.
+        The view stays virtual (the paper's approach): the query is
+        rewritten over the document and its compiled plan runs
+        set-at-a-time over a cached columnar
+        :class:`~repro.xmlmodel.store.NodeTable` (built per document,
+        dropped by :meth:`invalidate`).  Execution knobs (plan cache,
+        tracing, limits) are grouped in ``options``, an
+        :class:`~repro.core.options.ExecutionOptions`.
 
         Returns a :class:`QueryResult` — a list of results (copies
         projected through the view) whose ``report`` attribute carries
         the rewriting stages, cache status, and per-stage timings.
 
         The 1.x per-call boolean keywords (``optimize=``, ``project=``,
-        ``strategy=``, ...) were removed in 2.0; pass
+        ...) were removed in 2.0; pass
         ``options=ExecutionOptions(...)`` (see ``docs/api.md``).
         """
         options = self._resolve_options(options)
@@ -522,18 +502,9 @@ class SecureQueryEngine:
         results = report = error = None
         violations = 0
         try:
-            if options.strategy == STRATEGY_MATERIALIZED:
-                results, report = self._query_materialized(
-                    policy, query, document, options, tracer=tracer
-                )
-            else:
-                results, report = self._execute(
-                    policy,
-                    query,
-                    document,
-                    options,
-                    tracer=tracer,
-                )
+            results, report = self._execute(
+                policy, query, document, options, tracer=tracer
+            )
             violations = self._run_canary(policy, document, results, report)
         except Exception as caught:
             error = caught
@@ -582,24 +553,25 @@ class SecureQueryEngine:
         return self.query(policy, query, document, options).report
 
     def invalidate(self, policy: Optional[str] = None) -> None:
-        """Drop cached materialized views, NodeTables, accessibility
-        columns and compiled query plans (call after document or
-        policy updates).  Without ``policy``, caches of all policies
-        clear; NodeTables, and with them every policy's columns, clear
-        either way.
+        """Drop cached NodeTables, accessibility columns, compiled
+        query plans and the canary's oracle views (call after document
+        or policy updates).  Without ``policy``, plans of all policies
+        clear; NodeTables, and with them every policy's columns, and
+        the canary's views clear either way.
 
         Safe to call with queries in flight: in-flight executions keep
         the (internally consistent) structures they already hold and
         answer from them; only *new* lookups rebuild."""
         with self._admin_lock:
-            names = [policy] if policy is not None else list(self._policies)
-            for name in names:
-                self._policy(name).materialized.clear()
+            if policy is not None:
+                self._policy(policy)  # an unknown name is an error
             for entry in self._policies.values():
                 entry.columns.clear()
             self._stores.clear()
             self._plan_cache.invalidate(policy)
             self._build_locks.clear()
+            if self._canary is not None:
+                self._canary.clear_views()
         self._emit(PolicyEvent, "invalidate", policy if policy else "*")
 
     # -- observability -----------------------------------------------------------
@@ -669,8 +641,8 @@ class SecureQueryEngine:
     def introspect(self) -> dict:
         """One JSON-safe report of what this engine's caches hold and
         cost: plan cache (entries, bytes, hit/eviction counters),
-        columnar NodeTables, accessibility columns and materialized
-        view trees, each with entry counts and byte estimates (see
+        columnar NodeTables, accessibility columns and the canary's
+        oracle view trees, each with entry counts and byte estimates (see
         :mod:`repro.obs.introspect`)."""
         from repro.obs.introspect import engine_report
 
@@ -702,8 +674,10 @@ class SecureQueryEngine:
         """Re-check a ``sample_rate`` fraction of answered queries
         against the materialized-view oracle, emitting a
         :class:`~repro.obs.events.CanaryEvent` per check (see
-        :mod:`repro.obs.canary`).  The oracle costs O(document) per
-        sampled query — keep the rate small in production."""
+        :mod:`repro.obs.canary`).  The canary keeps a few oracle views
+        (one build per policy and document); evaluating the query on
+        one costs O(view) per sampled query — keep the rate small in
+        production."""
         self._canary = SecurityCanary(sample_rate, seed=seed)
         return self._canary
 
@@ -737,9 +711,7 @@ class SecureQueryEngine:
         if canary is None or document is None or not canary.should_sample():
             return 0
         try:
-            view_tree, _ = self._materialized_view(
-                self._policy(policy), document
-            )
+            view_tree = canary.oracle_view(self._policy(policy), document)
             event = canary.check(
                 policy, report.original, results, view_tree=view_tree
             )
@@ -752,31 +724,6 @@ class SecureQueryEngine:
         except Exception:
             record("canary.failures")
             return 0
-
-    def _materialized_view(
-        self, entry: _Policy, document, budget=None, tracer=None
-    ):
-        """The (cached) materialized view of ``document`` under
-        ``entry`` — the oracle the canary and the materialized
-        strategy share — as ``(view_tree, cache_hit)``.  A build runs
-        once per (policy, document), under its build lock and in a
-        ``materialize`` span on ``tracer``."""
-        cached = entry.materialized.get(id(document))
-        if cached is not None and cached[0] is document:
-            return cached[1], True
-        with self._build_locks(("mat", entry.name, id(document))):
-            cached = entry.materialized.get(id(document))
-            if cached is not None and cached[0] is document:
-                return cached[1], True  # built while we waited
-            span = (
-                NULL_SPAN if tracer is None else tracer.span("materialize")
-            )
-            with span:
-                view_tree = materialize(
-                    document, entry.view, entry.spec, budget=budget
-                )
-            entry.materialized[id(document)] = (document, view_tree)
-        return view_tree, False
 
     # -- internals -----------------------------------------------------------------------
 
@@ -867,11 +814,13 @@ class SecureQueryEngine:
             self._stores[id(document)] = (document, store)
         return store
 
-    def _projector(self, entry: _Policy, view, store, budget=None):
+    def _projector(self, entry: _Policy, view, runtime):
         """One query's :class:`~repro.core.projection.Projector` over
-        ``store``, reading ``entry``'s accessibility column of the
-        document.  The column is built once per (policy, NodeTable),
-        under its key's lock."""
+        the ``runtime``'s NodeTable, reading ``entry``'s accessibility
+        column of the document and counting its visits (and charging
+        its budget) with the query's plans.  The column is built once
+        per (policy, NodeTable), under its key's lock."""
+        store = runtime.store
         key = id(store.root)
         cached = entry.columns.get(key)
         if cached is None or cached[0] is not store:
@@ -880,7 +829,9 @@ class SecureQueryEngine:
                 if cached is None or cached[0] is not store:
                     cached = (store, accessibility_column(store, entry.spec))
                     entry.columns[key] = cached
-        return Projector(store, cached[1], view, budget=budget)
+        return Projector(
+            store, cached[1], view, budget=runtime.budget, runtime=runtime
+        )
 
     # -- resource governance -------------------------------------------------
 
@@ -983,9 +934,7 @@ class SecureQueryEngine:
         # that an outlier's event arrives with its profile attached
         collect = options.trace or options.slow_query_threshold is not None
         collector = ProfileCollector() if collect else None
-        with tracer.span(
-            "query", policy=policy, strategy=options.strategy
-        ) as query_span:
+        with tracer.span("query", policy=policy) as query_span:
             compiled, cache_hit = self._compiled(
                 entry,
                 query,
@@ -1018,11 +967,10 @@ class SecureQueryEngine:
             compiled.optimized,
             len(results),
             runtime.visits,
-            strategy=options.strategy,
             cache_hit=cache_hit,
             timings=timings,
             total_seconds=query_span.duration,
-            profile=self._build_profile(compiled, collector, options),
+            profile=self._build_profile(compiled, collector),
             fingerprint=compiled.fingerprint,
         )
         return results, report
@@ -1031,7 +979,6 @@ class SecureQueryEngine:
         self,
         compiled: CompiledQuery,
         collector: Optional[ProfileCollector],
-        options: ExecutionOptions,
     ) -> Optional[ExplainProfile]:
         """Assemble the EXPLAIN ANALYZE tree for a traced execution:
         one root per view-target plan, annotated with the collector's
@@ -1040,7 +987,6 @@ class SecureQueryEngine:
             return None
         return ExplainProfile(
             str(compiled.optimized),
-            strategy=options.strategy,
             roots=[
                 ProfileNode("target", target, None, [plan.profile(collector)])
                 for target, _, plan in compiled.plans
@@ -1082,9 +1028,7 @@ class SecureQueryEngine:
                 seen.add(id(node))
                 started = perf_counter()
                 if projector is None:
-                    projector = self._projector(
-                        entry, compiled.view, runtime.store, budget=budget
-                    )
+                    projector = self._projector(entry, compiled.view, runtime)
                 projected.append(
                     materialize_subtree(
                         document,
@@ -1099,53 +1043,3 @@ class SecureQueryEngine:
                 if budget is not None:
                     budget.charge_results(len(projected))
         return projected, project_seconds
-
-    def _query_materialized(
-        self,
-        policy,
-        query,
-        document,
-        options: ExecutionOptions,
-        tracer: Optional[Tracer] = None,
-    ):
-        entry = self._policy(policy)
-        if tracer is None:
-            tracer = Tracer()
-        budget = self._budget_for(options)
-        timings: Dict[str, float] = {}
-        with tracer.span(
-            "query", policy=policy, strategy=STRATEGY_MATERIALIZED
-        ) as query_span:
-            with tracer.span("parse") as span:
-                parsed = self._parse(entry, query)
-            timings["parse"] = span.duration
-            started = perf_counter()
-            view_tree, view_cache_hit = self._materialized_view(
-                entry, document, budget=budget, tracer=tracer
-            )
-            if not view_cache_hit:
-                timings["materialize"] = perf_counter() - started
-            evaluator = XPathEvaluator(budget=budget)
-            with tracer.span("evaluate") as span:
-                results = []
-                for node in evaluator.evaluate(
-                    parsed, view_tree, ordered=True
-                ):
-                    results.append(node.value if node.is_text else node)
-                if budget is not None:
-                    budget.charge_results(len(results))
-            timings["evaluate"] = span.duration
-        report = QueryReport(
-            policy,
-            parsed,
-            parsed,
-            parsed,
-            len(results),
-            evaluator.visits,
-            strategy=STRATEGY_MATERIALIZED,
-            cache_hit=view_cache_hit,
-            timings=timings,
-            total_seconds=query_span.duration,
-            fingerprint=query_fingerprint(parsed),
-        )
-        return results, report

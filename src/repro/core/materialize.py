@@ -68,8 +68,6 @@ class ViewExpander:
     def project(self, key: str, origin) -> XMLElement:
         """The view subtree anchored at view node ``key`` with document
         origin ``origin``."""
-        # the visit budget is per projected subtree, not per query
-        self.evaluator.reset_counters()
         node = self.view.node(key)
         element = XMLElement(node.label)
         if not node.is_dummy:

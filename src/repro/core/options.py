@@ -1,14 +1,16 @@
 """Execution options for :meth:`repro.core.engine.SecureQueryEngine.query`.
 
-Historically ``query()`` grew a flag per feature (``strategy``,
-``trace``, ...); :class:`ExecutionOptions`
+Historically ``query()`` grew a flag per feature (``trace``,
+``use_cache``, ...); :class:`ExecutionOptions`
 collapses them into one immutable value object so call sites read as
-intent (``ExecutionOptions(strategy="materialized")``) and new knobs
+intent (``ExecutionOptions(trace=True)``) and new knobs
 do not widen the method signature.  The 1.x per-call boolean keywords
 were removed in 2.0 — ``options=ExecutionOptions(...)`` is the only
 spelling (see the migration note in ``docs/api.md``).  There is no
-option to skip projection or the optimizer: every answer is projected
-through the view, and every element target runs optimized (7.0).
+option to skip projection or the optimizer, and no second execution
+path: every query is rewritten, runs as compiled plans over the
+document's columnar :class:`~repro.xmlmodel.store.NodeTable`, and
+every answer is projected through the view (7.0, 9.0).
 
 ``to_dict``/``from_dict`` give the options a versioned wire shape so
 a serialized :class:`~repro.serving.protocol.QueryRequest` can carry
@@ -20,34 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-#: The paper's approach: the view stays virtual, queries are rewritten
-#: and run as compiled plans over the document's columnar
-#: :class:`~repro.xmlmodel.store.NodeTable`.
-STRATEGY_VIRTUAL = "virtual"
-#: Materialize the view tree per document and query it directly.
-STRATEGY_MATERIALIZED = "materialized"
-
-_STRATEGIES = (STRATEGY_VIRTUAL, STRATEGY_MATERIALIZED)
-
-#: Legacy spellings of :data:`STRATEGY_VIRTUAL`: the seed API's name,
-#: and the 2.x name of the columnar backend, which 3.0 made the only
-#: plan backend.
-_LEGACY_STRATEGY_ALIASES = {
-    "rewrite": STRATEGY_VIRTUAL,
-    "columnar": STRATEGY_VIRTUAL,
-}
-
 
 @dataclass(frozen=True)
 class ExecutionOptions:
     """How one query should be executed.
 
-    ``strategy``
-        ``"virtual"`` (default; the paper's rewriting approach, run as
-        compiled plans over a cached columnar
-        :class:`~repro.xmlmodel.store.NodeTable` — the legacy
-        spellings ``"rewrite"`` and ``"columnar"`` are accepted) or
-        ``"materialized"`` (query a cached materialized view tree).
     ``use_cache``
         Serve parse/rewrite/optimize/compile results from the engine's
         plan cache.  With ``False`` the cache is neither consulted nor
@@ -81,22 +60,12 @@ class ExecutionOptions:
         governed and ungoverned runs share compiled plans.
     """
 
-    strategy: str = STRATEGY_VIRTUAL
     use_cache: bool = True
     trace: bool = False
     slow_query_threshold: Optional[float] = None
     limits: Optional["QueryLimits"] = None
 
     def __post_init__(self):
-        normalized = _LEGACY_STRATEGY_ALIASES.get(self.strategy, self.strategy)
-        if normalized not in _STRATEGIES:
-            from repro.errors import SecurityError
-
-            raise SecurityError(
-                "unknown strategy %r (use 'virtual' or 'materialized')"
-                % (self.strategy,)
-            )
-        object.__setattr__(self, "strategy", normalized)
         threshold = self.slow_query_threshold
         if threshold is not None and (
             not isinstance(threshold, (int, float)) or threshold < 0
@@ -128,7 +97,6 @@ class ExecutionOptions:
         """JSON-safe export: plain scalars plus the nested ``limits``
         dict (``None`` when ungoverned)."""
         return {
-            "strategy": self.strategy,
             "use_cache": self.use_cache,
             "trace": self.trace,
             "slow_query_threshold": self.slow_query_threshold,
@@ -139,12 +107,12 @@ class ExecutionOptions:
     def from_dict(cls, payload: dict) -> "ExecutionOptions":
         """Inverse of :meth:`to_dict`; missing keys take the engine
         defaults, unknown keys are ignored (forward compatibility, and
-        retired keys such as 6.x's ``optimize`` and ``project``)."""
+        retired keys such as 6.x's ``optimize`` and ``project`` and
+        the 8.x execution-path selector)."""
         from repro.robustness.governor import QueryLimits
 
         limits = payload.get("limits")
         return cls(
-            strategy=payload.get("strategy", STRATEGY_VIRTUAL),
             use_cache=payload.get("use_cache", True),
             trace=payload.get("trace", False),
             slow_query_threshold=payload.get("slow_query_threshold"),

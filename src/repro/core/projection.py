@@ -73,12 +73,32 @@ class Projector(ViewExpander):
     """One query's projection through ``view``: the Section 3.3 rules
     of :class:`~repro.core.materialize.ViewExpander`, with
     accessibility read from ``column`` and document order taken from
-    the NodeTable row id."""
+    the NodeTable row id.
 
-    def __init__(self, store, column: bytearray, view, budget=None):
+    Sigma evaluation's visits accumulate over the query.  Given the
+    query's plan ``runtime``, they continue the plans' count and are
+    written back to it, so ``max_visits`` bounds plans and projection
+    together (charged again after each projected subtree) and the
+    runtime's ``visits`` is their sum."""
+
+    def __init__(
+        self, store, column: bytearray, view, budget=None, runtime=None
+    ):
         super().__init__(view, budget=budget)
         self._row = store.row
         self._column = column
+        self._runtime = runtime
+
+    def project(self, key: str, origin):
+        runtime = self._runtime
+        if runtime is None:
+            return super().project(key, origin)
+        self.evaluator.visits = runtime.visits
+        element = super().project(key, origin)
+        runtime.visits = visits = self.evaluator.visits
+        if self.budget is not None:
+            self.budget.charge_visits(visits)
+        return element
 
     def _select(self, nodes: List, dummy: bool) -> List:
         row_of = self._row

@@ -108,7 +108,6 @@ class QueryEvent(Event):
         "policy": "",
         "query": "",
         "rewritten": "",
-        "strategy": "virtual",
         "cache_hit": False,
         "result_count": 0,
         "visits": 0,
@@ -206,7 +205,6 @@ def audit_event(record) -> Event:
         )
     return QueryEvent(
         rewritten=str(record.rewritten),
-        strategy=record.strategy,
         cache_hit=record.cache_hit,
         result_count=record.result_count,
         visits=record.visits,

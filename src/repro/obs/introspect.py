@@ -3,8 +3,8 @@
 Every serving-path cache in :class:`~repro.core.engine.SecureQueryEngine`
 trades memory for latency — the plan cache, the per-document columnar
 :class:`~repro.xmlmodel.store.NodeTable`, the per-(policy, document)
-accessibility columns beside it, and the per-policy materialized view
-trees.  A view-selection policy (and an operator
+accessibility columns beside it, and the security canary's oracle
+view trees.  A view-selection policy (and an operator
 sizing a deployment) needs to see that trade: entry counts, byte
 costs, and hit/eviction counters, in one JSON-safe report.
 
@@ -76,9 +76,9 @@ def plan_cache_report(cache) -> Dict[str, object]:
 def engine_report(engine) -> Dict[str, object]:
     """The one-stop cache report of a
     :class:`~repro.core.engine.SecureQueryEngine`: plan cache, columnar
-    NodeTables, per-policy accessibility columns and materialized view
-    trees, each with entry counts and byte estimates, plus a
-    ``total_bytes`` roll-up."""
+    NodeTables, per-policy accessibility columns and the canary's
+    oracle view trees, each with entry counts and byte estimates, plus
+    a ``total_bytes`` roll-up."""
     plan_cache = plan_cache_report(engine.plan_cache)
 
     stores = list(engine._stores.values())
@@ -99,27 +99,24 @@ def engine_report(engine) -> Dict[str, object]:
         "bytes": sum(len(column) for column in columns),
     }
 
-    materialized_entries = 0
-    materialized_nodes = 0
+    canary = engine.canary
+    views = canary.views() if canary is not None else []
     per_policy: Dict[str, int] = {}
-    for name, policy in sorted(engine._policies.items()):
-        cached = list(policy.materialized.values())
-        if cached:
-            per_policy[name] = len(cached)
-        materialized_entries += len(cached)
-        materialized_nodes += sum(tree.size() for _, tree in cached)
-    materialized = {
-        "entries": materialized_entries,
-        "nodes": materialized_nodes,
-        "bytes": materialized_nodes * XML_NODE_BYTES,
-        "by_policy": per_policy,
+    for policy, _ in views:
+        per_policy[policy.name] = per_policy.get(policy.name, 0) + 1
+    view_nodes = sum(tree.size() for _, tree in views)
+    oracle_views = {
+        "entries": len(views),
+        "nodes": view_nodes,
+        "bytes": view_nodes * XML_NODE_BYTES,
+        "by_policy": dict(sorted(per_policy.items())),
     }
 
     report = {
         "plan_cache": plan_cache,
         "node_tables": node_tables,
         "accessibility_columns": accessibility_columns,
-        "materialized_views": materialized,
+        "canary_oracle_views": oracle_views,
     }
     report["total_bytes"] = report_total_bytes(report)
     return report

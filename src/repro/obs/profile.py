@@ -187,24 +187,21 @@ class ExplainProfile:
     operator tree per executed plan (projected evaluation runs one plan
     per view target) plus plan-level events."""
 
-    __slots__ = ("query", "strategy", "roots", "events")
+    __slots__ = ("query", "roots", "events")
 
     def __init__(
         self,
         query: str,
-        strategy: str = "virtual",
         roots: Optional[List[ProfileNode]] = None,
         events: Optional[Dict[str, int]] = None,
     ):
         self.query = query
-        self.strategy = strategy
         self.roots = roots if roots is not None else []
         self.events = dict(events) if events else {}
 
     def to_dict(self) -> dict:
         out: dict = {
             "query": self.query,
-            "strategy": self.strategy,
             "plans": [root.to_dict() for root in self.roots],
         }
         if self.events:
@@ -213,7 +210,7 @@ class ExplainProfile:
 
     def render(self) -> str:
         """EXPLAIN ANALYZE-style annotated plan tree."""
-        lines = ["EXPLAIN ANALYZE  strategy=%s" % self.strategy]
+        lines = ["EXPLAIN ANALYZE"]
         lines.append("query: %s" % self.query)
         for root in self.roots:
             lines.append(root.render())
@@ -222,8 +219,4 @@ class ExplainProfile:
         return "\n".join(lines)
 
     def __repr__(self):
-        return "ExplainProfile(%r, strategy=%r, plans=%d)" % (
-            self.query,
-            self.strategy,
-            len(self.roots),
-        )
+        return "ExplainProfile(%r, plans=%d)" % (self.query, len(self.roots))

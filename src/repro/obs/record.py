@@ -51,7 +51,6 @@ class QueryRecord(NamedTuple):
     query: str = ""
     fingerprint: object = None
     rewritten: object = ""
-    strategy: str = ""
     cache_hit: bool = False
     result_count: int = 0
     visits: int = 0
@@ -113,7 +112,6 @@ class QueryRecord(NamedTuple):
             query=text,
             fingerprint=report.fingerprint or query_fingerprint(query),
             rewritten=report.optimized,
-            strategy=report.strategy,
             cache_hit=report.cache_hit,
             result_count=report.result_count,
             visits=report.visits,
@@ -199,7 +197,6 @@ def record_metrics(record: QueryRecord) -> None:
     if record.error_code:
         return
     registry.increment("query.count")
-    registry.increment("query.count.%s" % record.strategy)
     registry.observe("query.total_seconds", record.engine_seconds)
     registry.observe("query.result_count", record.result_count)
     registry.observe("query.visits", record.visits)

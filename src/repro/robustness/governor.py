@@ -197,12 +197,7 @@ class Budget:
                 % (frontier, bound),
                 "frontier", frontier, bound,
             )
-        bound = limits.max_visits
-        if bound is not None and visits > bound:
-            self._raise_budget(
-                "%d node visits exceed max_visits=%d" % (visits, bound),
-                "visits", visits, bound,
-            )
+        self.charge_visits(visits)
         deadline_at = self.deadline_at
         if deadline_at is not None and self._clock() > deadline_at:
             self._raise_deadline()
@@ -215,6 +210,17 @@ class Budget:
         self._ticks = ticks
         if not ticks % TICK_STRIDE:
             self.checkpoint()
+
+    def charge_visits(self, count: int) -> None:
+        """Enforce ``max_visits`` against the node visits made so far
+        (no clock read: also the exact check at the end of a unit of
+        work whose last visits no batch checkpoint saw)."""
+        bound = self.limits.max_visits
+        if bound is not None and count > bound:
+            self._raise_budget(
+                "%d node visits exceed max_visits=%d" % (count, bound),
+                "visits", count, bound,
+            )
 
     def charge_results(self, count: int) -> None:
         """Enforce ``max_results`` against the result rows produced so

@@ -37,8 +37,8 @@ Stdlib-only (:mod:`http.server`), the endpoints:
     Filters: ``?tenant=``, ``?n=`` (top-K per tenant).
 ``GET /debug/cachez``
     Cache/memory introspection per catalog engine: plan cache,
-    NodeTables, materialized views — entries, byte
-    estimates, hit/eviction counters.
+    NodeTables, accessibility columns, the canary's oracle views —
+    entries, byte estimates, hit/eviction counters.
 ``GET /debug/vars``
     Process vars: version, uptime, worker/queue/admission state,
     cache byte totals, workload roll-up.

@@ -149,7 +149,7 @@ class QueryResponse:
     ``report``
         :meth:`QueryReport.view_dict
         <repro.core.engine.QueryReport.view_dict>` (``None`` on
-        failure): counts, strategy, cache status, fingerprint and stage
+        failure): counts, cache status, fingerprint and stage
         timings.  The document-side rewritten and optimized queries
         and the operator profile are left out — a tenant learns only
         the view DTD and the answer; operators read them from the

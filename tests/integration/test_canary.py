@@ -3,12 +3,15 @@ engine produces zero violations across both workloads, and an
 engine with a deliberately poisoned plan cache (a mis-rewritten
 query that leaks inaccessible names) makes the canary fire.  A
 concurrent soak replays the mixed-tenant serving workload with every
-answer checked."""
+answer checked.  The canary's bounded oracle-view cache builds once
+per (policy, document)."""
 
 import pytest
 
 from repro.core.engine import SecureQueryEngine
+from repro.core.materialize import _Materializer
 from repro.core.options import ExecutionOptions
+from repro.obs.canary import ORACLE_VIEW_CAPACITY
 from repro.obs.events import RingBufferSink
 from repro.serving.replay import mixed_workload, replay, standard_catalog
 from repro.serving.server import QueryServer
@@ -48,12 +51,14 @@ def hospital_engine():
 
 
 class TestZeroViolations:
+    # 8.x's wire spellings of the retired ``strategy`` key: each lands
+    # on the one path, which the canary checks
     @pytest.mark.parametrize("strategy", ["virtual", "columnar"])
     def test_hospital_workload_is_clean(self, strategy):
         engine = hospital_engine()
         ring = engine.add_sink(RingBufferSink(capacity=256))
         canary = engine.enable_canary(sample_rate=1.0)
-        options = ExecutionOptions(strategy=strategy)
+        options = ExecutionOptions.from_dict({"strategy": strategy})
         for seed in (0, 7, 13):
             document = hospital_document(seed=seed, max_branch=4)
             for query in NURSE_QUERIES:
@@ -165,3 +170,77 @@ class TestInjectedLeak:
         engine.query("nurse", self.QUERY, document)
         stats = AuditLog.from_sink(ring).stats()
         assert stats["nurse"]["canary_violations"] > 0
+
+
+class TestOracleViews:
+    """The canary's own bounded cache of oracle views: one build per
+    (registered policy, document), dropped by ``invalidate()``, never
+    shared across a drop and re-registration of a policy name."""
+
+    def test_twenty_checks_build_one_view(self, monkeypatch):
+        builds = []
+        run = _Materializer.run
+
+        def counting(self):
+            builds.append(self.document_root)
+            return run(self)
+
+        monkeypatch.setattr(_Materializer, "run", counting)
+        engine = hospital_engine()
+        canary = engine.enable_canary(sample_rate=1.0)
+        document = hospital_document(seed=7, max_branch=4)
+        for index in range(20):
+            engine.query(
+                "nurse", NURSE_QUERIES[index % len(NURSE_QUERIES)], document
+            )
+        assert canary.checks == 20 and canary.violations == 0
+        assert builds == [document]
+        assert canary.view_builds == 1
+
+    def test_invalidate_rebuilds(self):
+        engine = hospital_engine()
+        canary = engine.enable_canary(sample_rate=1.0)
+        document = hospital_document(seed=7, max_branch=4)
+        engine.query("nurse", "//patient/name", document)
+        engine.query("nurse", "//patient//bill", document)
+        assert canary.view_builds == 1
+        engine.invalidate()
+        engine.query("nurse", "//patient/name", document)
+        assert canary.view_builds == 2 and canary.violations == 0
+
+    def test_reregistered_policy_is_checked_against_its_new_spec(self):
+        dtd = hospital_dtd()
+        engine = hospital_engine()
+        canary = engine.enable_canary(sample_rate=1.0)
+        document = hospital_document(seed=7, max_branch=4)
+        assert engine.query("nurse", "//bill", document)
+        engine.drop_policy("nurse")
+        stricter = nurse_spec(dtd)
+        stricter.annotate("trial", "bill", "N")
+        stricter.annotate("regular", "bill", "N")
+        engine.register_policy("nurse", stricter, wardNo="2")
+        # the old view (bills visible) would report every one missing
+        assert engine.query("nurse", "//bill", document) == []
+        assert engine.query("nurse", "//patient/name", document)
+        assert canary.view_builds == 2
+        assert canary.checks == 3 and canary.violations == 0
+
+    def test_cache_is_bounded(self):
+        engine = hospital_engine()
+        canary = engine.enable_canary(sample_rate=1.0)
+        documents = [
+            hospital_document(seed=seed, max_branch=2)
+            for seed in range(ORACLE_VIEW_CAPACITY + 3)
+        ]
+        for document in documents:
+            engine.query("nurse", "//patient/name", document)
+        views = engine.introspect()["canary_oracle_views"]
+        assert views["entries"] == ORACLE_VIEW_CAPACITY
+        assert views["by_policy"] == {"nurse": ORACLE_VIEW_CAPACITY}
+        assert views["bytes"] > 0
+        # least recently used out: the newest view is still cached
+        engine.query("nurse", "//patient//bill", documents[-1])
+        assert canary.view_builds == len(documents)
+        engine.query("nurse", "//patient//bill", documents[0])
+        assert canary.view_builds == len(documents) + 1
+        assert canary.violations == 0

@@ -1,5 +1,6 @@
 """The chaos suite: fault plans at every instrumented seam, across
-both workloads and every execution strategy.
+both workloads and every wire spelling of the retired execution-path
+key (9.0 has one path; an 8.x client's request must be as graceful).
 
 The invariant under injected faults is *graceful*: each query either
 answers **identically** to the fault-free baseline (the fault missed
@@ -27,7 +28,9 @@ from repro.workloads.queries import ADEX_QUERY_TEXTS
 
 pytestmark = pytest.mark.chaos
 
-STRATEGIES = ["virtual", "columnar", "materialized"]
+#: 8.x's wire spellings of the retired ``strategy`` key, which 9.0
+#: ignores.
+RETIRED_STRATEGIES = ["virtual", "columnar", "materialized"]
 
 NURSE_QUERIES = [
     "//patient/name",
@@ -43,11 +46,12 @@ def no_leftover_plan():
     assert active_plan() is None, "a chaos test leaked an installed FaultPlan"
 
 
-def run_workload(engine, policy, document, queries, strategy):
-    """Run every query; return {query: [serialized results] or typed
-    error code}.  Anything non-Repro propagates and fails the test."""
+def run_workload(engine, policy, document, queries, strategy="virtual"):
+    """Run every query with the wire options of an 8.x client naming
+    ``strategy``; return {query: [serialized results] or typed error
+    code}.  Anything non-Repro propagates and fails the test."""
     outcomes = {}
-    options = ExecutionOptions(strategy=strategy)
+    options = ExecutionOptions.from_dict({"strategy": strategy})
     for query in queries:
         try:
             result = engine.query(policy, query, document, options=options)
@@ -79,7 +83,7 @@ WORKLOADS = {"hospital": hospital_setup, "adex": adex_setup}
 
 class TestSeamFaults:
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("strategy", RETIRED_STRATEGIES)
     @pytest.mark.parametrize("site", sorted(SITES))
     def test_first_call_fault_is_graceful(self, workload, strategy, site):
         engine, policy, document, queries = WORKLOADS[workload]()
@@ -93,8 +97,8 @@ class TestSeamFaults:
         for query in queries:
             outcome = chaotic[query]
             if isinstance(outcome, str):
-                # a typed error surfaced (e.g. materialize faults on the
-                # materialized strategy propagate: no softer path exists)
+                # a typed error surfaced (a fault in projection fails
+                # its query: no softer path exists)
                 assert outcome == "E_FAULT"
             else:
                 assert outcome == baseline[query]
@@ -106,9 +110,7 @@ class TestSeamFaults:
             engine, policy, document, queries = hospital_setup()
             plan = FaultPlan(FaultSpec(site, rate=0.5, seed=99))
             with plan:
-                outcomes = run_workload(
-                    engine, policy, document, queries, "columnar"
-                )
+                outcomes = run_workload(engine, policy, document, queries)
             return outcomes, plan.fired()
 
         first, first_fired = one_run()
@@ -118,10 +120,7 @@ class TestSeamFaults:
 
     def test_latency_fault_with_deadline_still_terminates(self):
         engine, policy, document, queries = hospital_setup()
-        options = ExecutionOptions(
-            strategy="columnar",
-            limits=QueryLimits(deadline_seconds=5.0),
-        )
+        options = ExecutionOptions(limits=QueryLimits(deadline_seconds=5.0))
         with FaultPlan(FaultSpec("materialize", kind="latency",
                                  latency_seconds=0.01, every=1)):
             result = engine.query(policy, queries[0], document, options=options)
@@ -132,13 +131,13 @@ class TestSinkFaults:
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_faulty_sink_never_fails_queries(self, workload):
         engine, policy, document, queries = WORKLOADS[workload]()
-        baseline = run_workload(engine, policy, document, queries, "virtual")
+        baseline = run_workload(engine, policy, document, queries)
 
         engine, policy, document, queries = WORKLOADS[workload]()
         faulty = engine.add_sink(FaultySink())
         ring = engine.add_sink(RingBufferSink(capacity=256))
         canary = engine.enable_canary(sample_rate=1.0)
-        chaotic = run_workload(engine, policy, document, queries, "virtual")
+        chaotic = run_workload(engine, policy, document, queries)
 
         assert chaotic == baseline
         assert canary.violations == 0
@@ -149,7 +148,7 @@ class TestSinkFaults:
     def test_faulty_sink_after_n_lets_early_events_through(self):
         engine, policy, document, queries = hospital_setup()
         sink = engine.add_sink(FaultySink(after=2))
-        run_workload(engine, policy, document, queries, "virtual")
+        run_workload(engine, policy, document, queries)
         assert sink.emitted == 2
         assert sink.raised >= 1
 
@@ -158,7 +157,6 @@ class TestFaultsComposeWithGovernor:
     def test_fault_during_governed_query(self):
         engine, policy, document, queries = hospital_setup()
         options = ExecutionOptions(
-            strategy="columnar",
             limits=QueryLimits(deadline_seconds=30.0, max_visits=10**9),
         )
         baseline = engine.query(policy, queries[0], document)
@@ -173,10 +171,5 @@ class TestFaultsComposeWithGovernor:
         engine, policy, document, queries = hospital_setup()
         with FaultPlan(FaultSpec("materialize", at=1)):
             with pytest.raises(FaultInjected) as excinfo:
-                engine.query(
-                    policy,
-                    queries[0],
-                    document,
-                    options=ExecutionOptions(strategy="materialized"),
-                )
+                engine.query(policy, queries[0], document)
         assert excinfo.value.code == "E_FAULT"

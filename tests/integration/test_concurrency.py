@@ -2,7 +2,8 @@
 
 One engine, many threads: the serving layer shares a single
 :class:`SecureQueryEngine` across a pool, so its caches (`_stores`,
-`_indexes`, the plan cache, materialized views) and policy table must
+the plan cache, accessibility columns, the canary's oracle views) and
+policy table must
 tolerate concurrent queries, and concurrent administration
 (``register_policy`` / ``invalidate``) against in-flight queries must
 yield either a typed error or a consistent answer — never corruption,
@@ -20,6 +21,7 @@ import pytest
 from repro.core.engine import SecureQueryEngine
 from repro.core.options import ExecutionOptions
 from repro.errors import ReproError
+from repro.robustness import QueryLimits
 from repro.workloads.hospital import (
     doctor_spec,
     hospital_document,
@@ -42,8 +44,8 @@ QUERY_TEXTS = (
 
 OPTION_MATRIX = (
     ExecutionOptions(),
-    ExecutionOptions(strategy="columnar"),
-    ExecutionOptions(strategy="materialized"),
+    ExecutionOptions(trace=True),
+    ExecutionOptions(limits=QueryLimits(max_visits=10**9)),
     ExecutionOptions(use_cache=False),
 )
 
@@ -91,17 +93,15 @@ def _hammer(worker, threads=THREADS):
 class TestConcurrentQuerying:
     def test_sixteen_threads_agree_with_sequential(self):
         """The core hammer: 16 threads × every option combination on a
-        cold engine answer exactly like a sequential run."""
+        cold engine answer exactly like the sequential oracle."""
         engine = _build_engine()
         document = hospital_document(seed=7, max_branch=4)
-        reference_engine = _build_engine()
-        expected = {
-            (policy, text, id(options)): _canonical(
-                reference_engine.query(policy, text, document, options=options)
-            )
-            for policy in ("nurse", "doctor")
-            for text in QUERY_TEXTS
-            for options in OPTION_MATRIX
+        dtd = hospital_dtd()
+        oracle = {
+            "nurse": _oracle_answers(
+                nurse_spec(dtd).bind(wardNo="2"), document, QUERY_TEXTS
+            ),
+            "doctor": _oracle_answers(doctor_spec(dtd), document, QUERY_TEXTS),
         }
 
         def worker(index):
@@ -114,9 +114,11 @@ class TestConcurrentQuerying:
                         actual = _canonical(
                             engine.query(policy, text, document, options=options)
                         )
-                        assert (
-                            actual == expected[(policy, text, id(options))]
-                        ), (policy, text, options)
+                        assert actual == oracle[policy][text], (
+                            policy,
+                            text,
+                            options,
+                        )
 
         _hammer(worker)
 
@@ -148,7 +150,7 @@ class TestConcurrentQuerying:
         per query, and gets the single-threaded answers."""
         engine = _build_engine()
         document = hospital_document(seed=5, max_branch=4)
-        options = ExecutionOptions(strategy="columnar")
+        options = ExecutionOptions()
         expected = [
             _canonical(
                 _build_engine().query("nurse", text, document, options=options)
@@ -255,22 +257,41 @@ class TestAdminRaces:
         _hammer(worker)
         assert engine.policies() == ["nurse"]
 
-    def test_materialized_view_stampede(self):
-        """Concurrent first-touch of a materialized view builds one
-        shared tree (identical node objects across threads)."""
+    def test_materialized_view_stampede(self, monkeypatch):
+        """16 threads' queries, each re-checked by a rate-1.0 canary,
+        race one cold oracle view: the canary builds one shared tree
+        and every check is clean."""
+        materialize_module = sys.modules["repro.core.materialize"]
+        builds = []
+        build = materialize_module.materialize
+
+        def counted(*args, **kwargs):
+            builds.append(args[0])
+            time.sleep(0.01)  # widen the race window: let others arrive
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(materialize_module, "materialize", counted)
         engine = _build_engine()
         document = hospital_document(seed=9, max_branch=4)
-        options = ExecutionOptions(strategy="materialized")
-        snapshots = [None] * THREADS
+        # NodeTable, column and plan ready: the threads race on the view
+        engine.query("nurse", "//patient", document)
+        canary = engine.enable_canary(sample_rate=1.0)
+        trees = [None] * THREADS
 
         def worker(index):
-            result = engine.query(
-                "nurse", "//patient", document, options=options
-            )
-            snapshots[index] = [id(node) for node in result]
+            engine.query("nurse", "//patient", document)
+            trees[index] = canary.oracle_view(engine._policy("nurse"), document)
 
-        _hammer(worker)
-        assert len({tuple(ids) for ids in snapshots}) == 1
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            _hammer(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        assert builds == [document]
+        assert canary.view_builds == 1
+        assert len({id(tree) for tree in trees}) == 1
+        assert canary.checks == THREADS and canary.violations == 0
 
 
 class TestPlanCacheConcurrency:
@@ -281,7 +302,7 @@ class TestPlanCacheConcurrency:
         compile it."""
         engine = _build_engine()
         document = hospital_document(seed=7, max_branch=4)
-        options = ExecutionOptions(strategy="columnar")
+        options = ExecutionOptions()
 
         def worker(index):
             engine.query("nurse", "//patient//bill", document, options=options)

@@ -1,10 +1,10 @@
 """The resource governor end-to-end through the engine.
 
-Typed limit errors across every execution strategy, their audit and
-metrics side effects, a failed NodeTable build failing the query, and
-the deadline bar: a 50 ms deadline on the Adex
-workload's largest document terminates well under 10x the deadline on
-both the columnar and object backends.
+Typed limit errors (also for requests that still carry a retired
+execution-path key), their audit and metrics side effects, a failed
+NodeTable build failing the query, and the deadline bar: a 50 ms
+deadline on the Adex workload's largest document terminates well under
+10x the deadline.
 """
 
 import time
@@ -22,7 +22,16 @@ from repro.workloads.queries import ADEX_QUERY_TEXTS
 from repro.workloads.hospital import hospital_dtd, nurse_spec
 from repro.xmlmodel.store import NodeTable
 
-STRATEGIES = ["virtual", "columnar", "materialized"]
+#: 8.x's wire spellings of the retired ``strategy`` key.  9.0 ignores
+#: it, so no spelling may reach an ungoverned path.
+RETIRED_STRATEGIES = ["virtual", "columnar", "materialized"]
+
+
+def governed(strategy, **limits):
+    """Wire options of an 8.x client: ``strategy`` plus ``limits``."""
+    return ExecutionOptions.from_dict(
+        {"strategy": strategy, "limits": QueryLimits(**limits).to_dict()}
+    )
 
 
 def nurse_engine():
@@ -38,23 +47,19 @@ def engine():
 
 
 class TestTypedLimitErrors:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("strategy", RETIRED_STRATEGIES)
     def test_max_visits_raises_budget_exceeded(self, engine, hospital_doc, strategy):
-        options = ExecutionOptions(
-            strategy=strategy, limits=QueryLimits(max_visits=1)
-        )
+        options = governed(strategy, max_visits=1)
         with pytest.raises(BudgetExceeded) as excinfo:
             engine.query("nurse", "//patient/name", hospital_doc, options=options)
         assert excinfo.value.code == "E_BUDGET"
         assert excinfo.value.dimension == "visits"
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("strategy", RETIRED_STRATEGIES)
     def test_tiny_deadline_raises_deadline_exceeded(
         self, engine, hospital_doc, strategy
     ):
-        options = ExecutionOptions(
-            strategy=strategy, limits=QueryLimits(deadline_seconds=1e-9)
-        )
+        options = governed(strategy, deadline_seconds=1e-9)
         with pytest.raises(DeadlineExceeded) as excinfo:
             engine.query("nurse", "//patient/name", hospital_doc, options=options)
         assert excinfo.value.code == "E_DEADLINE"
@@ -162,7 +167,7 @@ class TestDegradation:
 
     def test_degraded_build_is_retried_next_query(self, hospital_doc, monkeypatch):
         engine = nurse_engine()
-        options = ExecutionOptions(strategy="columnar")
+        options = ExecutionOptions()
         with monkeypatch.context() as patch:
             patch.setattr(NodeTable, "__init__", _broken_build)
             with pytest.raises(RuntimeError):
@@ -184,13 +189,12 @@ class TestDegradation:
                 "nurse",
                 "//patient/name",
                 hospital_doc,
-                options=ExecutionOptions(strategy="columnar"),
             )
 
 
 class TestDeadlineAcceptance:
-    """The issue's acceptance bar: a 50 ms deadline on the largest Adex
-    document terminates well under 10x the deadline, on both backends."""
+    """The acceptance bar: a 50 ms deadline on the largest Adex
+    document terminates well under 10x the deadline."""
 
     DEADLINE = 0.050
     CEILING = 10 * DEADLINE
@@ -209,10 +213,7 @@ class TestDeadlineAcceptance:
 
     @pytest.mark.parametrize("strategy", ["virtual", "columnar"])
     def test_deadline_bounds_wall_clock(self, adex_engine, big_doc, strategy):
-        options = ExecutionOptions(
-            strategy=strategy,
-            limits=QueryLimits(deadline_seconds=self.DEADLINE),
-        )
+        options = governed(strategy, deadline_seconds=self.DEADLINE)
         started = time.perf_counter()
         try:
             adex_engine.query("adex", ADEX_QUERY_TEXTS["Q3"], big_doc, options=options)

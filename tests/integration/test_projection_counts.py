@@ -6,6 +6,7 @@
   projected result ran that whole-document pass);
 * a governed query checkpoints where docs/robustness.md says it does,
   pinned per call site; an ungoverned one mints no ``Budget``;
+* ``max_visits`` bounds plan and projection visits together;
 * a recursive policy's unfolding height comes from the NodeTable, so
   no query walks the document for it.
 """
@@ -17,6 +18,7 @@ import pytest
 
 from repro.core.engine import SecureQueryEngine
 from repro.core.options import ExecutionOptions
+from repro.errors import BudgetExceeded
 from repro.robustness import QueryLimits
 from repro.robustness.governor import Budget
 from repro.workloads.adex import adex_document, adex_dtd, adex_spec
@@ -121,6 +123,50 @@ class TestGovernedProjectionCheckpoints:
         _counting(monkeypatch, calls, "ticks", Budget, "tick")
         for _ in range(2):
             adex_engine.query("buyer", ADEX_QUERY_TEXTS["Q3"], document)
+        assert calls == {}
+
+
+class TestVisitsBoundTheWholeQuery:
+    """``max_visits`` bounds plans and projection together, and
+    ``report.visits`` counts both: buyer ``//buyer-info/contact-info``
+    on ``adex_document(seed=0)`` makes 102 plan visits and 1,000 in
+    projection's sigma evaluation for its 50 results.  Before the
+    projector continued the plans' count, the query reported 102 and
+    answered in full under ``max_visits=107``."""
+
+    QUERY = "//buyer-info/contact-info"
+
+    def test_report_counts_plan_and_projection_visits(self, adex_engine):
+        document = adex_document(seed=0)
+        for _ in range(2):  # cold, then warm
+            result = adex_engine.query("buyer", self.QUERY, document)
+            assert len(result) == 50
+            assert result.report.visits == 1102
+
+    @pytest.mark.parametrize("bound", [107, 1101])
+    def test_governed_query_raises_budget(self, adex_engine, bound):
+        document = adex_document(seed=0)
+        options = ExecutionOptions(limits=QueryLimits(max_visits=bound))
+        with pytest.raises(BudgetExceeded) as excinfo:
+            adex_engine.query("buyer", self.QUERY, document, options=options)
+        assert excinfo.value.code == "E_BUDGET"
+        assert excinfo.value.dimension == "visits"
+        assert excinfo.value.spent > bound
+
+    def test_exact_bound_answers(self, adex_engine):
+        document = adex_document(seed=0)
+        options = ExecutionOptions(limits=QueryLimits(max_visits=1102))
+        result = adex_engine.query(
+            "buyer", self.QUERY, document, options=options
+        )
+        assert len(result) == 50 and result.report.visits == 1102
+
+    def test_ungoverned_query_mints_no_budget(self, adex_engine, monkeypatch):
+        document = adex_document(seed=0)
+        calls = Counter()
+        _counting(monkeypatch, calls, "budgets", Budget, "__init__")
+        for _ in range(2):
+            adex_engine.query("buyer", self.QUERY, document)
         assert calls == {}
 
 

@@ -25,9 +25,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import SecureQueryEngine
+from repro.core.materialize import materialize
 from repro.core.options import ExecutionOptions
 from repro.dtd.generator import DocumentGenerator
 from repro.obs import disable_metrics, enable_metrics, metrics_registry
+from repro.obs.canary import oracle_answers
 from repro.serving.httpd import make_http_server
 from repro.serving.protocol import QueryRequest
 from repro.serving.server import EngineCatalog, QueryServer
@@ -46,8 +48,8 @@ from tests.property.strategies import (
     path_strategy,
 )
 
-COLUMNAR = ExecutionOptions(strategy="columnar")  # the legacy alias
-MATERIALIZED = ExecutionOptions(strategy="materialized")
+#: 8.x's wire spelling of the retired materialized execution path
+RETIRED_STRATEGY = ExecutionOptions.from_dict({"strategy": "materialized"})
 
 
 def _rendered(values):
@@ -55,6 +57,14 @@ def _rendered(values):
         value if isinstance(value, str) else serialize(value)
         for value in values
     ]
+
+
+def _oracle(engine, policy, query, document):
+    """``p(Tv)``, sorted: the query over the materialized view of
+    ``document`` under the registered ``policy``."""
+    entry = engine._policy(policy)
+    view_tree = materialize(document, entry.view, entry.spec)
+    return sorted(oracle_answers(query, view_tree).elements())
 
 
 @settings(max_examples=60, deadline=None)
@@ -105,8 +115,8 @@ def test_columnar_engine_is_answer_preserving(data):
     """Engine layer: random policy + random query.  The default path
     equals the materialization oracle (as a set of renderings), every
     per-target plan it ran returns the interpreter's node list for its
-    document path, and the legacy ``"columnar"`` alias and
-    ``execute_request`` on a fresh engine (cold caches) return the
+    document path, and options carrying the retired ``strategy`` key
+    and ``execute_request`` on a fresh engine (cold caches) return the
     default answer exactly."""
     dtd = data.draw(dag_dtd_strategy())
     spec = data.draw(annotation_strategy(dtd))
@@ -119,11 +129,9 @@ def test_columnar_engine_is_answer_preserving(data):
     engine.register_policy("p", spec)
 
     default = engine.query("p", query, document)
-    oracle = engine.query("p", query, document, MATERIALIZED)
-    assert sorted(_rendered(default)) == sorted(_rendered(oracle))
-    alias = engine.query("p", query, document, COLUMNAR)
-    assert _rendered(alias) == _rendered(default)
-    assert alias.report.strategy == "virtual"
+    assert sorted(_rendered(default)) == _oracle(engine, "p", query, document)
+    retired = engine.query("p", query, document, RETIRED_STRATEGY)
+    assert _rendered(retired) == _rendered(default)
     fresh = SecureQueryEngine(dtd)
     fresh.register_policy("p", spec)
     response = fresh.execute_request(
@@ -194,12 +202,12 @@ def _every_surface_agrees(served, query):
     on the NodeTable (no interpreter fallback)."""
     engine, document, server, base = served
     policy = engine.policies()[0]
-    oracle = _rendered(engine.query(policy, query, document, MATERIALIZED))
+    oracle = _oracle(engine, policy, query, document)
     enable_metrics()
     try:
         before = _interpreter_fallbacks()
         direct = _rendered(engine.query(policy, query, document))
-        assert sorted(direct) == sorted(oracle)
+        assert sorted(direct) == oracle
         request = QueryRequest(policy=policy, query=query, document="doc")
         response = engine.execute_request(request, document)
         assert list(response.results) == direct
@@ -226,29 +234,40 @@ def test_hospital_queries_agree(hospital, name):
 
 def test_retired_options_still_get_projected_answers(hospital):
     """6.x's ``project: false`` returned raw document subtrees (with
-    ``clinicalTrial`` and ``regular``) and ``optimize: false`` skipped
-    the optimizer.  Both keys are now ignored on every surface: the
-    answer is the oracle's, projected through the view."""
+    ``clinicalTrial`` and ``regular``), ``optimize: false`` skipped
+    the optimizer and 8.x's ``strategy: "materialized"`` queried a
+    cached view tree.  All three keys are now ignored on every
+    surface: the answer is the oracle's, projected through the view,
+    and the wire report names no execution path."""
     engine, document, server, base = hospital
     query = "/hospital/dept"
-    retired = {"project": False, "optimize": False}
-    oracle = _rendered(engine.query("nurse", query, document, MATERIALIZED))
+    retired = {"project": False, "optimize": False, "strategy": "materialized"}
+    oracle = _oracle(engine, "nurse", query, document)
     assert oracle
     request = QueryRequest.from_dict(
         {"policy": "nurse", "query": query, "document": "doc",
          "options": retired}
     )
-    answers = {
-        "execute_request": engine.execute_request(request, document).results,
-        "server": server.query(request, timeout=30).results,
-        "http": _post(
-            base,
-            {"policy": "nurse", "query": query, "document": "doc",
-             "options": retired},
-        )["results"],
+    assert request.options == ExecutionOptions()
+    responses = {
+        "execute_request": engine.execute_request(request, document),
+        "server": server.query(request, timeout=30),
     }
+    answers = {
+        surface: response.results for surface, response in responses.items()
+    }
+    reports = [response.report for response in responses.values()]
+    body = _post(
+        base,
+        {"policy": "nurse", "query": query, "document": "doc",
+         "options": retired},
+    )
+    answers["http"] = body["results"]
+    reports.append(body["report"])
+    for report in reports:
+        assert "strategy" not in report
     for surface, results in answers.items():
-        assert sorted(results) == sorted(oracle), surface
+        assert sorted(results) == oracle, surface
         for result in results:
             assert "clinicalTrial" not in result, surface
             assert "regular" not in result, surface

@@ -56,12 +56,9 @@ class TestGovernedQueriesTerminate:
     @given(
         path=path_strategy(labels=HOSPITAL_LABELS, max_leaves=10),
         doc_index=st.integers(min_value=0, max_value=len(DOCUMENTS) - 1),
-        strategy=st.sampled_from(["virtual", "columnar"]),
     )
-    def test_answers_or_raises_typed_error_promptly(
-        self, path, doc_index, strategy
-    ):
-        options = ExecutionOptions(strategy=strategy, limits=GOVERNED)
+    def test_answers_or_raises_typed_error_promptly(self, path, doc_index):
+        options = ExecutionOptions(limits=GOVERNED)
         started = time.perf_counter()
         try:
             result = ENGINE.query(

@@ -36,16 +36,16 @@ HOSPITAL_LABELS = (
         max_size=12,
     ),
     st.booleans(),
-    st.sampled_from(["virtual", "columnar", "materialized"]),
+    st.booleans(),
 )
-def test_request_round_trip_total(label, tenant, use_cache, strategy):
+def test_request_round_trip_total(label, tenant, use_cache, trace):
     """to_dict/from_dict is the identity for any representable request."""
     request = QueryRequest(
         policy="nurse",
         query="//%s" % label,
         document="hospital",
         tenant=tenant,
-        options=ExecutionOptions(strategy=strategy, use_cache=use_cache),
+        options=ExecutionOptions(use_cache=use_cache, trace=trace),
         request_id=tenant[::-1],
     )
     assert QueryRequest.from_dict(request.to_dict()) == request

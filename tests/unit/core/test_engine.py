@@ -140,48 +140,49 @@ class TestQuerying:
 
 
 class TestMaterializedStrategy:
-    def test_strategies_agree(self, engine, document):
-        from repro.xmlmodel.serialize import serialize
+    """The materialized view is no execution path (9.0): it is only
+    the oracle, ``materialize()``, and the security canary keeps the
+    views it checks against."""
 
+    def test_strategies_agree(self, engine, document):
+        from repro.core.materialize import materialize
+        from repro.obs.canary import compare_answers, oracle_answers
+
+        entry = engine._policy("nurse")
+        view_tree = materialize(document, entry.view, entry.spec)
         for text in ("//patient/name", "//treatment", "//patient/name/text()"):
             via_rewrite = engine.query("nurse", text, document)
-            via_view = engine.query(
-                "nurse",
-                text,
-                document,
-                options=ExecutionOptions(strategy="materialized"),
-            )
-            assert sorted(
-                value if isinstance(value, str) else serialize(value)
-                for value in via_rewrite
-            ) == sorted(
-                value if isinstance(value, str) else serialize(value)
-                for value in via_view
-            ), text
+            expected = oracle_answers(text, view_tree)
+            assert sum(expected.values()) == len(via_rewrite), text
+            assert compare_answers(expected, via_rewrite) == (0, 0), text
 
     def test_materialized_view_cached(self, engine, document):
-        materialized = ExecutionOptions(strategy="materialized")
-        first = engine.query("nurse", "//patient", document, options=materialized)
-        second = engine.query("nurse", "//patient", document, options=materialized)
-        # same cached view tree => identical node objects
-        assert [id(node) for node in first] == [id(node) for node in second]
+        canary = engine.enable_canary(sample_rate=1.0)
+        entry = engine._policy("nurse")
+        engine.query("nurse", "//patient", document)
+        first = canary.oracle_view(entry, document)
+        engine.query("nurse", "//treatment", document)
+        # the checks shared one cached view tree
+        assert canary.oracle_view(entry, document) is first
+        assert canary.view_builds == 1 and canary.checks == 2
 
     def test_invalidate_drops_cache(self, engine, document):
-        materialized = ExecutionOptions(strategy="materialized")
-        first = engine.query("nurse", "//patient", document, options=materialized)
+        canary = engine.enable_canary(sample_rate=1.0)
+        entry = engine._policy("nurse")
+        engine.query("nurse", "//patient", document)
+        first = canary.oracle_view(entry, document)
         engine.invalidate("nurse")
-        second = engine.query("nurse", "//patient", document, options=materialized)
-        if first:  # fresh materialization produces fresh objects
-            assert first[0] is not second[0]
+        assert engine.introspect()["canary_oracle_views"]["entries"] == 0
+        engine.query("nurse", "//patient", document)
+        assert canary.view_builds == 2
+        assert canary.oracle_view(entry, document) is not first
+        assert canary.violations == 0
 
     def test_unknown_strategy_rejected(self, engine, document):
-        with pytest.raises(SecurityError):
-            engine.query(
-                "nurse",
-                "//patient",
-                document,
-                options=ExecutionOptions(strategy="magic"),
-            )
+        # no execution path is selectable: the keyword is gone
+        for name in ("magic", "materialized", "virtual"):
+            with pytest.raises(TypeError):
+                ExecutionOptions(strategy=name)
 
 
 class TestExplain:
@@ -231,9 +232,9 @@ class TestRecursivePolicies:
 
 
 class TestColumnarStrategy:
-    """``strategy="columnar"`` is the legacy name of the default
-    virtual strategy: same projected copies, both running
-    set-at-a-time over the cached NodeTable."""
+    """The one execution path runs set-at-a-time over the cached
+    columnar NodeTable.  8.x clients could spell it
+    ``strategy="columnar"`` on the wire; the key is now ignored."""
 
     QUERIES = (
         "//patient/name",
@@ -244,10 +245,9 @@ class TestColumnarStrategy:
     )
 
     def test_projected_answers_agree(self, engine, document):
-        from repro.core.options import ExecutionOptions
         from repro.xmlmodel.serialize import serialize
 
-        columnar = ExecutionOptions(strategy="columnar")
+        columnar = ExecutionOptions.from_dict({"strategy": "columnar"})
         for text in self.QUERIES:
             via_virtual = engine.query("nurse", text, document)
             via_columnar = engine.query(
@@ -260,24 +260,17 @@ class TestColumnarStrategy:
                 value if isinstance(value, str) else serialize(value)
                 for value in via_virtual
             ], text
-            assert via_columnar.report.strategy == "virtual"
 
     def test_node_table_cached_per_document(self, engine, document):
-        from repro.core.options import ExecutionOptions
-
-        columnar = ExecutionOptions(strategy="columnar")
-        engine.query("nurse", "//patient", document, options=columnar)
+        engine.query("nurse", "//patient", document)
         assert len(engine._stores) == 1
         (cached_document, table) = engine._stores[id(document)]
         assert cached_document is document
-        engine.query("nurse", "//treatment", document, options=columnar)
+        engine.query("nurse", "//treatment", document)
         assert engine._stores[id(document)][1] is table
 
     def test_invalidate_drops_node_tables(self, engine, document):
-        from repro.core.options import ExecutionOptions
-
-        columnar = ExecutionOptions(strategy="columnar")
-        engine.query("nurse", "//patient", document, options=columnar)
+        engine.query("nurse", "//patient", document)
         assert engine._stores
         engine.invalidate()
         assert not engine._stores
@@ -285,30 +278,24 @@ class TestColumnarStrategy:
     def test_policy_scoped_invalidate_drops_node_tables(
         self, engine, document
     ):
-        from repro.core.options import ExecutionOptions
-
-        engine.query(
-            "nurse",
-            "//patient",
-            document,
-            options=ExecutionOptions(strategy="columnar"),
-        )
+        engine.query("nurse", "//patient", document)
         engine.invalidate("nurse")
         assert not engine._stores
 
     def test_explain_reports_columnar_alias_as_virtual(
         self, engine, document
     ):
-        from repro.core.options import ExecutionOptions
-
+        default = engine.explain("nurse", "//patient", document)
         report = engine.explain(
             "nurse",
             "//patient",
             document,
-            options=ExecutionOptions(strategy="columnar"),
+            options=ExecutionOptions.from_dict({"strategy": "columnar"}),
         )
-        assert report.strategy == "virtual"
+        assert report.cache_hit  # the one path's plan-cache entry
+        assert str(report.optimized) == str(default.optimized)
         assert "columnar" not in report.summary()
+        assert "strategy" not in report.to_dict()
 
 
 class TestOneBackendGuards:

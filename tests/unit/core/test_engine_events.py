@@ -57,7 +57,7 @@ class TestQueryEvents:
         assert event.policy == "nurse"
         assert event.query == "//patient/name"
         assert "dept" in event.rewritten  # document query, not view query
-        assert event.strategy == "virtual"
+        assert "strategy" not in event.to_dict()
         assert event.result_count == len(result)
         assert event.visits == result.report.visits
         assert event.latency_seconds >= 0

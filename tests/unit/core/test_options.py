@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.engine import QueryResult, SecureQueryEngine
 from repro.core.options import DEFAULT_OPTIONS, ExecutionOptions
-from repro.errors import SecurityError
 from repro.workloads.hospital import (
     hospital_document,
     hospital_dtd,
@@ -33,21 +32,24 @@ def document():
 class TestExecutionOptions:
     def test_defaults(self):
         options = ExecutionOptions()
-        assert options.strategy == "virtual"
         assert options.use_cache and not options.trace
         assert options == DEFAULT_OPTIONS
         assert [field.name for field in dataclasses.fields(options)] == [
-            "strategy", "use_cache", "trace", "slow_query_threshold",
-            "limits",
+            "use_cache", "trace", "slow_query_threshold", "limits",
         ]
 
     def test_legacy_strategy_alias_normalized(self):
-        assert ExecutionOptions(strategy="rewrite").strategy == "virtual"
-        assert ExecutionOptions(strategy="columnar").strategy == "virtual"
+        # every spelling 8.x accepted on the wire reads as the one path
+        for name in ("rewrite", "columnar", "virtual", "materialized"):
+            assert ExecutionOptions.from_dict({"strategy": name}) == (
+                DEFAULT_OPTIONS
+            )
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(SecurityError):
-            ExecutionOptions(strategy="magic")
+        # 9.0 has no execution-path keyword, as 7.0 has no optimize=
+        for name in ("magic", "materialized"):
+            with pytest.raises(TypeError):
+                ExecutionOptions(strategy=name)
 
     def test_with_copies(self):
         options = ExecutionOptions().with_(use_cache=False)
@@ -71,23 +73,17 @@ class TestQueryResult:
         result = engine.query("nurse", "//patient", document)
         assert result.report.policy == "nurse"
         assert result.report.result_count == len(result)
-        assert result.report.strategy == "virtual"
+        assert not hasattr(result.report, "strategy")
 
     def test_materialized_report(self, engine, document):
-        result = engine.query(
-            "nurse",
-            "//patient",
-            document,
-            options=ExecutionOptions(strategy="materialized"),
-        )
-        assert result.report.strategy == "materialized"
-        again = engine.query(
-            "nurse",
-            "//patient",
-            document,
-            options=ExecutionOptions(strategy="materialized"),
-        )
-        assert again.report.cache_hit  # materialized view tree reused
+        # 8.x's wire ``strategy: "materialized"`` gets the one path's
+        # report: plan-cache status, no view-tree build
+        retired = ExecutionOptions.from_dict({"strategy": "materialized"})
+        result = engine.query("nurse", "//patient", document, options=retired)
+        assert "materialize" not in result.report.timings
+        assert "project" in result.report.timings
+        again = engine.query("nurse", "//patient", document, options=retired)
+        assert again.report.cache_hit  # the compiled plan, reused
 
     def test_report_repr_and_summary_include_optimized(self, engine, document):
         report = engine.query("nurse", "//patient", document).report
@@ -148,18 +144,12 @@ class TestLegacyKeywordsRemoved:
             )
 
     def test_options_replaces_each_legacy_spelling(self, engine, document):
-        # optimize= and project= have no spelling since 7.0: every
-        # answer is projected and every element target runs optimized
-        for retired in ("optimize", "project"):
+        # optimize= and project= have no spelling since 7.0, strategy=
+        # none since 9.0: every answer is projected, every element
+        # target runs optimized, and there is one execution path
+        for retired in ("optimize", "project", "strategy"):
             with pytest.raises(TypeError):
                 ExecutionOptions(**{retired: False})
-        result = engine.query(
-            "nurse",
-            "//patient",
-            document,
-            options=ExecutionOptions(strategy="materialized"),
-        )
-        assert result.report.strategy == "materialized"
         uncached = engine.query(
             "nurse",
             "//patient",
@@ -178,7 +168,6 @@ class TestOptionsWireShape:
         from repro.robustness.governor import QueryLimits
 
         options = ExecutionOptions(
-            strategy="materialized",
             use_cache=False,
             trace=True,
             slow_query_threshold=0.25,
@@ -191,6 +180,7 @@ class TestOptionsWireShape:
 
     def test_unknown_keys_ignored(self):
         options = ExecutionOptions.from_dict(
-            {"strategy": "columnar", "use_index": True, "future_knob": 42}
+            {"strategy": "materialized", "use_index": True, "future_knob": 42}
         )
-        assert options.strategy == "virtual"
+        assert options == DEFAULT_OPTIONS
+        assert "strategy" not in options.to_dict()

@@ -229,9 +229,10 @@ class TestRegistryCounters:
 
 
 class TestExecutionShapeKeys:
-    """Plans have one execution backend, so the cache key carries no
-    execution shape: the legacy ``"columnar"`` strategy is the virtual
-    strategy and shares its entries."""
+    """Plans have one execution path, so the cache key carries no
+    execution shape: a request carrying 8.x's retired ``strategy`` key
+    (``"columnar"`` was the wire alias of the one path) shares its
+    entries."""
 
     def test_columnar_alias_hits_the_virtual_entry(self, engine, document):
         from repro.xmlmodel.serialize import serialize
@@ -242,21 +243,20 @@ class TestExecutionShapeKeys:
             "nurse",
             "//patient/name",
             document,
-            options=ExecutionOptions(strategy="columnar"),
+            options=ExecutionOptions.from_dict({"strategy": "columnar"}),
         )
         assert columnar.report.cache_hit
-        assert columnar.report.strategy == "virtual"
         assert [serialize(node) for node in columnar] == [
             serialize(node) for node in virtual
         ]
 
     def test_keys_carry_no_execution_shape(self, engine, document):
-        # the key is (policy, query, height): neither the strategy
-        # alias nor tracing nor the retired 6.x optimize/project keys
-        # open a second entry
+        # the key is (policy, query, height): neither tracing nor the
+        # retired 6.x optimize/project or 8.x strategy keys open a
+        # second entry
         engine.query("nurse", "//patient", document)
         for options in (
-            ExecutionOptions(strategy="columnar"),
+            ExecutionOptions.from_dict({"strategy": "materialized"}),
             ExecutionOptions(trace=True),
             ExecutionOptions.from_dict({"optimize": False, "project": False}),
         ):
@@ -272,10 +272,9 @@ class TestExecutionShapeKeys:
             "nurse",
             "//patient",
             document,
-            options=ExecutionOptions(strategy="columnar", use_cache=False),
+            options=ExecutionOptions(use_cache=False),
         )
         assert not result.report.cache_hit
-        assert result.report.strategy == "virtual"
         assert len(engine.plan_cache) == 0
 
 

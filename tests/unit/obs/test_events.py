@@ -29,7 +29,6 @@ def make_query_event(index=0, policy="nurse", **overrides):
         policy=policy,
         query="//patient/name",
         rewritten="/hospital/dept/patientInfo/patient/name",
-        strategy="virtual",
         cache_hit=bool(index % 2),
         result_count=index,
         visits=index * 3,
@@ -154,7 +153,6 @@ _text = st.text(max_size=40)
     policy=_text,
     query=_text,
     rewritten=_text,
-    strategy=_text,
     cache_hit=st.booleans(),
     result_count=st.integers(min_value=0, max_value=10**9),
     visits=st.integers(min_value=0, max_value=10**9),
@@ -171,7 +169,6 @@ def test_query_event_round_trip_property(
     policy,
     query,
     rewritten,
-    strategy,
     cache_hit,
     result_count,
     visits,
@@ -185,7 +182,6 @@ def test_query_event_round_trip_property(
         policy=policy,
         query=query,
         rewritten=rewritten,
-        strategy=strategy,
         cache_hit=cache_hit,
         result_count=result_count,
         visits=visits,

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.core.engine import SecureQueryEngine
-from repro.core.options import ExecutionOptions
 from repro.dtd.generator import DocumentGenerator
 from repro.obs.introspect import (
     engine_report,
@@ -55,19 +54,16 @@ class TestEngineReport:
             "//patient/name",
             document,
         )
-        engine.query(
-            "nurse",
-            "//patient",
-            document,
-            options=ExecutionOptions(strategy="materialized"),
-        )
+        engine.enable_canary(1.0)
+        engine.query("nurse", "//patient", document)
         report = engine.introspect()
         assert report["plan_cache"]["entries"] >= 1
         assert report["node_tables"]["entries"] == 1
         assert report["node_tables"]["rows"] > 0
         assert report["node_tables"]["bytes"] > 0
         assert "document_indexes" not in report
-        views = report["materialized_views"]
+        assert "materialized_views" not in report
+        views = report["canary_oracle_views"]
         assert views["entries"] == 1
         assert views["nodes"] > 0
         assert views["by_policy"] == {"nurse": 1}
@@ -83,7 +79,7 @@ class TestEngineReport:
             "rows": 0,
             "bytes": 0,
         }
-        assert report["materialized_views"]["entries"] == 0
+        assert report["canary_oracle_views"]["entries"] == 0
 
     def test_report_is_json_safe(self, engine, document):
         engine.query("nurse", "//patient/name", document)

@@ -6,7 +6,6 @@ import threading
 import pytest
 
 from repro.core.engine import SecureQueryEngine
-from repro.core.options import ExecutionOptions
 from repro.errors import QueryRejectedError
 from repro.obs import enable_metrics, disable_metrics, metrics_registry
 from repro.obs.events import RingBufferSink
@@ -312,16 +311,15 @@ class TestProjectStage:
         assert result.report.cache_hit
 
     def test_no_project_stage_without_projection(self, adex):
-        # the materialized strategy queries the view tree itself, so
-        # no result is projected afterwards
+        # text() answers are strings: no result is projected, so the
+        # stage reads zero
         engine, document = adex
         result = engine.query(
-            "real-estate-buyer",
-            "//buyer-info/contact-info",
-            document,
-            options=ExecutionOptions(strategy="materialized"),
+            "real-estate-buyer", "//buyer-info/contact-info//text()", document
         )
-        assert "project" not in result.report.timings
+        assert len(result) > 0
+        assert all(isinstance(value, str) for value in result)
+        assert result.report.timings["project"] == 0.0
 
     def test_registry_exports_project_seconds_on_warm_hits(self, adex):
         engine, document = adex
@@ -341,26 +339,26 @@ class TestProjectStage:
 
 
 def test_one_materialization_per_policy_and_document(monkeypatch):
-    """The canary and N materialized queries share one view build."""
-    import repro.core.engine as engine_module
+    """The canary's checks of N queries share one view build, and no
+    query materializes a view of its own."""
+    import importlib
 
+    module = importlib.import_module("repro.core.materialize")
     calls = []
-    real = engine_module.materialize
+    real = module.materialize
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(engine_module, "materialize", counting)
+    monkeypatch.setattr(module, "materialize", counting)
     engine = _strict_engine()
-    engine.enable_canary(1.0)
+    canary = engine.enable_canary(1.0)
     document = hospital_document(seed=7, max_branch=4)
-    engine.query("nurse", "//patient/name", document)  # canary builds
-    materialized = ExecutionOptions(strategy="materialized")
     reports = [
-        engine.query("nurse", text, document, options=materialized).report
+        engine.query("nurse", text, document).report
         for text in QUERIES[:2] * 3
     ]
-    assert len(calls) == 1
-    assert all(report.cache_hit for report in reports)
+    assert calls == [document]
+    assert canary.checks == 6 and canary.view_builds == 1
     assert all("materialize" not in report.timings for report in reports)

@@ -340,7 +340,8 @@ class TestDebugCachez:
         assert {
             "plan_cache",
             "node_tables",
-            "materialized_views",
+            "accessibility_columns",
+            "canary_oracle_views",
             "total_bytes",
         } <= set(report)
         assert payload["total_bytes"] >= report["total_bytes"]

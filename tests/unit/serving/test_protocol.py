@@ -44,8 +44,8 @@ class TestQueryRequest:
             document="hospital",
             tenant="ward-2",
             options=ExecutionOptions(
-                strategy="materialized",
                 use_cache=False,
+                trace=True,
                 limits=QueryLimits(deadline_seconds=0.5),
             ),
             request_id="r42",

@@ -153,6 +153,25 @@ class TestPolicyCommands:
             )
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("strategy", ["materialized", "virtual"])
+    def test_query_has_no_strategy_flag(self, workspace, strategy):
+        # one execution path: the flag went in 9.0
+        with pytest.raises(SystemExit) as info:
+            main(
+                [
+                    "query",
+                    str(workspace / "hospital.dtd"),
+                    str(workspace / "nurse.spec"),
+                    str(workspace / "doc.xml"),
+                    "//patient/name",
+                    "--bind",
+                    "wardNo=2",
+                    "--strategy",
+                    strategy,
+                ]
+            )
+        assert info.value.code == 2
+
     def test_query_explain(self, workspace, capsys):
         code = main(
             [
@@ -394,7 +413,6 @@ class TestAuditCommands:
                 policy="nurse",
                 query="//patient",
                 rewritten="//patient",
-                strategy="virtual",
                 cache_hit=False,
                 result_count=1,
                 visits=3,
