@@ -51,8 +51,9 @@ The subpackages are usable on their own:
   (:class:`FaultPlan`) — see ``docs/robustness.md``;
 * :mod:`repro.serving` — the concurrent multi-tenant serving layer:
   the frozen :class:`QueryRequest` / :class:`QueryResponse` protocol,
-  per-tenant admission control, and the thread-pool
-  :class:`QueryServer` — see ``docs/serving.md``.
+  per-tenant admission control, and the :class:`QueryServer`, which
+  answers each request on its caller's thread — see
+  ``docs/serving.md``.
 
 Facade imports are **lazy** (PEP 562): ``import repro`` loads only
 this module; each exported name pulls in its subpackage on first
@@ -62,7 +63,7 @@ pay for observability, robustness, or serving imports.
 
 from typing import TYPE_CHECKING
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 #: Exported name → defining submodule.  The single source of truth for
 #: both ``__getattr__`` and ``__all__``.

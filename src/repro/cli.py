@@ -15,10 +15,10 @@
     repro audit     stats LOG.jsonl [--policy P] [--json]
     repro metrics   SNAPSHOT.json [--format text|prometheus]
     repro table1    [--scale S] [--repeat N]
-    repro serve     [--host H] [--port P] [--workers N]
+    repro serve     [--host H] [--port P]
                     [--max-concurrent N] [--max-queue-depth N]
                     [--queue-timeout-ms MS] [--seed N]
-    repro replay    [--clients N] [--repetitions N] [--workers N]
+    repro replay    [--clients N] [--repetitions N]
                     [--seed N] [--json]
     repro trace     tail [--url URL] [-n N] [--tenant T] [--status S]
                     [--trace-id ID] [--json]
@@ -445,8 +445,8 @@ def cmd_serve(arguments) -> int:
     """Run the HTTP serving front end over the standard catalog (the
     hospital nurse/doctor tenants plus the Adex buyer).  SIGTERM and
     SIGINT both trigger a graceful drain: intake stops (``/readyz``
-    flips to 503), queued and in-flight work flushes for up to
-    ``--drain-ms``, then the process exits."""
+    flips to 503), in-flight work (admission waiters included)
+    finishes for up to ``--drain-ms``, then the process exits."""
     import signal
     from threading import Thread
 
@@ -460,7 +460,6 @@ def cmd_serve(arguments) -> int:
     server = QueryServer(
         catalog,
         admission=_admission(arguments),
-        workers=arguments.workers,
         **_tracing_kwargs(arguments)
     ).start()
     httpd = make_http_server(
@@ -530,7 +529,6 @@ def cmd_replay(arguments) -> int:
         retry_budget = RetryBudget(ratio=arguments.retry_budget)
     with QueryServer(
         catalog,
-        workers=arguments.workers,
         **_tracing_kwargs(arguments)
     ) as server:
         stats = replay(
@@ -918,9 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
     table_cmd.set_defaults(handler=cmd_table1)
 
     def add_serving_arguments(sub):
-        sub.add_argument(
-            "--workers", type=int, default=4, help="server worker threads"
-        )
         sub.add_argument(
             "--seed", type=int, default=0, help="document-generation seed"
         )

@@ -29,7 +29,6 @@ from typing import Dict, List
 from repro.errors import MaterializationAborted
 from repro.dtd.content import (
     Choice,
-    ContentModel,
     Epsilon,
     Name,
     Seq,

@@ -123,7 +123,7 @@ class SecurityCanary:
         """The materialized view of ``document`` under ``policy`` (a
         registered policy: its ``view`` and the ``spec`` it was derived
         from).  Built once per (policy, document) under the canary's
-        lock, since checks run on the serving layer's worker threads."""
+        lock, since checks run on the serving layer's request threads."""
         key = (id(policy), id(document))
         with self._views_lock:
             cached = self._views.get(key)

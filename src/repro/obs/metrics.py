@@ -137,7 +137,7 @@ class Counter:
     """A monotonically increasing named integer (optionally labeled).
 
     ``+=`` on a Python int is read-modify-write, so concurrent
-    increments from server worker threads would drop updates without
+    increments from server request threads would drop updates without
     the per-counter lock."""
 
     __slots__ = ("name", "labels", "value", "_lock")
@@ -303,7 +303,7 @@ class MetricsRegistry:
 
     Structure mutation (creating a new metric) is lock-protected, and
     each metric carries its own lock for increments/observations, so
-    the registry is safe to share across server worker threads."""
+    the registry is safe to share across server request threads."""
 
     def __init__(self):
         self._counters: Dict[tuple, Counter] = {}

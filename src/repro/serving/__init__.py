@@ -13,9 +13,10 @@ engine — see ``docs/serving.md``:
   criticality classes, the utilization
   :class:`~repro.serving.resilience.OverloadDetector`, and
   per-tenant client retry budgets;
-* :mod:`repro.serving.server` — the thread-pool
-  :class:`~repro.serving.server.QueryServer` answering one request per
-  engine call over :class:`~repro.serving.server.EngineCatalog`;
+* :mod:`repro.serving.server` — the
+  :class:`~repro.serving.server.QueryServer` answering each request
+  with one engine call on its caller's thread, over
+  :class:`~repro.serving.server.EngineCatalog`;
 * :mod:`repro.serving.replay` — the mixed-tenant hospital+Adex replay
   harness behind ``repro replay`` and the serving canary soak;
 * :mod:`repro.serving.httpd` — the stdlib HTTP front end behind

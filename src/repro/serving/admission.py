@@ -20,8 +20,7 @@ Two bounds per tenant, both enforced at :meth:`AdmissionController.admit`:
     deadline misses into memory growth.
 
 A waiter that cannot get a slot before ``queue_deadline_seconds``
-elapses (measured from *enqueue*, so time spent in the server's
-internal queue counts) raises
+elapses (measured from the request's arrival at the server) raises
 :class:`~repro.errors.DeadlineExceeded` — deliberately the same
 ``E_DEADLINE`` code the governor uses, because to the client "timed
 out waiting to run" and "timed out running" are the same contract.
@@ -39,16 +38,21 @@ detector is fed by every admission outcome: admitted waits observe
 1.0 — so shedding starts as deadline misses approach and stops as the
 queue drains.
 
-Everything is stdlib threading; each tenant gets a
-:class:`threading.Semaphore` for slots plus a counter of waiters kept
-under the controller lock.  Metrics land in the ``serving.*`` and
+Everything is stdlib threading: each tenant's ``running`` and
+``waiting`` counts live under the controller lock, and waiters park on
+one :class:`threading.Condition` of that lock.  The tenant bounds are
+the only queue in the server: a request waits on its caller's thread,
+so ``max_queue_depth`` bounds the real waiters.
+:meth:`AdmissionController.close` (drain and stop) wakes every waiter
+with an ``E_ADMISSION`` rejection, so no caller is left waiting for a
+slot.  Metrics land in the ``serving.*`` and
 ``resilience.*`` namespaces of the ambient registry.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from threading import Lock, Semaphore
+from threading import Condition, Lock
 from time import monotonic
 from typing import Dict, Optional
 
@@ -98,21 +102,33 @@ class TenantPolicy(object):
 
 
 class _TenantState(object):
-    __slots__ = ("policy", "slots", "waiting", "running")
+    __slots__ = ("policy", "waiting", "running")
 
     def __init__(self, policy: TenantPolicy):
         self.policy = policy
-        self.slots = Semaphore(policy.max_concurrent)
         self.waiting = 0
         self.running = 0
 
 
-class AdmissionController(object):
-    """Admission gate shared by all server workers.
+def shutdown_rejection(reason: str, tenant: str) -> AdmissionRejected:
+    """The ``E_ADMISSION`` error of a request refused because the
+    server is ``reason`` ("not started", "draining", "stopped")."""
+    return AdmissionRejected(
+        "server is %s" % reason,
+        tenant=tenant,
+        retry_after_seconds=1.0,
+    )
 
-    Thread-safe; tenant states are created on first sight under the
-    controller lock and live for the controller's lifetime (tenant
-    cardinality is policy-bounded in this system, so no eviction).
+
+class AdmissionController(object):
+    """Admission gate shared by every request thread.
+
+    Thread-safe: each tenant's ``running``/``waiting`` counts live
+    under the controller lock, and one condition on that lock wakes
+    the waiters when a slot frees (each re-checks its own tenant).
+    Tenant states are created on first sight and live for the
+    controller's lifetime (tenant cardinality is policy-bounded in
+    this system, so no eviction).
     """
 
     def __init__(
@@ -125,26 +141,33 @@ class AdmissionController(object):
         self._overrides: Dict[str, TenantPolicy] = dict(per_tenant)
         self._tenants: Dict[str, _TenantState] = {}
         self._lock = Lock()
+        self._freed = Condition(self._lock)
+        #: Why admission is closed ("draining", "stopped"), or ``None``.
+        self._closed: Optional[str] = None
         #: Load-shedding signal; ``None`` disables shedding entirely.
         self.overload = overload
         self._shed: Dict[str, int] = {cls: 0 for cls in CRITICALITIES}
 
     def set_policy(self, tenant: str, policy: TenantPolicy) -> None:
-        """Install per-tenant bounds (before the tenant's first
-        request; later calls only affect queue accounting, not the
-        already-built semaphore)."""
+        """Install per-tenant bounds.  A tenant already seen keeps its
+        running and waiting requests, now counted against the new
+        bounds."""
         with self._lock:
             self._overrides[tenant] = policy
-            self._tenants.pop(tenant, None)
-
-    def _state(self, tenant: str) -> _TenantState:
-        with self._lock:
             state = self._tenants.get(tenant)
-            if state is None:
-                policy = self._overrides.get(tenant, self._default)
-                state = _TenantState(policy)
-                self._tenants[tenant] = state
-            return state
+            if state is not None:
+                state.policy = policy
+                self._freed.notify_all()
+
+    def close(self, reason: str = "stopped") -> int:
+        """Refuse every later admission with
+        :class:`~repro.errors.AdmissionRejected` ("server is
+        ``reason``", with a retry hint) and wake every waiter to raise
+        the same.  Returns how many waiters were woken."""
+        with self._lock:
+            self._closed = reason
+            self._freed.notify_all()
+            return sum(state.waiting for state in self._tenants.values())
 
     # -- introspection ---------------------------------------------------
 
@@ -185,15 +208,139 @@ class AdmissionController(object):
 
     # -- the gate --------------------------------------------------------
 
-    def _shed_check(self, tenant, state, criticality, span):
+    @contextmanager
+    def admit(
+        self,
+        tenant: str,
+        enqueued_at: Optional[float] = None,
+        tracer=None,
+        criticality: str = DEFAULT,
+    ):
+        """Hold one of ``tenant``'s concurrency slots for the body.
+
+        Raises :class:`~repro.errors.RequestShed` when the overload
+        detector sheds this ``criticality`` class,
+        :class:`~repro.errors.AdmissionRejected` when the tenant's
+        queue is full or admission is closed, and
+        :class:`~repro.errors.DeadlineExceeded` when the queue
+        deadline (measured from ``enqueued_at``, the request's arrival;
+        default now) lapses before a slot frees up.
+
+        A ``tracer`` (see :class:`repro.obs.trace.Tracer`) records the
+        time from arrival to admission — or to rejection — as a
+        ``queue_wait`` span.
+        """
+        fault_trip("admission.admit")
+        if enqueued_at is None:
+            enqueued_at = monotonic()
+        span = NULL_SPAN if tracer is None else tracer.span(
+            "queue_wait", tenant=tenant
+        )
+        with span:
+            state = self._take_slot(tenant, enqueued_at, criticality, span)
+        try:
+            waited = monotonic() - enqueued_at
+            if self.overload is not None:
+                self.overload.observe_wait(
+                    waited, state.policy.queue_deadline_seconds
+                )
+            span.set(outcome="admitted", waited_seconds=round(waited, 6))
+            _record("serving.admission.admitted")
+            _observe("serving.queue_wait_seconds", waited)
+            yield
+        finally:
+            with self._lock:
+                state.running -= 1
+                if state.waiting:
+                    self._freed.notify_all()
+
+    def _take_slot(self, tenant, enqueued_at, criticality, span):
+        """Count one running request against ``tenant`` and return its
+        state, waiting for a free slot when all are busy.  Raises
+        (taking nothing) when the request is shed, the queue is full,
+        the queue deadline lapses or admission is closed."""
+        overload = self.overload
+        with self._lock:
+            state = self._tenants.get(tenant)
+            if state is None:
+                state = _TenantState(self._overrides.get(tenant, self._default))
+                self._tenants[tenant] = state
+            # A free slot admits immediately — shedding and queue
+            # bounds only govern requests that would have to wait.
+            if self._closed is not None or (
+                state.running >= state.policy.max_concurrent
+            ):
+                self._refuse_if_closed(tenant, span)
+                self._shed_check(tenant, criticality, span)
+                policy = state.policy
+                if state.waiting >= policy.max_queue_depth:
+                    depth = state.waiting
+                    _record("serving.admission.rejected")
+                    span.set(outcome="rejected", queue_depth=depth)
+                    if overload is not None:
+                        overload.observe(1.0)
+                    raise AdmissionRejected(
+                        "tenant %r queue is full (%d waiting, "
+                        "max_queue_depth=%d)"
+                        % (tenant, depth, policy.max_queue_depth),
+                        tenant=tenant,
+                        queue_depth=depth,
+                        limit=policy.max_queue_depth,
+                        retry_after_seconds=(
+                            overload.retry_after_seconds()
+                            if overload is not None
+                            else None
+                        ),
+                    )
+                state.waiting += 1
+                try:
+                    while True:
+                        self._refuse_if_closed(tenant, span)
+                        if state.running < state.policy.max_concurrent:
+                            break
+                        deadline = state.policy.queue_deadline_seconds
+                        if deadline is None:
+                            self._freed.wait()
+                            continue
+                        waited = monotonic() - enqueued_at
+                        if waited >= deadline:
+                            _record("serving.admission.deadline")
+                            span.set(
+                                outcome="deadline",
+                                waited_seconds=round(waited, 6),
+                            )
+                            if overload is not None:
+                                overload.observe(1.0)
+                            raise DeadlineExceeded(
+                                "tenant %r request waited %.1f ms for a "
+                                "slot, past its %.1f ms queue deadline"
+                                % (tenant, waited * 1e3, deadline * 1e3),
+                                deadline_seconds=deadline,
+                                elapsed_seconds=waited,
+                            )
+                        self._freed.wait(deadline - waited)
+                finally:
+                    state.waiting -= 1
+            state.running += 1
+            return state
+
+    # Both refusals below run under the controller lock.
+
+    def _refuse_if_closed(self, tenant, span):
+        if self._closed is None:
+            return
+        _record("serving.admission.rejected")
+        span.set(outcome="rejected", reason=self._closed)
+        raise shutdown_rejection(self._closed, tenant)
+
+    def _shed_check(self, tenant, criticality, span):
         """Raise :class:`~repro.errors.RequestShed` when the overload
         detector says requests of ``criticality`` that would have to
         wait must be dropped right now."""
         overload = self.overload
         if overload is None or not overload.should_shed(criticality):
             return
-        with self._lock:
-            self._shed[criticality] = self._shed.get(criticality, 0) + 1
+        self._shed[criticality] = self._shed.get(criticality, 0) + 1
         _record("serving.admission.shed")
         _record("resilience.shed", labels={"criticality": criticality})
         utilization = overload.utilization()
@@ -210,121 +357,3 @@ class AdmissionController(object):
             utilization=utilization,
             retry_after_seconds=overload.retry_after_seconds(),
         )
-
-    @contextmanager
-    def admit(
-        self,
-        tenant: str,
-        enqueued_at: Optional[float] = None,
-        tracer=None,
-        criticality: str = DEFAULT,
-    ):
-        """Hold one of ``tenant``'s concurrency slots for the body.
-
-        Raises :class:`~repro.errors.RequestShed` when the overload
-        detector sheds this ``criticality`` class,
-        :class:`~repro.errors.AdmissionRejected` when the tenant's
-        queue is full, :class:`~repro.errors.DeadlineExceeded` when
-        the queue deadline (measured from ``enqueued_at``, default
-        now) lapses before a slot frees up.
-
-        A ``tracer`` (see :class:`repro.obs.trace.Tracer`) records the
-        time from enqueue to admission — or to rejection — as a
-        ``queue_wait`` span.
-        """
-        fault_trip("admission.admit")
-        state = self._state(tenant)
-        policy = state.policy
-        overload = self.overload
-        if enqueued_at is None:
-            enqueued_at = monotonic()
-
-        span = NULL_SPAN if tracer is None else tracer.span(
-            "queue_wait", tenant=tenant
-        )
-        admitted = False
-        acquired = False
-        try:
-            with span:
-                # Fast path: a free slot admits immediately — shedding
-                # and queue bounds only govern requests that would
-                # actually have to wait.
-                acquired = state.slots.acquire(blocking=False)
-                if not acquired:
-                    self._shed_check(tenant, state, criticality, span)
-                    with self._lock:
-                        if state.waiting >= policy.max_queue_depth:
-                            depth = state.waiting
-                            _record("serving.admission.rejected")
-                            span.set(outcome="rejected", queue_depth=depth)
-                            if overload is not None:
-                                overload.observe(1.0)
-                            raise AdmissionRejected(
-                                "tenant %r queue is full (%d waiting, "
-                                "max_queue_depth=%d)"
-                                % (tenant, depth, policy.max_queue_depth),
-                                tenant=tenant,
-                                queue_depth=depth,
-                                limit=policy.max_queue_depth,
-                                retry_after_seconds=(
-                                    overload.retry_after_seconds()
-                                    if overload is not None
-                                    else None
-                                ),
-                            )
-                        state.waiting += 1
-                    try:
-                        deadline = policy.queue_deadline_seconds
-                        if deadline is None:
-                            state.slots.acquire()
-                            acquired = True
-                        else:
-                            remaining = deadline - (monotonic() - enqueued_at)
-                            acquired = remaining > 0 and state.slots.acquire(
-                                timeout=remaining
-                            )
-                            if not acquired:
-                                waited = monotonic() - enqueued_at
-                                _record("serving.admission.deadline")
-                                span.set(
-                                    outcome="deadline",
-                                    waited_seconds=round(waited, 6),
-                                )
-                                if overload is not None:
-                                    overload.observe(1.0)
-                                raise DeadlineExceeded(
-                                    "tenant %r request waited %.1f ms for a "
-                                    "slot, past its %.1f ms queue deadline"
-                                    % (tenant, waited * 1e3, deadline * 1e3),
-                                    deadline_seconds=deadline,
-                                    elapsed_seconds=waited,
-                                )
-                    finally:
-                        with self._lock:
-                            state.waiting -= 1
-                # the slot is held from here on: flip `admitted` (the
-                # release key) and the running gauge atomically so no
-                # exception window can leak the slot or the count
-                with self._lock:
-                    state.running += 1
-                    admitted = True
-
-                waited = monotonic() - enqueued_at
-                if overload is not None:
-                    overload.observe_wait(
-                        waited, policy.queue_deadline_seconds
-                    )
-                span.set(outcome="admitted", waited_seconds=round(waited, 6))
-                _record("serving.admission.admitted")
-                _observe("serving.queue_wait_seconds", waited)
-            yield
-        finally:
-            if admitted:
-                with self._lock:
-                    state.running -= 1
-                state.slots.release()
-            elif acquired:
-                # acquired but never flipped to admitted (an exception
-                # in the instrumentation window): give the slot back
-                # without touching the running gauge it never entered
-                state.slots.release()

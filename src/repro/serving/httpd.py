@@ -40,7 +40,7 @@ Stdlib-only (:mod:`http.server`), the endpoints:
     NodeTables, accessibility columns, the canary's oracle views —
     entries, byte estimates, hit/eviction counters.
 ``GET /debug/vars``
-    Process vars: version, uptime, worker/queue/admission state,
+    Process vars: version, uptime, admission queue state,
     cache byte totals, workload roll-up.
 ``GET /debug/resilience``
     Overload survival state: shedding (utilization EWMA, classes
@@ -63,7 +63,7 @@ from __future__ import annotations
 import json
 import math
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.flight import trace_dict
@@ -257,7 +257,7 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception:
             # the write seam failed (injected fault or a torn
             # connection): best-effort typed 500, then give up —
-            # never let a write failure take the worker thread down
+            # never let a write failure take the handler thread down
             try:
                 self._write_json(
                     500,

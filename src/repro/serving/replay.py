@@ -15,14 +15,11 @@ every answer checked against the materialized-view oracle.
 from __future__ import annotations
 
 import random
-from concurrent.futures import CancelledError
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from threading import Thread
 from time import monotonic
 from typing import Dict, List, Optional
 
 from repro.core.options import ExecutionOptions
-from repro.errors import AdmissionRejected
 from repro.obs.metrics import percentile
 from repro.serving.protocol import QueryRequest, QueryResponse
 from repro.serving.resilience import RetryBudget
@@ -38,10 +35,6 @@ __all__ = [
 #: Error codes a client may retry (pure back-pressure — the request
 #: itself was fine); everything else retries would just repeat.
 RETRYABLE_CODES = frozenset({"E_SHED", "E_ADMISSION"})
-
-#: Per-request wait bound for the replay client: a future unresolved
-#: past this is reported as a transport error, never a hang.
-CLIENT_TIMEOUT_SECONDS = 60.0
 
 #: Document refs of the standard catalog.
 HOSPITAL_REF = "hospital"
@@ -117,20 +110,11 @@ def summarize(latencies: List[float], elapsed: float) -> Dict[str, float]:
 
 
 def _client_query(server: QueryServer, request: QueryRequest) -> tuple:
-    """One synchronous request that can *never* raise: transport-level
-    failures (cancelled futures, dropped connections while the server
-    drains mid-replay, client-side timeouts) come back as a typed
-    error response plus a ``transport_error`` flag."""
+    """One synchronous request that can *never* raise: a transport
+    failure comes back as a typed error response plus a
+    ``transport_error`` flag."""
     try:
-        response = server.query(request, timeout=CLIENT_TIMEOUT_SECONDS)
-        return response, False
-    except (CancelledError, FutureTimeoutError) as error:
-        dropped = AdmissionRejected(
-            "request dropped by the server (%s) — likely a mid-replay "
-            "drain or shutdown" % type(error).__name__,
-            tenant=request.tenant_id,
-        )
-        return QueryResponse.from_error(request, dropped), True
+        return server.query(request), False
     except Exception as error:
         return QueryResponse.from_error(request, error), True
 
@@ -143,7 +127,7 @@ def replay(
 ) -> Dict[str, object]:
     """Replay ``requests`` through ``server`` from ``clients`` threads.
 
-    Each client thread submits its share synchronously (submit, wait,
+    Each client thread sends its share synchronously (query, then the
     next) — the closed-loop model, so concurrency equals ``clients``.
     Returns the summary stats plus per-tenant latency breakdowns and
     the count of failed responses by error code.

@@ -1,25 +1,26 @@
 """The concurrent multi-tenant query server.
 
-:class:`QueryServer` is a stdlib thread-pool front end over one or
-more :class:`~repro.core.engine.SecureQueryEngine` instances.  The
+:class:`QueryServer` answers each request on the thread that calls
+:meth:`QueryServer.query` (an HTTP handler thread, or a replay
+client), over one or more
+:class:`~repro.core.engine.SecureQueryEngine` instances.  The
 contract:
 
-* :meth:`QueryServer.submit` **never raises** — every request resolves
-  to a :class:`~repro.serving.protocol.QueryResponse` future, failures
+* :meth:`QueryServer.query` **never raises** — every request comes
+  back as a :class:`~repro.serving.protocol.QueryResponse`, failures
   included (typed error codes, exit-code and audit parity with the
   CLI).
-* Per-tenant admission (:mod:`repro.serving.admission`) is applied
-  around execution, so one flooding tenant exhausts only its own
-  slots and queue.
-* A worker takes one queued request at a time, resolves its document
-  ref, and answers it with one
+* Per-tenant admission (:mod:`repro.serving.admission`) is the only
+  place a request waits, so one flooding tenant exhausts only its own
+  slots and queue, and another tenant's request never waits behind it.
+* A request resolves its document ref and is answered with one
   :meth:`~repro.core.engine.SecureQueryEngine.execute_request` call,
-  so a request's answer, budget verdict and visit count never depend
-  on which other requests are queued with it.
-* Every submitted request that is not cancelled while queued finishes
-  as exactly one :class:`~repro.obs.record.QueryRecord`, also when it
-  never reaches an engine (an unknown document ref, a drain or stop
-  rejection).
+  so its answer, budget verdict and visit count never depend on which
+  other requests run beside it.
+* Every call finishes as exactly one
+  :class:`~repro.obs.record.QueryRecord`, also when it never reaches
+  an engine (an unknown document ref, a call before :meth:`start`, a
+  drain or stop rejection).
 
 Document refs are resolved through an :class:`EngineCatalog`: a ref
 names ``(engine, document)``, which is what lets one server front the
@@ -29,10 +30,7 @@ once.
 
 from __future__ import annotations
 
-import itertools
-import queue
-from concurrent.futures import Future
-from threading import Condition, Lock, Thread
+from threading import Condition, Lock
 from time import monotonic
 from typing import Dict, List, Optional, Tuple
 
@@ -43,7 +41,7 @@ from repro.obs.metrics import record as _record, set_gauge as _set_gauge
 from repro.obs.record import QueryRecord, RecordFanout, record_metrics
 from repro.obs.slo import SLOTracker
 from repro.obs.trace import NULL_SPAN, Tracer, new_trace_id
-from repro.serving.admission import AdmissionController
+from repro.serving.admission import AdmissionController, shutdown_rejection
 from repro.serving.protocol import QueryRequest, QueryResponse
 
 __all__ = ["EngineCatalog", "QueryServer"]
@@ -108,28 +106,15 @@ class EngineCatalog(object):
             return ref in self._entries
 
 
-class _Pending(object):
-    __slots__ = ("request", "future", "enqueued_at")
-
-    def __init__(self, request: QueryRequest, future: Future, enqueued_at: float):
-        self.request = request
-        self.future = future
-        self.enqueued_at = enqueued_at
-
-
-_STOP = object()
-
-
 class QueryServer(object):
-    """Thread-pool server with per-tenant admission control.
+    """Multi-tenant server with per-tenant admission control; each
+    request runs on its caller's thread.
 
     ``catalog``
         The :class:`EngineCatalog` resolving document refs.
     ``admission``
         The :class:`~repro.serving.admission.AdmissionController`
         (default: one with default tenant bounds).
-    ``workers``
-        Worker threads draining the shared request queue.
     ``tracing``
         Whether to trace requests end to end.  When on (the default)
         every request gets a ``trace_id`` minted at ingress (unless
@@ -158,14 +143,11 @@ class QueryServer(object):
         self,
         catalog: EngineCatalog,
         admission: Optional[AdmissionController] = None,
-        workers: int = 4,
         tracing: bool = True,
         flight: Optional[FlightRecorder] = None,
         slo: Optional[SLOTracker] = None,
         workload=None,
     ):
-        if workers < 1:
-            raise ValueError("workers must be >= 1, got %r" % (workers,))
         self.catalog = catalog
         self.admission = admission if admission is not None else AdmissionController()
         self.tracing = bool(tracing)
@@ -191,64 +173,48 @@ class QueryServer(object):
             workload = WorkloadProfiler()
         self.workload = workload
         self._started_at: Optional[float] = None
-        self._queue: "queue.Queue" = queue.Queue()
-        self._ids = itertools.count(1)
-        self._threads = [
-            Thread(
-                target=self._worker,
-                name="repro-serve-%d" % index,
-                daemon=True,
-            )
-            for index in range(workers)
-        ]
         self._started = False
         self._stopped = False
         self._draining = False
-        self._lifecycle = Lock()
-        # in-flight accounting: submitted-but-unresolved requests;
-        # drain() waits on the condition until it reaches zero
+        # The lifecycle flags and the in-flight count share one
+        # condition: query() checks the flags and counts itself in one
+        # step, so a drain that sees nothing in flight sees every later
+        # call refused.  drain()/stop() wait on it for the count to
+        # reach zero.
+        self._lifecycle = Condition()
         self._inflight = 0
-        self._inflight_cond = Condition()
         self._drain_report: Optional[dict] = None
 
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> "QueryServer":
+        """Open for requests (a call before this is refused with
+        ``E_ADMISSION``, "server is not started")."""
         with self._lifecycle:
             if self._started:
                 return self
+            # one shared sketch across the catalog; an engine with its
+            # own profiler (attached by the owner) keeps it
+            for engine in self.catalog.engines():
+                if engine.workload is None:
+                    engine.enable_workload_profiler(profiler=self.workload)
             self._started = True
             self._started_at = monotonic()
-        # one shared sketch across the catalog; an engine with its own
-        # profiler (attached by the owner) keeps it
-        for engine in self.catalog.engines():
-            if engine.workload is None:
-                engine.enable_workload_profiler(profiler=self.workload)
-        for thread in self._threads:
-            thread.start()
         return self
 
     def stop(self, drain: bool = True) -> None:
-        """Stop the workers.  With ``drain`` (default) queued requests
-        finish first; without, they resolve to ``E_ADMISSION``
-        shutdown rejections."""
+        """Refuse new calls and close admission.  With ``drain``
+        (default) the calls in flight, waiters included, finish first;
+        without, waiters resolve to ``E_ADMISSION`` shutdown
+        rejections at once and running requests finish on their own
+        threads."""
         with self._lifecycle:
-            if self._stopped or not self._started:
-                self._stopped = True
-                return
+            first = not self._stopped
             self._stopped = True
-        if not drain:
-            while True:
-                try:
-                    pending = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if pending is not _STOP:
-                    self._reject_shutdown(pending)
-        for _ in self._threads:
-            self._queue.put(_STOP)
-        for thread in self._threads:
-            thread.join()
+        if drain:
+            self._wait_idle(None)
+        if first:
+            self.admission.close("stopped")
 
     @property
     def draining(self) -> bool:
@@ -259,56 +225,34 @@ class QueryServer(object):
         return self._stopped
 
     def begin_drain(self) -> None:
-        """Stop intake immediately (``submit`` rejects, ``/readyz``
+        """Stop intake immediately (``query`` rejects, ``/readyz``
         turns 503) without waiting — the first half of :meth:`drain`,
         callable from a signal handler."""
         with self._lifecycle:
             self._draining = True
 
     def drain(self, deadline_seconds: float = 10.0) -> dict:
-        """Gracefully wind down: stop intake, let the workers flush
-        the queue and in-flight requests, and — once everything is
-        resolved or ``deadline_seconds`` has elapsed — stop the
-        workers.  Requests still queued at the deadline resolve to
-        ``E_ADMISSION`` drain rejections; **every** submitted future
-        is resolved by the time this returns.
+        """Gracefully wind down: stop intake and let the requests in
+        flight, admission waiters included, finish until
+        ``deadline_seconds`` has elapsed.  Then close admission: the
+        waiters still parked resolve to ``E_ADMISSION`` drain
+        rejections (``rejected``), so no caller is left waiting for a
+        slot.  Running requests get a one-second grace; ``unresolved``
+        counts those still running after it.
 
-        Always terminates: the wait is bounded by the deadline plus a
-        one-second join grace for workers mid-request.  Returns (and
-        stores, for ``GET /debug/resilience``) a report of what
+        Always terminates within the deadline plus the grace.  Returns
+        (and stores, for ``GET /debug/resilience``) a report of what
         happened.
         """
         started = monotonic()
         self.begin_drain()
         _record("resilience.drain.started")
         deadline = started + max(0.0, deadline_seconds)
-        with self._inflight_cond:
-            while self._inflight > 0 and monotonic() < deadline:
-                self._inflight_cond.wait(
-                    timeout=min(0.05, max(0.001, deadline - monotonic()))
-                )
-        # past the deadline (or already idle): reject whatever is
-        # still queued so no future is left hanging
-        rejected = 0
-        while True:
-            try:
-                pending = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if pending is not _STOP:
-                self._reject_shutdown(pending)
-                rejected += 1
+        self._wait_idle(deadline)
+        rejected = self.admission.close("draining")
+        self._wait_idle(deadline + 1.0)
         with self._lifecycle:
-            stop_workers = self._started and not self._stopped
             self._stopped = True
-        if stop_workers:
-            for _ in self._threads:
-                self._queue.put(_STOP)
-            for thread in self._threads:
-                thread.join(
-                    timeout=max(0.05, deadline - monotonic() + 1.0)
-                )
-        with self._inflight_cond:
             unresolved = self._inflight
         duration = monotonic() - started
         report = {
@@ -329,56 +273,59 @@ class QueryServer(object):
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    # -- submission ------------------------------------------------------
+    def _wait_idle(self, until: Optional[float]) -> None:
+        """Wait until nothing is in flight, or until the monotonic
+        time ``until`` (``None``: no bound)."""
+        with self._lifecycle:
+            while self._inflight > 0:
+                if until is None:
+                    self._lifecycle.wait()
+                    continue
+                remaining = until - monotonic()
+                if remaining <= 0:
+                    return
+                self._lifecycle.wait(remaining)
 
-    def submit(self, request: QueryRequest) -> "Future[QueryResponse]":
-        """Enqueue one request.  Never raises: malformed requests,
-        post-shutdown and mid-drain submissions resolve the future to
-        an error response like any other failure."""
+    # -- requests ----------------------------------------------------------
+
+    def query(self, request: QueryRequest) -> QueryResponse:
+        """Answer one request on the calling thread.  Never raises:
+        malformed requests, calls before :meth:`start` or after a
+        drain or stop, admission refusals and engine failures all come
+        back as error responses.  Publishes exactly one
+        :class:`~repro.obs.record.QueryRecord`."""
+        return self.submit(request)
+
+    def submit(self, request: QueryRequest) -> QueryResponse:
+        """What :meth:`query` runs, with the same contract.  Since 10.0
+        it answers on the calling thread and returns the response, not
+        a future; the name stays because the benchmark's traced mode
+        times each request from this call (``perfbench/probes.py``)."""
+        arrived = monotonic()
         if self.tracing and not request.trace_id:
             request = request.with_(trace_id=new_trace_id())
-        future: "Future[QueryResponse]" = Future()
-        pending = _Pending(request, future, monotonic())
         _record("serving.requests")
-        if self._stopped or self._draining:
-            self._reject_shutdown(pending, track=False)
-            return future
-        with self._inflight_cond:
-            self._inflight += 1
-        self._queue.put(pending)
-        _set_gauge("serving.queue_depth", self._queue.qsize())
-        return future
-
-    def query(
-        self, request: QueryRequest, timeout: Optional[float] = None
-    ) -> QueryResponse:
-        """Submit and wait — the synchronous convenience spelling."""
-        return self.submit(request).result(timeout=timeout)
-
-    def next_request_id(self) -> str:
-        """A server-unique request id for callers that don't mint
-        their own."""
-        return "r%d" % next(self._ids)
-
-    # -- worker loop -----------------------------------------------------
-
-    def _worker(self) -> None:
-        while True:
-            pending = self._queue.get()
-            if pending is _STOP:
-                return
-            _set_gauge("serving.queue_depth", self._queue.qsize())
-            # a future cancelled while queued is abandoned here — it
-            # must not occupy an admission slot or engine time, and it
-            # must still leave the in-flight accounting balanced
-            if pending.future.set_running_or_notify_cancel():
-                self._run_one(pending)
+        with self._lifecycle:
+            if self._stopped:
+                refused = "stopped"
+            elif self._draining:
+                refused = "draining"
+            elif not self._started:
+                refused = "not started"
             else:
-                _record("serving.cancelled")
-                self._finish(pending, None)
+                refused = None
+                self._inflight += 1
+        if refused is not None:
+            return self._refuse(request, refused, arrived)
+        try:
+            return self._answer(request, arrived)
+        finally:
+            with self._lifecycle:
+                self._inflight -= 1
+                if not self._inflight:
+                    self._lifecycle.notify_all()
 
-    def _run_one(self, item: _Pending) -> None:
-        request = item.request
+    def _answer(self, request: QueryRequest, arrived: float) -> QueryResponse:
         # Each request gets its own tracer (span trees are per-trace);
         # the engine must NOT be handed a disabled tracer — with no
         # tracer it builds its own enabled one, which QueryReport
@@ -390,7 +337,6 @@ class QueryServer(object):
             tenant=request.tenant_id,
             request_id=request.request_id,
         )
-        started = monotonic()
         # what the engine (or the failure before it) tells us about
         # the finished query; the engine fills it through ``finish``
         finished = {"policy": request.policy, "query": request.query}
@@ -401,7 +347,7 @@ class QueryServer(object):
                 engine, document = self.catalog.resolve(request.document)
                 with self.admission.admit(
                     request.tenant_id,
-                    enqueued_at=item.enqueued_at,
+                    enqueued_at=arrived,
                     tracer=tracer,
                     criticality=request.criticality_class,
                 ):
@@ -412,14 +358,14 @@ class QueryServer(object):
                         tracer=tracer,
                         finish=finished.update,
                     )
-            except BaseException as error:  # never leak through a future
+            except Exception as error:  # never leak to the caller
                 # unresolved refs, admission rejections and serving
                 # faults finish here, outside the engine
                 finished["error"] = error
                 response = QueryResponse.from_error(request, error)
             if not response.ok:
                 root_span.set(error_code=response.error_code)
-        latency = monotonic() - started
+        latency = monotonic() - arrived
         slo = self.slo
         self._publish(
             engine,
@@ -429,7 +375,7 @@ class QueryServer(object):
                 tenant=request.tenant_id,
                 document=request.document,
                 latency_seconds=latency,
-                e2e_seconds=monotonic() - item.enqueued_at,
+                e2e_seconds=latency,
                 slo_breach=(
                     slo is not None
                     and latency > slo.objective.threshold_seconds
@@ -439,7 +385,30 @@ class QueryServer(object):
                 **finished,
             ),
         )
-        self._finish(item, response)
+        return response
+
+    def _refuse(
+        self, request: QueryRequest, reason: str, arrived: float
+    ) -> QueryResponse:
+        """Turn away a call made while the server is ``reason`` ("not
+        started", "draining", "stopped")."""
+        _record("serving.admission.rejected")
+        error = shutdown_rejection(reason, request.tenant_id)
+        self._publish(
+            None,
+            QueryRecord.finished(
+                policy=request.policy,
+                query=request.query,
+                error=error,
+                trace_id=request.trace_id,
+                request_id=request.request_id,
+                tenant=request.tenant_id,
+                document=request.document,
+                e2e_seconds=monotonic() - arrived,
+                served=True,
+            ),
+        )
+        return QueryResponse.from_error(request, error)
 
     def _publish(self, engine, record: QueryRecord) -> None:
         """Hand one served request's record to ``engine``'s fan-out
@@ -503,8 +472,8 @@ class QueryServer(object):
 
     def vars_payload(self) -> dict:
         """The ``GET /debug/vars`` payload: build/runtime identity and
-        the numbers an operator checks first (uptime, worker count,
-        queue depths, cache byte totals, workload roll-up)."""
+        the numbers an operator checks first (uptime, admission queue
+        depth, cache byte totals, workload roll-up)."""
         import repro
 
         uptime = (
@@ -518,11 +487,10 @@ class QueryServer(object):
         return {
             "version": repro.__version__,
             "uptime_seconds": uptime,
-            "workers": len(self._threads),
             "tracing": self.tracing,
             "profiling": True,
             "documents": self.catalog.refs(),
-            "queue_depth": self._queue.qsize(),
+            "queue_depth": self.admission.queue_depth(),
             "admission": self.admission.snapshot(),
             "cache_bytes": cache_bytes,
             "workload": self.workload.stats(),
@@ -579,54 +547,3 @@ class QueryServer(object):
         publish_workload(self.workload)
         for engine in self.catalog.engines():
             publish_cache_report(engine.introspect())
-
-    # -- helpers ---------------------------------------------------------
-
-    def _finish(
-        self, item: _Pending, response: Optional[QueryResponse]
-    ) -> None:
-        """Resolve one submitted request exactly once: set the future
-        (unless cancelled, or ``response`` is ``None`` for an
-        abandoned-future skip) and balance the in-flight count."""
-        if response is not None and not item.future.cancelled():
-            try:
-                item.future.set_result(response)
-            except Exception:
-                pass  # lost the race with a concurrent cancel
-        with self._inflight_cond:
-            self._inflight -= 1
-            self._inflight_cond.notify_all()
-
-    def _reject_shutdown(self, item: _Pending, track: bool = True) -> None:
-        from repro.errors import AdmissionRejected
-
-        _record("serving.admission.rejected")
-        request = item.request
-        reason = "draining" if self._draining and not self._stopped \
-            else "stopped"
-        error = AdmissionRejected(
-            "server is %s" % reason,
-            tenant=request.tenant_id,
-            retry_after_seconds=1.0,
-        )
-        self._publish(
-            None,
-            QueryRecord.finished(
-                policy=request.policy,
-                query=request.query,
-                error=error,
-                trace_id=request.trace_id,
-                request_id=request.request_id,
-                tenant=request.tenant_id,
-                document=request.document,
-                e2e_seconds=monotonic() - item.enqueued_at,
-                served=True,
-            ),
-        )
-        response = QueryResponse.from_error(request, error)
-        if track:
-            self._finish(item, response)
-        elif not item.future.cancelled():
-            # rejected at submit time, before entering the in-flight
-            # count — resolve without decrementing it
-            item.future.set_result(response)

@@ -99,7 +99,7 @@ class TestServedSoak:
             rings.append(engine.add_sink(RingBufferSink(capacity=256)))
             engine.enable_canary(sample_rate=1.0, seed=0)
         requests = mixed_workload(repetitions=2, seed=0)
-        with QueryServer(catalog, workers=4) as server:
+        with QueryServer(catalog) as server:
             stats = replay(server, requests, clients=8)
         assert not stats["errors"], stats["errors"]
         checks = [

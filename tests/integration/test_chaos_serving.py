@@ -2,19 +2,21 @@
 
 The engine chaos suite (``test_chaos.py``) proves the *single-query*
 invariant under injected faults; this suite proves the *serving*
-invariants — across admission, batching, shedding and lifecycle — under the same deterministic :class:`FaultPlan` machinery,
+invariants — across admission, shedding and lifecycle — under the
+same deterministic :class:`FaultPlan` machinery,
 now aimed at the serving seams (``admission.admit``,
 ``serving.resolve``, ``serving.execute``, ``httpd.write``):
 
-* **no hung futures** — every submitted request resolves, faults or
-  not, within the replay client's timeout;
+* **no hung calls** — every ``QueryServer.query`` call returns,
+  faults or not;
 * **typed codes everywhere** — every failed response carries a stable
   ``error_code``, never a raw traceback;
 * **shed ordering** — ``critical`` is never shed by the detector, and
   under a uniform criticality mix the lower class sheds at least as
   often as the higher;
 * **drain always terminates** — even with latency faults in flight,
-  within its deadline plus the bounded join grace;
+  within its deadline plus the bounded grace, and no caller is left
+  waiting for an admission slot;
 * **audit parity** — shed requests produce audit error events like
   every other serving failure;
 * **determinism** — a seeded fault plan over a sequential replay
@@ -38,6 +40,7 @@ from repro.serving.resilience import (
     RetryBudget,
 )
 from repro.serving.server import QueryServer
+from tests.serving_calls import Calls, wait_until
 
 pytestmark = pytest.mark.chaos
 
@@ -88,13 +91,13 @@ class TestChaosSoak:
             overload=detector,
         )
         requests = criticality_mix(mixed_workload(repetitions=2, seed=seed))
-        server = QueryServer(catalog, admission=admission, workers=4).start()
+        server = QueryServer(catalog, admission=admission).start()
         plan = serving_fault_matrix(seed)
         with plan:
             stats = replay(server, requests, clients=16)
         report = server.drain(deadline_seconds=10.0)
 
-        # no hung futures, no transport drops, everything accounted
+        # no hung calls, no transport drops, everything accounted
         assert stats["requests"] == len(requests)
         assert stats["transport_errors"] == 0
         assert report["unresolved"] == 0
@@ -138,7 +141,7 @@ class TestChaosSoak:
         )
         requests = criticality_mix(mixed_workload(repetitions=2, seed=3))
         budget = RetryBudget(ratio=0.1, burst=4.0)
-        server = QueryServer(catalog, admission=admission, workers=4).start()
+        server = QueryServer(catalog, admission=admission).start()
         stats = replay(server, requests, clients=16, retry_budget=budget)
         report = server.drain(deadline_seconds=10.0)
         assert report["unresolved"] == 0
@@ -152,17 +155,17 @@ class TestChaosSoak:
 class TestChaosDeterminism:
     """Same seed, same plan, same sequential request stream -> the
     identical outcome sequence (thread interleaving is the only source
-    of nondeterminism, so a 1-client/1-worker replay removes it)."""
+    of nondeterminism, so a 1-client replay removes it)."""
 
     def one_run(self, seed):
         catalog = standard_catalog(seed=0)
         requests = criticality_mix(mixed_workload(repetitions=1, seed=seed))
         plan = serving_fault_matrix(seed)
         outcomes = []
-        with QueryServer(catalog, workers=1) as server:
+        with QueryServer(catalog) as server:
             with plan:
                 for request in requests:
-                    response = server.query(request, timeout=30)
+                    response = server.query(request)
                     outcomes.append(
                         (response.ok, response.error_code)
                     )
@@ -181,8 +184,7 @@ class TestDrainUnderChaos:
     def test_drain_terminates_with_latency_faults_in_flight(self):
         catalog = standard_catalog(seed=0)
         requests = mixed_workload(repetitions=1, seed=0)
-        server = QueryServer(catalog, workers=2).start()
-        futures = []
+        server = QueryServer(catalog).start()
         with FaultPlan(
             FaultSpec(
                 "serving.execute",
@@ -191,17 +193,22 @@ class TestDrainUnderChaos:
                 every=2,
             )
         ):
-            futures = [server.submit(request) for request in requests]
+            calls = Calls(server, requests)
+            wait_until(lambda: calls.started() == len(requests))
             report = server.drain(deadline_seconds=20.0)
+            responses = calls.join()
         assert report["unresolved"] == 0
-        for future in futures:
-            response = future.result(timeout=0)  # already resolved
+        for response in responses:
             assert response.ok or response.error_code
 
     def test_drain_past_deadline_rejects_rather_than_hangs(self):
         catalog = standard_catalog(seed=0)
         requests = mixed_workload(repetitions=2, seed=0)
-        server = QueryServer(catalog, workers=1).start()
+        # one slot per tenant: most calls wait in admission
+        admission = AdmissionController(
+            TenantPolicy(max_concurrent=1, max_queue_depth=64)
+        )
+        server = QueryServer(catalog, admission=admission).start()
         with FaultPlan(
             FaultSpec(
                 "serving.execute",
@@ -210,16 +217,16 @@ class TestDrainUnderChaos:
                 every=1,
             )
         ):
-            futures = [server.submit(request) for request in requests]
-            # a deadline far shorter than the queue needs: drain must
-            # still terminate promptly and resolve every future
+            calls = Calls(server, requests)
+            wait_until(lambda: calls.started() == len(requests))
+            # a deadline far shorter than the waiters need: drain must
+            # still terminate promptly and answer every call
             report = server.drain(deadline_seconds=0.2)
+            responses = calls.join()
         assert report["unresolved"] == 0
-        codes = set()
-        for future in futures:
-            response = future.result(timeout=5)
-            if not response.ok:
-                codes.add(response.error_code)
+        codes = {
+            response.error_code for response in responses if not response.ok
+        }
         assert codes <= {"E_ADMISSION", "E_FAULT"}
         assert report["rejected"] >= 1
 
@@ -236,7 +243,7 @@ class TestHttpWriteFaults:
         from repro.serving.httpd import make_http_server
 
         catalog = standard_catalog(seed=0)
-        server = QueryServer(catalog, workers=1).start()
+        server = QueryServer(catalog).start()
         httpd = make_http_server(server, port=0)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()
@@ -261,7 +268,7 @@ class TestHttpWriteFaults:
             with FaultPlan(FaultSpec("httpd.write", at=1)):
                 first = post()
             assert first in {500, None}
-            assert post() == 200  # the worker thread survived
+            assert post() == 200  # the server survived
         finally:
             httpd.shutdown()
             httpd.server_close()

@@ -72,9 +72,9 @@ def _run(path, engine, document, request):
         assert response.error_message == "internal error"
         return response.error_code, None
     catalog = EngineCatalog().add("hospital", engine, document)
-    with QueryServer(catalog, workers=1) as server:
+    with QueryServer(catalog) as server:
         if path == "server":
-            return server.query(request, timeout=10).error_code, None
+            return server.query(request).error_code, None
         httpd = make_http_server(server, port=0)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()

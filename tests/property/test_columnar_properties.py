@@ -164,7 +164,7 @@ def _served(engine, document):
     """(engine, document, QueryServer, HTTP base URL) for one workload,
     torn down after the module."""
     catalog = EngineCatalog().add("doc", engine, document)
-    server = QueryServer(catalog, workers=2)
+    server = QueryServer(catalog)
     server.start()
     httpd = make_http_server(server, port=0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
@@ -211,7 +211,7 @@ def _every_surface_agrees(served, query):
         request = QueryRequest(policy=policy, query=query, document="doc")
         response = engine.execute_request(request, document)
         assert list(response.results) == direct
-        response = server.query(request, timeout=30)
+        response = server.query(request)
         assert response.ok and list(response.results) == direct
         body = _post(
             base, {"policy": policy, "query": query, "document": "doc"}
@@ -251,7 +251,7 @@ def test_retired_options_still_get_projected_answers(hospital):
     assert request.options == ExecutionOptions()
     responses = {
         "execute_request": engine.execute_request(request, document),
-        "server": server.query(request, timeout=30),
+        "server": server.query(request),
     }
     answers = {
         surface: response.results for surface, response in responses.items()

@@ -147,7 +147,7 @@ def _run_library(path, engine, document):
 
 def _run_served(path, server):
     if path == "server":
-        return [server.query(request, timeout=10) for request in _requests()]
+        return [server.query(request) for request in _requests()]
     import json
     import urllib.error
     import urllib.request
@@ -208,7 +208,6 @@ def test_one_record_per_finished_query(path):
             with QueryServer(
                 catalog,
                 admission=admission,
-                workers=1,
                 flight=FlightRecorder(capacity=64, tail_capacity=64),
             ) as server:
                 responses = _run_served(path, server)
@@ -233,7 +232,7 @@ def test_one_record_per_finished_query(path):
 
 @pytest.mark.parametrize("case", ["ghost", "drained"])
 def test_one_record_for_a_request_that_never_reaches_an_engine(case):
-    """An unresolved document ref and a submit after ``drain()`` finish
+    """An unresolved document ref and a call after ``drain()`` finish
     in the server, not the engine: each still yields exactly one
     record, seen by the metrics registry, the SLO tracker and the
     flight recorder (and no engine consumer, having no engine)."""
@@ -244,7 +243,7 @@ def test_one_record_for_a_request_that_never_reaches_an_engine(case):
         "hospital", engine, hospital_document(seed=7, max_branch=4)
     )
     server = QueryServer(
-        catalog, workers=1, flight=FlightRecorder(capacity=8, tail_capacity=8)
+        catalog, flight=FlightRecorder(capacity=8, tail_capacity=8)
     ).start()
     registry = metrics_registry()
     registry.reset()
@@ -254,14 +253,14 @@ def test_one_record_for_a_request_that_never_reaches_an_engine(case):
             request = QueryRequest(
                 policy="nurse", query="//patient/name", document="ghost"
             )
-            response = server.query(request, timeout=10)
+            response = server.query(request)
             expected_code = "E_SECURITY"
         else:
             server.drain(deadline_seconds=5.0)
             request = QueryRequest(
                 policy="nurse", query="//patient/name", document="hospital"
             )
-            response = server.submit(request).result(timeout=10)
+            response = server.query(request)
             expected_code = "E_ADMISSION"
         counters = registry.snapshot()["counters"]
     finally:

@@ -310,6 +310,74 @@ class TestLoadShedding:
             thread.join()
 
 
+class TestClose:
+    """``close()`` is how drain and stop leave no caller waiting."""
+
+    def test_close_wakes_every_waiter_and_refuses_later_calls(self):
+        controller = AdmissionController(
+            TenantPolicy(max_concurrent=1, max_queue_depth=8)
+        )
+        release = threading.Event()
+        entered = threading.Event()
+        outcomes = []
+
+        def hold():
+            with controller.admit("t"):
+                entered.set()
+                release.wait(timeout=30)
+
+        def wait_for_slot():
+            try:
+                with controller.admit("t"):
+                    outcomes.append("admitted")  # pragma: no cover
+            except AdmissionRejected as error:
+                outcomes.append(str(error))
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert entered.wait(timeout=5)
+        waiters = [threading.Thread(target=wait_for_slot) for _ in range(3)]
+        for thread in waiters:
+            thread.start()
+        give_up = time.monotonic() + 30
+        while controller.queue_depth("t") < 3:
+            assert time.monotonic() < give_up
+            time.sleep(0.001)
+        try:
+            assert controller.close("draining") == 3
+            for thread in waiters:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            release.set()
+            holder.join(timeout=30)
+        assert outcomes == ["server is draining"] * 3
+        assert controller.queue_depth() == 0
+        assert controller.running() == 0
+        # a free slot no longer admits either
+        with pytest.raises(AdmissionRejected) as excinfo:
+            with controller.admit("other"):
+                pass  # pragma: no cover
+        assert excinfo.value.retry_after_seconds is not None
+        assert controller.close() == 0
+
+    def test_set_policy_keeps_running_requests_counted(self):
+        controller = AdmissionController(
+            TenantPolicy(max_concurrent=1, max_queue_depth=0)
+        )
+        with controller.admit("t"):
+            controller.set_policy(
+                "t", TenantPolicy(max_concurrent=2, max_queue_depth=0)
+            )
+            assert controller.running("t") == 1
+            with controller.admit("t"):
+                assert controller.running("t") == 2
+                with pytest.raises(AdmissionRejected):
+                    with controller.admit("t"):
+                        pass  # pragma: no cover
+        assert controller.running("t") == 0
+
+
 class TestAccountingUnderFailure:
     """Regression: no slot leaks or negative drift when admitted work
     raises, is abandoned, or races shutdown."""
@@ -395,3 +463,43 @@ class TestAccountingUnderFailure:
         with controller.admit("t"):
             with controller.admit("t"):
                 assert controller.running("t") == 2
+
+    def test_slots_never_oversubscribed_under_contention(self):
+        """More threads than cores, switching as often as possible:
+        no tenant ever runs more than ``max_concurrent`` bodies at
+        once, and the counts return to zero."""
+        import sys
+
+        controller = AdmissionController(
+            TenantPolicy(max_concurrent=2, max_queue_depth=64)
+        )
+        lock = threading.Lock()
+        inside = {"a": 0, "b": 0}
+        peak = {"a": 0, "b": 0}
+
+        def worker(index):
+            tenant = "ab"[index % 2]
+            for _ in range(50):
+                with controller.admit(tenant):
+                    with lock:
+                        inside[tenant] += 1
+                        peak[tenant] = max(peak[tenant], inside[tenant])
+                    with lock:
+                        inside[tenant] -= 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,)) for i in range(16)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert max(peak.values()) <= 2
+        assert controller.running() == 0
+        assert controller.queue_depth() == 0

@@ -27,7 +27,7 @@ def served():
     catalog = EngineCatalog().add(
         "hospital", engine, hospital_document(seed=7, max_branch=4)
     )
-    with QueryServer(catalog, workers=2) as server:
+    with QueryServer(catalog) as server:
         httpd = make_http_server(server, port=0)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()
@@ -356,11 +356,11 @@ class TestDebugVars:
 
         assert payload["version"] == repro.__version__
         assert payload["uptime_seconds"] >= 0
-        assert payload["workers"] == 2
+        assert "workers" not in payload
         assert payload["documents"] == ["hospital"]
         assert payload["tracing"] is True
         assert payload["profiling"] is True
-        assert payload["queue_depth"] >= 0
+        assert payload["queue_depth"] == server.admission.queue_depth()
         assert isinstance(payload["admission"], dict)
         assert payload["cache_bytes"] >= 0
         assert payload["workload"]["capacity"] >= 1
@@ -378,7 +378,7 @@ class TestWorkloadUnderConcurrentReplay:
 
         catalog = standard_catalog(seed=0)
         requests = mixed_workload(repetitions=2, seed=0)
-        with QueryServer(catalog, workers=4) as server:
+        with QueryServer(catalog) as server:
             httpd = make_http_server(server, port=0)
             thread = threading.Thread(target=httpd.serve_forever, daemon=True)
             thread.start()
@@ -431,7 +431,7 @@ class TestReadiness:
         catalog = EngineCatalog().add(
             "hospital", engine, hospital_document(seed=7, max_branch=4)
         )
-        server = QueryServer(catalog, workers=1).start()
+        server = QueryServer(catalog).start()
         httpd = make_http_server(server, port=0)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()
@@ -500,7 +500,7 @@ class _GatedServer:
             overload=overload,
         )
         self.server = QueryServer(
-            catalog, admission=self.admission, workers=2
+            catalog, admission=self.admission
         ).start()
         self.httpd = make_http_server(self.server, port=0)
         self.thread = threading.Thread(
@@ -646,7 +646,7 @@ class TestDisabledTracing:
         catalog = EngineCatalog().add(
             "hospital", engine, hospital_document(seed=7, max_branch=4)
         )
-        with QueryServer(catalog, workers=1, tracing=False) as server:
+        with QueryServer(catalog, tracing=False) as server:
             httpd = make_http_server(server, port=0)
             thread = threading.Thread(target=httpd.serve_forever, daemon=True)
             thread.start()

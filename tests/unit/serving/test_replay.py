@@ -34,7 +34,7 @@ class TestReplay:
     def test_clean_replay_is_not_partial(self):
         catalog = standard_catalog(seed=0)
         requests = mixed_workload(repetitions=1, seed=0)
-        with QueryServer(catalog, workers=2) as server:
+        with QueryServer(catalog) as server:
             stats = replay(server, requests, clients=4)
         assert stats["requests"] == len(requests)
         assert not stats["errors"]
@@ -46,7 +46,7 @@ class TestReplay:
         catalog = standard_catalog(seed=0)
         requests = mixed_workload(repetitions=1, seed=0)
         budget = RetryBudget(ratio=0.1)
-        with QueryServer(catalog, workers=2) as server:
+        with QueryServer(catalog) as server:
             stats = replay(
                 server, requests, clients=4, retry_budget=budget
             )
@@ -64,7 +64,7 @@ class TestMidReplayDrain:
         resolves, the remainder is skipped, and the summary says so."""
         catalog = standard_catalog(seed=0)
         requests = mixed_workload(repetitions=4, seed=0)
-        server = QueryServer(catalog, workers=2).start()
+        server = QueryServer(catalog).start()
         drained = {}
 
         def drain_soon():
@@ -96,7 +96,7 @@ class TestMidReplayDrain:
     def test_replay_against_stopped_server_skips_everything(self):
         catalog = standard_catalog(seed=0)
         requests = mixed_workload(repetitions=1, seed=0)
-        server = QueryServer(catalog, workers=1).start()
+        server = QueryServer(catalog).start()
         server.drain(deadline_seconds=5.0)
         stats = replay(server, requests, clients=4)
         assert stats["partial"] is True

@@ -626,6 +626,15 @@ class TestGovernorFlags:
         assert EXIT_CODES["E_BUDGET"] == 12
 
 
+class TestServingFlags:
+    @pytest.mark.parametrize("command", ["serve", "replay"])
+    def test_no_workers_flag(self, command):
+        # one thread per request: the worker pool went in 10.0
+        with pytest.raises(SystemExit) as info:
+            main([command, "--workers", "4"])
+        assert info.value.code == 2
+
+
 class TestWorkloadCommand:
     """`repro workload top|report` against a live HTTP front end."""
 
@@ -649,7 +658,7 @@ class TestWorkloadCommand:
         catalog = EngineCatalog().add(
             "hospital", engine, hospital_document(seed=7, max_branch=4)
         )
-        with QueryServer(catalog, workers=1) as server:
+        with QueryServer(catalog) as server:
             for query in ("//patient", "//patient", "//patient/name"):
                 response = server.query(
                     QueryRequest(

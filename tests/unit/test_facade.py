@@ -87,7 +87,7 @@ class TestLazyImport:
         assert serving == []
 
     def test_version(self, probe):
-        assert probe["version"] == "9.0.0"
+        assert probe["version"] == "10.0.0"
 
     def test_pyproject_version_matches_package(self, probe):
         root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
