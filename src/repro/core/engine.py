@@ -35,15 +35,18 @@ Projection amortization: accessibility (Prop. 3.1) depends only on
 ``(policy, document)``, so each policy keeps one row-indexed
 accessibility column per document beside the document's NodeTable
 (see :mod:`~repro.core.projection`), built on the first projected
-query and dropped with the NodeTable.  Each query builds one
-:class:`~repro.core.projection.Projector` from it.
+query and dropped with the NodeTable.  The view's Section 3.3
+expansion is compiled once per view into a
+:class:`~repro.core.projection.ViewProgram` (one per unfolded height
+of a recursive view), and each query runs it with one
+:class:`~repro.core.projection.Projector` over that column.
 
 Thread safety: one engine may serve queries from many threads
 concurrently (see ``docs/serving.md``).  Every cached artifact is
-*immutable after build*.  NodeTables, accessibility columns and
-unfolded rewriters are built under a single per-key lock, so
-concurrent first requests for the same artifact serialize on its
-build while requests for other keys proceed.  A compiled query is
+*immutable after build*.  NodeTables, accessibility columns, view
+programs and unfolded rewriters are built under a single per-key
+lock, so concurrent first requests for the same artifact serialize on
+its build while requests for other keys proceed.  A compiled query is
 built whole before it is cached (concurrent misses of one query may
 each compile it; the last one cached wins).  Once built, readers share
 the structure without locking.
@@ -80,7 +83,11 @@ from repro.core.materialize import materialize_subtree
 from repro.core.optimize import Optimizer
 from repro.core.options import DEFAULT_OPTIONS, ExecutionOptions
 from repro.core.plancache import CompiledQuery, PlanCache, PlanCacheStats
-from repro.core.projection import Projector, accessibility_column
+from repro.core.projection import (
+    Projector,
+    ViewProgram,
+    accessibility_column,
+)
 from repro.core.rewrite import Rewriter
 from repro.core.spec import AccessSpec
 from repro.core.unfold import unfold_view
@@ -280,7 +287,8 @@ class QueryResult(List):
 
 class _Policy:
     __slots__ = (
-        "name", "spec", "view", "recursive", "rewriters", "columns",
+        "name", "spec", "view", "recursive", "rewriters", "programs",
+        "columns",
     )
 
     def __init__(self, name: str, spec: AccessSpec, view: SecurityView):
@@ -290,6 +298,9 @@ class _Policy:
         # a DTD reachability walk: computed once here, never per query
         self.recursive = view.is_recursive()
         self.rewriters: Dict[Optional[int], Rewriter] = {}
+        # unfolding height (None: not recursive) -> the compiled
+        # expansion of that height's view; document-independent
+        self.programs: Dict[Optional[int], ViewProgram] = {}
         # id(document) -> (NodeTable, accessibility column); a column
         # answers only for the very NodeTable its rows came from
         self.columns: Dict[int, tuple] = {}
@@ -531,7 +542,6 @@ class SecureQueryEngine:
             self.records.publish(
                 QueryRecord.finished(
                     latency_seconds=seconds,
-                    e2e_seconds=seconds,
                     **ids,
                     **fields,
                 )
@@ -814,12 +824,24 @@ class SecureQueryEngine:
             self._stores[id(document)] = (document, store)
         return store
 
-    def _projector(self, entry: _Policy, view, runtime):
-        """One query's :class:`~repro.core.projection.Projector` over
-        the ``runtime``'s NodeTable, reading ``entry``'s accessibility
+    def _projector(self, entry: _Policy, compiled: CompiledQuery, runtime):
+        """One query's :class:`~repro.core.projection.Projector`: the
+        compiled program of ``compiled``'s view, run over the
+        ``runtime``'s NodeTable, reading ``entry``'s accessibility
         column of the document and counting its visits (and charging
-        its budget) with the query's plans.  The column is built once
-        per (policy, NodeTable), under its key's lock."""
+        its budget) with the query's plans.  The program is built once
+        per view, the column once per (policy, NodeTable), each under
+        its key's lock."""
+        height = compiled.height
+        program = entry.programs.get(height)
+        # a program answers only for the view its query was compiled
+        # against (its keys are that view's)
+        if program is None or program.view is not compiled.view:
+            with self._build_locks(("program", entry.name, height)):
+                program = entry.programs.get(height)
+                if program is None or program.view is not compiled.view:
+                    program = ViewProgram(compiled.view)
+                    entry.programs[height] = program
         store = runtime.store
         key = id(store.root)
         cached = entry.columns.get(key)
@@ -829,9 +851,7 @@ class SecureQueryEngine:
                 if cached is None or cached[0] is not store:
                     cached = (store, accessibility_column(store, entry.spec))
                     entry.columns[key] = cached
-        return Projector(
-            store, cached[1], view, budget=runtime.budget, runtime=runtime
-        )
+        return Projector(program, store, cached[1], runtime)
 
     # -- resource governance -------------------------------------------------
 
@@ -1028,7 +1048,7 @@ class SecureQueryEngine:
                 seen.add(id(node))
                 started = perf_counter()
                 if projector is None:
-                    projector = self._projector(entry, compiled.view, runtime)
+                    projector = self._projector(entry, compiled, runtime)
                 projected.append(
                     materialize_subtree(
                         document,

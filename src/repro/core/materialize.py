@@ -15,11 +15,12 @@ labels; dummy elements are structural and may be anchored at hidden
 document nodes).  The per-shape rules (1)-(5) of Section 3.3 apply;
 rule violations raise :class:`MaterializationAborted`.
 
-The rules live in :class:`ViewExpander`.  :func:`materialize` is the
-oracle: its expander computes accessibility and document order itself,
-per call.  The engine projects results through the same rules with a
-:class:`repro.core.projection.Projector`, which reads both from
-NodeTable rows; this module imports nothing from that path.
+:func:`materialize` is the oracle: it interprets the rules with the
+reference evaluator and computes accessibility and document order
+itself, per call.  The engine projects results with a
+:class:`repro.core.projection.Projector`, which runs the view's
+compiled expansion over NodeTable rows; this module imports nothing
+from that path.
 """
 
 from __future__ import annotations
@@ -43,26 +44,40 @@ from repro.xmlmodel.nodes import XMLElement, XMLText
 from repro.xpath.evaluator import XPathEvaluator
 
 
-class ViewExpander:
-    """The Section 3.3 rules (1)-(5): expand a view element from its
-    document origin by evaluating the sigma annotations there.
+class _Materializer:
+    """The reference materializer: the Section 3.3 rules (1)-(5),
+    interpreted.  A view element is expanded from its document origin
+    by evaluating the sigma annotations there with the reference
+    evaluator, keeping the extracted elements its own accessibility
+    pass (:func:`compute_accessibility`) marks accessible, in the
+    order of its own document-order map; both are built per
+    instance."""
 
-    Which extracted elements are accessible, and what document order
-    is, is left to :meth:`_select`: the oracle (:class:`_Materializer`)
-    answers from its own accessibility pass, the engine's projector
-    (:class:`repro.core.projection.Projector`) from a NodeTable row
-    column."""
-
-    def __init__(self, view: SecurityView, budget=None):
+    def __init__(
+        self, document_root, view: SecurityView, spec: AccessSpec, budget=None
+    ):
         self.view = view
         self.budget = budget
         self.evaluator = XPathEvaluator(budget=budget)
+        self.document_root = document_root
+        self.spec = spec
+        self.accessible = compute_accessibility(document_root, spec)
+        self.doc_order: Dict[int, int] = {
+            id(node): index
+            for index, node in enumerate(document_root.iter())
+        }
 
-    def _select(self, nodes: List, dummy: bool) -> List:
-        """The element nodes of one sigma answer that the view keeps
-        (all of them for a dummy target, the accessible ones
-        otherwise), in document order."""
-        raise NotImplementedError
+    def run(self) -> XMLElement:
+        root_node = self.view.root
+        if root_node.label != self.document_root.label:
+            raise MaterializationAborted(
+                "document root %r does not match view root %r"
+                % (self.document_root.label, root_node.label)
+            )
+        view_root = XMLElement(root_node.label)
+        self._copy_attributes(view_root, root_node.key, self.document_root)
+        self._expand(view_root, root_node.key, self.document_root)
+        return view_root
 
     def project(self, key: str, origin) -> XMLElement:
         """The view subtree anchored at view node ``key`` with document
@@ -186,37 +201,10 @@ class ViewExpander:
             self._copy_attributes(child_element, child_key, origin)
         self._expand(child_element, child_key, origin)
 
-
-class _Materializer(ViewExpander):
-    """The reference materializer: its own accessibility pass
-    (:func:`compute_accessibility`) and document-order map over the
-    whole document, built per instance."""
-
-    def __init__(
-        self, document_root, view: SecurityView, spec: AccessSpec, budget=None
-    ):
-        super().__init__(view, budget=budget)
-        self.document_root = document_root
-        self.spec = spec
-        self.accessible = compute_accessibility(document_root, spec)
-        self.doc_order: Dict[int, int] = {
-            id(node): index
-            for index, node in enumerate(document_root.iter())
-        }
-
-    def run(self) -> XMLElement:
-        root_node = self.view.root
-        if root_node.label != self.document_root.label:
-            raise MaterializationAborted(
-                "document root %r does not match view root %r"
-                % (self.document_root.label, root_node.label)
-            )
-        view_root = XMLElement(root_node.label)
-        self._copy_attributes(view_root, root_node.key, self.document_root)
-        self._expand(view_root, root_node.key, self.document_root)
-        return view_root
-
     def _select(self, nodes: List, dummy: bool) -> List:
+        """The element nodes of one sigma answer that the view keeps
+        (all of them for a dummy target, the accessible ones
+        otherwise), in document order."""
         if not dummy:
             nodes = [
                 node
@@ -257,11 +245,11 @@ def materialize_subtree(
     descendants.
 
     The engine passes the query's ``projector`` (a
-    :class:`~repro.core.projection.Projector`, built with its own view
-    and budget), which answers from the policy's accessibility column.
-    Without one, a one-off reference materializer recomputes
-    accessibility over the whole document, so a call costs
-    O(document)."""
+    :class:`~repro.core.projection.Projector`, running the view's
+    compiled program with the query's runtime), which answers from the
+    policy's accessibility column.  Without one, a one-off reference
+    materializer interprets the view and recomputes accessibility over
+    the whole document, so a call costs O(document)."""
     fault_trip("materialize")
     if projector is None:
         projector = _Materializer(document_root, view, spec, budget=budget)

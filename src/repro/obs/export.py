@@ -54,7 +54,7 @@ _TENANT_LABEL = re.compile(r'(?:^|,)tenant="([^"]*)"')
 
 #: Labeled histogram series that also export their pre-label
 #: tenant-in-the-name summary form (see the module docstring).
-LEGACY_TENANT_SERIES = ("serving.latency_seconds", "serving.e2e_seconds")
+LEGACY_TENANT_SERIES = ("serving.latency_seconds",)
 
 
 def sanitize_metric_name(name: str) -> str:

@@ -36,8 +36,8 @@ class QueryRecord(NamedTuple):
     query (an AST, rendered only by consumers that need the text).  ``error_code`` is ``""`` on success.  ``stages`` maps the
     stages this request ran to seconds; ``engine_seconds`` is the
     engine's query span (0.0 without a report), ``latency_seconds``
-    the request's wall time (served: admission plus execution),
-    ``e2e_seconds`` that plus queue wait.  ``slow`` marks an answer
+    the request's wall time (served: from arrival, admission wait
+    included).  ``slow`` marks an answer
     over its ``slow_query_threshold`` or, served, over the SLO
     threshold; ``profile`` is then its rendered profile or report
     summary.  ``span`` is a traced served request's closed root
@@ -60,7 +60,6 @@ class QueryRecord(NamedTuple):
     stages: Dict[str, float] = {}
     engine_seconds: float = 0.0
     latency_seconds: float = 0.0
-    e2e_seconds: float = 0.0
     slow: bool = False
     canary_violations: int = 0
     profile: Optional[str] = None
@@ -183,12 +182,12 @@ def record_metrics(record: QueryRecord) -> None:
         return
     registry = metrics_registry()
     if record.served:
-        labels = {"tenant": record.tenant}
-        for name, seconds in (
-            ("serving.latency_seconds", record.latency_seconds),
-            ("serving.e2e_seconds", record.e2e_seconds),
-        ):
-            registry.observe(name, seconds, labels, buckets=LATENCY_BUCKETS)
+        registry.observe(
+            "serving.latency_seconds",
+            record.latency_seconds,
+            {"tenant": record.tenant},
+            buckets=LATENCY_BUCKETS,
+        )
         if record.error_code:
             registry.increment("serving.errors")
             registry.increment("serving.errors.%s" % record.error_code)

@@ -33,14 +33,28 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from repro.core.options import ExecutionOptions
-from repro.errors import ReproError, error_code as _error_code
+from repro.errors import (
+    MaterializationAborted,
+    ReproError,
+    error_code as _error_code,
+)
 from repro.serving.resilience import normalize_criticality
 
-__all__ = ["PROTOCOL_VERSION", "QueryRequest", "QueryResponse"]
+__all__ = [
+    "MATERIALIZE_MESSAGE",
+    "PROTOCOL_VERSION",
+    "QueryRequest",
+    "QueryResponse",
+]
 
 #: Version tag embedded in every serialized request/response.  Bump
 #: only on incompatible shape changes; readers ignore unknown fields.
 PROTOCOL_VERSION = 1
+
+#: The one message a tenant reads for ``E_MATERIALIZE``: the view's
+#: Section 3.3 rules aborted on the document.  It names no sigma edge,
+#: label or node count.
+MATERIALIZE_MESSAGE = "the view cannot be materialized over this document"
 
 
 @dataclass(frozen=True)
@@ -200,7 +214,16 @@ class QueryResponse:
         """Wrap a failure as data, preserving the stable error code.
         The message of an exception from outside :mod:`repro.errors`
         is internal detail and stays operator-side: the tenant gets
-        ``"internal error"``."""
+        ``"internal error"``.  So is a view abort's (``E_MATERIALIZE``),
+        which names hidden sigma edges, document labels and node
+        counts: the tenant gets :data:`MATERIALIZE_MESSAGE`, and the
+        query's record keeps the detail."""
+        if isinstance(error, MaterializationAborted):
+            message = MATERIALIZE_MESSAGE
+        elif isinstance(error, ReproError):
+            message = str(error)
+        else:
+            message = "internal error"
         return cls(
             policy=request.policy,
             query=request.query,
@@ -208,10 +231,7 @@ class QueryResponse:
             results=(),
             report=None,
             error_code=_error_code(error),
-            error_message=(
-                str(error) if isinstance(error, ReproError)
-                else "internal error"
-            ),
+            error_message=message,
             request_id=request.request_id,
             tenant=request.tenant_id,
             trace_id=request.trace_id,

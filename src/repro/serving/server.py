@@ -375,7 +375,6 @@ class QueryServer(object):
                 tenant=request.tenant_id,
                 document=request.document,
                 latency_seconds=latency,
-                e2e_seconds=latency,
                 slo_breach=(
                     slo is not None
                     and latency > slo.objective.threshold_seconds
@@ -404,7 +403,7 @@ class QueryServer(object):
                 request_id=request.request_id,
                 tenant=request.tenant_id,
                 document=request.document,
-                e2e_seconds=monotonic() - arrived,
+                latency_seconds=monotonic() - arrived,
                 served=True,
             ),
         )

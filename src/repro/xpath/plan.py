@@ -811,6 +811,12 @@ class CompiledPlan:
             if row != VIRTUAL_ROW
         ]
 
+    def execute_rows(self, runtime: PlanRuntime, rows: List[int]) -> List[int]:
+        """Columnar execution from a sorted duplicate-free frontier of
+        ``runtime.store`` rows: the result rows, in document order
+        (never the virtual document pseudo-row)."""
+        return _strip_virtual(self._op.run_rows(runtime, rows))
+
     def _interpret(self, rt: PlanRuntime, contexts: List) -> List:
         """The fallback: the reference interpreter evaluates the plan's
         source path (observable — it is the usual reason a query runs

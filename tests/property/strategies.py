@@ -178,3 +178,63 @@ def conditional_annotation_strategy(draw, dtd):
             elif choice != "inherit":
                 spec.annotate(parent, child, choice)
     return spec
+
+
+@st.composite
+def view_strategy(draw, dtd, min_nodes=2, max_nodes=6):
+    """A random security view over ``dtd``, built directly instead of
+    derived, so its sigma annotations range over the whole fragment:
+    each edge's path is drawn by :func:`path_strategy` over the DTD's
+    labels (``//``, unions, qualifiers, wildcards).  Nodes are real or
+    dummy; each production is a seq (with starred items), a choice, a
+    star, ``str``, ``EMPTY`` or an ``?`` the Section 3.3 rules do not
+    cover, and refers only to later nodes.  A ``str`` node extracts
+    with ``text()`` or ``*/text()`` (paths the reference interpreter
+    answers in document order) or has no sigma(str) annotation."""
+    from repro.core.view import SecurityView, ViewNode
+
+    labels = tuple(sorted(dtd.element_types))
+    sigma_paths = path_strategy(labels, max_leaves=4)
+    count = draw(st.integers(min_nodes, max_nodes))
+    keys = ["v%d" % index for index in range(count)]
+    view = SecurityView(dtd, keys[0])
+    for index, key in enumerate(keys):
+        later = keys[index + 1 :]
+        shapes = ["str", "epsilon"]
+        if later:
+            shapes += ["seq", "seq", "choice", "star", "opt"]
+        shape = draw(st.sampled_from(shapes))
+        if shape == "str":
+            content = STR
+            text = draw(st.sampled_from(["text()", "*/text()", None]))
+            if text is not None:
+                view.sigma_text[key] = (
+                    TEXT if text == "text()" else slash(WILDCARD, TEXT)
+                )
+        elif shape == "epsilon":
+            content = EPSILON
+        else:
+            chosen = draw(
+                st.lists(
+                    st.sampled_from(later), min_size=1, max_size=3, unique=True
+                )
+            )
+            if shape == "seq":
+                content = Seq(
+                    [
+                        Star(Name(child)) if draw(st.booleans()) else Name(child)
+                        for child in chosen
+                    ]
+                )
+            elif shape == "choice":
+                content = Choice([Name(child) for child in chosen])
+            elif shape == "star":
+                content = Star(Name(chosen[0]))
+            else:
+                content = Opt(Name(chosen[0]))
+            for child in chosen:
+                view.set_sigma(key, child, draw(sigma_paths))
+        dummy = draw(st.booleans())
+        label = "dummy%d" % index if dummy else draw(st.sampled_from(labels))
+        view.add_node(ViewNode(key, label, content, is_dummy=dummy))
+    return view

@@ -1,9 +1,10 @@
 """Property tests of columnar projection: the accessibility column
 the engine keeps per (policy, document) equals the reference
 :func:`compute_accessibility` on every element, and a
-:class:`Projector` built from it projects exactly what the reference
-materializer does, under random specifications with conditional
-``[q]`` annotations."""
+:class:`Projector` running a compiled :class:`ViewProgram` over it
+projects exactly what the reference materializer does, on derived
+views of random specifications with conditional ``[q]`` annotations
+and on random views whose sigma paths range over the fragment."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,11 @@ from repro.core.accessibility import compute_accessibility
 from repro.core.derive import derive
 from repro.core.engine import SecureQueryEngine
 from repro.core.materialize import materialize, materialize_subtree
-from repro.core.projection import Projector, accessibility_column
+from repro.core.projection import (
+    Projector,
+    ViewProgram,
+    accessibility_column,
+)
 from repro.dtd.generator import DocumentGenerator
 from repro.errors import MaterializationAborted
 from repro.workloads.catalog import catalog_document, catalog_dtd, flat_spec
@@ -24,6 +29,7 @@ from tests.property.strategies import (
     conditional_annotation_strategy,
     dag_dtd_strategy,
     path_strategy,
+    view_strategy,
 )
 
 
@@ -65,27 +71,21 @@ def test_column_matches_compute_accessibility_on_the_catalog(data):
 def _projection(call):
     try:
         return serialize(call())
-    except MaterializationAborted:
-        return "aborted"
+    except MaterializationAborted as aborted:
+        return "aborted: %s" % aborted
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_projector_matches_the_reference_materializer(data):
-    """Every (view node, document origin) pair of matching label
-    projects to the same subtree, or aborts on both paths."""
-    dtd = data.draw(dag_dtd_strategy())
-    spec = data.draw(conditional_annotation_strategy(dtd))
-    seed = data.draw(st.integers(0, 1000))
-    document = DocumentGenerator(dtd, seed=seed, max_branch=3).generate()
-    view = derive(spec)
+def _assert_program_matches_the_oracle(document, view, spec):
+    """Every (view node, document element) pair, dummies included,
+    projects to the same subtree through the compiled program as
+    through the reference materializer, or aborts on both with the
+    same message."""
     store = NodeTable(document)
-    projector = Projector(store, accessibility_column(store, spec), view)
-    keys = [key for key, node in view.nodes.items() if not node.is_dummy]
+    projector = Projector(
+        ViewProgram(view), store, accessibility_column(store, spec)
+    )
     for origin in document.iter_elements():
-        for key in keys:
-            if view.node(key).label != origin.label:
-                continue
+        for key in view.nodes:
             expected = _projection(
                 lambda: materialize_subtree(document, view, spec, key, origin)
             )
@@ -95,6 +95,32 @@ def test_projector_matches_the_reference_materializer(data):
                 )
             )
             assert actual == expected, (key, origin.label)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_projector_matches_the_reference_materializer(data):
+    """Derived views of random conditional specs: dummies, choices,
+    starred seq items and ``[q]`` annotations."""
+    dtd = data.draw(dag_dtd_strategy())
+    spec = data.draw(conditional_annotation_strategy(dtd))
+    seed = data.draw(st.integers(0, 1000))
+    document = DocumentGenerator(dtd, seed=seed, max_branch=3).generate()
+    _assert_program_matches_the_oracle(document, derive(spec), spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_program_matches_the_oracle_on_random_views(data):
+    """Views built directly, whose sigma paths use ``//``, unions,
+    qualifiers and wildcards, compiled into plans; unsupported
+    productions and missing sigma(str) abort on both sides."""
+    dtd = data.draw(dag_dtd_strategy())
+    spec = data.draw(conditional_annotation_strategy(dtd))
+    view = data.draw(view_strategy(dtd))
+    seed = data.draw(st.integers(0, 1000))
+    document = DocumentGenerator(dtd, seed=seed, max_branch=3).generate()
+    _assert_program_matches_the_oracle(document, view, spec)
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,7 +7,11 @@ from repro.core.accessibility import compute_accessibility
 from repro.core.derive import derive
 from repro.core.engine import SecureQueryEngine
 from repro.core.materialize import materialize, materialize_subtree
-from repro.core.projection import Projector, accessibility_column
+from repro.core.projection import (
+    Projector,
+    ViewProgram,
+    accessibility_column,
+)
 from repro.errors import MaterializationAborted
 from repro.workloads.hospital import (
     doctor_spec,
@@ -83,7 +87,9 @@ class TestAccessibilityColumn:
         spec = nurse_spec(hospital_dtd()).bind(wardNo="2")
         view = derive(spec)
         store = NodeTable(document)
-        projector = Projector(store, accessibility_column(store, spec), view)
+        projector = Projector(
+            ViewProgram(view), store, accessibility_column(store, spec)
+        )
         projected = 0
         for origin in document.iter_elements():
             if origin.label != "treatment":

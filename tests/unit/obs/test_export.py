@@ -125,7 +125,7 @@ class TestLabeledExport:
         assert "repro_serving_latency_seconds_nurse_count 1" in text
         assert "repro_serving_latency_seconds_nurse_sum" in text
         assert "repro_serving_latency_seconds_nurse_min" in text
-        assert "repro_serving_e2e_seconds_nurse_count 1" in text
+        assert "e2e" not in text  # the duplicate series is gone (11.0)
 
     def test_legacy_shim_skips_series_without_tenant_label(self):
         registry = MetricsRegistry()
