@@ -1,7 +1,7 @@
 """Plan cache: repeated-query throughput on the serving path.
 
-The engine's plan cache amortizes parse → rewrite → optimize → compile
-per ``(policy, query)`` instead of per request, and the compiled
+The engine's plan cache amortizes rewrite → optimize → compile per
+``(policy, query shape)`` instead of per request, and the compiled
 per-view-target plans run over the document's columnar NodeTable.
 These cells measure the Adex workload (Section 6) on D2:
 
@@ -81,8 +81,10 @@ def _rendered(values):
 def _warm_plans(engine, text, document):
     """The warm cache entry's per-target plans run over the NodeTable:
     the document nodes the engine projects, in one set."""
-    compiled, _ = engine._compiled(engine._policy("adex"), text, document)
-    runtime = PlanRuntime(engine._store_for(document))
+    entry = engine._policy("adex")
+    _, template, values = engine._parameterized(entry, text)
+    compiled, _ = engine._compiled(entry, template, document)
+    runtime = PlanRuntime(engine._store_for(document), params=values)
     nodes = {}
     for _, _, plan in compiled.plans:
         for node in plan.execute(document, runtime=runtime):

@@ -63,7 +63,7 @@ pay for observability, robustness, or serving imports.
 
 from typing import TYPE_CHECKING
 
-__version__ = "11.0.0"
+__version__ = "12.0.0"
 
 #: Exported name → defining submodule.  The single source of truth for
 #: both ``__getattr__`` and ``__all__``.

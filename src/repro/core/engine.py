@@ -21,13 +21,18 @@ only copies the actual result subtrees.  Only the oracle,
 :func:`~repro.core.materialize.materialize`, builds whole view trees
 (an enabled :class:`~repro.obs.canary.SecurityCanary` keeps a few).
 
-Serving-path amortization: because step 3's outputs depend only on
-``(policy, query text)`` — not on the document, except for the
-unfolding height of a recursive view — the engine keeps a bounded LRU
-:class:`~repro.core.plancache.PlanCache` of compiled queries (parsed
-and rewritten ASTs plus one executable :mod:`~repro.xpath.plan`
-operator tree per view target), so repeated queries skip straight to
-evaluation.  Execution knobs are grouped in
+Serving-path amortization: step 3's outputs depend only on the policy
+and the query's *shape* — not on the document, except for the
+unfolding height of a recursive view, and not on the query's
+constants.  Each request is parsed and split into a template (every
+constant replaced by a slot parameter ``$_0``, ``$_1``, ...) and its
+values (:func:`~repro.xpath.fingerprint.parameterize`); the engine
+keeps a bounded LRU :class:`~repro.core.plancache.PlanCache` of
+compiled templates (rewritten ASTs plus one executable
+:mod:`~repro.xpath.plan` operator tree per view target) keyed on
+``(policy, template text, height)``, and the plans bind the values
+when they run.  A repeated shape, with the same or a new constant,
+skips straight to evaluation.  Execution knobs are grouped in
 :class:`~repro.core.options.ExecutionOptions` (the 1.x per-call
 boolean keywords were removed in 2.0; see ``docs/api.md``).
 
@@ -47,7 +52,7 @@ concurrently (see ``docs/serving.md``).  Every cached artifact is
 programs and unfolded rewriters are built under a single per-key
 lock, so concurrent first requests for the same artifact serialize on
 its build while requests for other keys proceed.  A compiled query is
-built whole before it is cached (concurrent misses of one query may
+built whole before it is cached (concurrent misses of one shape may
 each compile it; the last one cached wins).  Once built, readers share
 the structure without locking.
 Administrative mutation (``register_policy``, ``drop_policy``,
@@ -93,7 +98,12 @@ from repro.core.spec import AccessSpec
 from repro.core.unfold import unfold_view
 from repro.core.view import SecurityView
 from repro.xpath.ast import Label, Path, union
-from repro.xpath.fingerprint import query_fingerprint
+from repro.xpath.fingerprint import (
+    BoundQuery,
+    bind_template,
+    parameterize,
+    query_fingerprint,
+)
 from repro.xpath.parser import parse_xpath
 from repro.xpath.plan import PlanRuntime, compile_path
 
@@ -133,17 +143,23 @@ class QueryReport:
     ``ExecutionOptions(trace=True)`` — the per-operator
     :class:`~repro.obs.profile.ExplainProfile`.
 
+    ``original`` is the parsed view query as the user wrote it.
     ``rewritten`` is the union of the per-view-target document
     queries; ``optimized`` is the union of the paths that actually run
-    (each element target optimized, text targets as rewritten).  Both
-    are document-side and stay operator-side: the serving wire report
-    is :meth:`view_dict`, which omits them."""
+    (each element target optimized, text targets as rewritten).  The
+    engine compiles them over the query's template; both read with
+    the request's own constants ``values`` substituted, on first read
+    only (``rewritten_query``/``optimized_query`` are the deferred
+    :class:`~repro.xpath.fingerprint.BoundQuery` forms, for consumers
+    that render later or never).  Both are document-side and stay
+    operator-side: the serving wire report is :meth:`view_dict`,
+    which omits them."""
 
     __slots__ = (
         "policy",
         "original",
-        "rewritten",
-        "optimized",
+        "rewritten_query",
+        "optimized_query",
         "result_count",
         "visits",
         "cache_hit",
@@ -166,11 +182,12 @@ class QueryReport:
         total_seconds: Optional[float] = None,
         profile: Optional[ExplainProfile] = None,
         fingerprint=None,
+        values: tuple = (),
     ):
         self.policy = policy
         self.original = original
-        self.rewritten = rewritten
-        self.optimized = optimized
+        self.rewritten_query = BoundQuery(rewritten, values)
+        self.optimized_query = BoundQuery(optimized, values)
         self.result_count = result_count
         self.visits = visits
         self.cache_hit = cache_hit
@@ -179,11 +196,19 @@ class QueryReport:
         self.profile = profile
         self.fingerprint = fingerprint
 
+    @property
+    def rewritten(self):
+        return self.rewritten_query.path
+
+    @property
+    def optimized(self):
+        return self.optimized_query.path
+
     def total_time(self) -> float:
         """End-to-end wall seconds of the query (the enclosing query
         span).  Stage entries may overlap — e.g. a warm cache hit
-        carries the entry's build-time parse/rewrite/optimize stages
-        alongside this request's evaluate — so the sum of
+        carries the entry's build-time rewrite/optimize/compile stages
+        alongside this request's parse and evaluate — so the sum of
         ``timings`` is only a fallback for reports built without a
         span (``total_seconds is None``)."""
         if self.total_seconds is not None:
@@ -416,10 +441,10 @@ class SecureQueryEngine:
         views (Section 4.2).  With ``use_cache`` (default) the result
         is served from — and primes — the engine's plan cache."""
         entry = self._policy(policy)
+        parsed, template, values = self._parameterized(entry, query)
         if use_cache:
-            compiled, _ = self._compiled(entry, query, document)
-            return compiled.rewritten
-        parsed = self._parse(entry, query)
+            compiled, _ = self._compiled(entry, template, document)
+            return bind_template(compiled.rewritten, values)
         return self._rewriter(entry, document).rewrite(parsed)
 
     def query(
@@ -757,11 +782,14 @@ class SecureQueryEngine:
         except KeyError:
             raise SecurityError("unknown policy %r" % name) from None
 
-    def _parse(self, entry: _Policy, query: TypingUnion[str, Path]) -> Path:
+    def _parameterized(self, entry: _Policy, query: TypingUnion[str, Path]):
+        """``(parsed, template, values)`` of one request: the query as
+        written, and its split into a template and constants."""
         parsed = parse_xpath(query) if isinstance(query, str) else query
         if self.strict:
             self._check_labels(entry, parsed)
-        return parsed
+        template, values = parameterize(parsed)
+        return parsed, template, values
 
     @staticmethod
     def _check_labels(entry: _Policy, query: Path) -> None:
@@ -870,25 +898,28 @@ class SecureQueryEngine:
     def _compiled(
         self,
         entry: _Policy,
-        query,
+        template: Path,
         document,
         use_cache: bool = True,
         tracer: Optional[Tracer] = None,
     ):
-        """The cached compilation of ``query`` under ``entry``'s
-        policy: ``(CompiledQuery, cache_hit)``.  A miss parses,
-        rewrites once per view target, optimizes each element target's
-        path and compiles every target's plan before the entry is
-        cached; text targets run their raw rewritten path.  With
-        ``use_cache=False`` the cache is neither consulted nor primed
-        (compilation still runs, once per call).  Stage spans open on
-        ``tracer`` (a private one if the caller has none); the
+        """The compilation of the query shape ``template`` (see
+        :meth:`_parameterized`) under ``entry``'s policy:
+        ``(CompiledQuery, cache_hit)``.  The cache key is ``(policy,
+        template text, height)``, so every constant of a shape shares
+        one entry; the caller binds the constants when the plans run.
+        A miss rewrites once per view target, optimizes each element
+        target's path and compiles every target's plan before the
+        entry is cached; text targets run their raw rewritten path.
+        With ``use_cache=False`` the cache is neither consulted nor
+        primed (compilation still runs, once per call).  Stage spans
+        open on ``tracer`` (a private one if the caller has none); the
         measured durations feed the entry's ``timings``."""
-        query_text = query if isinstance(query, str) else str(query)
+        template_text = str(template)
         height = (
             self._unfold_height(entry, document) if entry.recursive else None
         )
-        key = (entry.name, query_text, height)
+        key = (entry.name, template_text, height)
         if use_cache:
             cached = self._plan_cache.get(key)
             if cached is not None:
@@ -896,12 +927,9 @@ class SecureQueryEngine:
         if tracer is None:
             tracer = Tracer()
         timings: Dict[str, float] = {}
-        with tracer.span("parse") as span:
-            parsed = self._parse(entry, query)
-        timings["parse"] = span.duration
         rewriter = self._rewriter(entry, document)
         with tracer.span("rewrite") as span:
-            targets, rewritten = rewriter.rewrite_targets(parsed)
+            targets, rewritten = rewriter.rewrite_targets(template)
         timings["rewrite"] = span.duration
         with tracer.span("optimize") as span:
             paths = []
@@ -919,17 +947,16 @@ class SecureQueryEngine:
         timings["compile"] = span.duration
         compiled = CompiledQuery(
             entry.name,
-            query_text,
+            template_text,
             height,
-            parsed,
+            template,
             rewritten,
             union(path for _, _, path in paths),
             rewriter.view,
             plans,
-            # computed once per compilation (from the already-parsed
-            # AST) and carried by the cache entry, so warm requests pay
-            # a field read, never a re-parse or re-mask
-            query_fingerprint(parsed),
+            # computed once per compilation and carried by the cache
+            # entry; a template masks to its query's shape
+            query_fingerprint(template),
             timings,
         )
         if use_cache:
@@ -955,9 +982,11 @@ class SecureQueryEngine:
         collect = options.trace or options.slow_query_threshold is not None
         collector = ProfileCollector() if collect else None
         with tracer.span("query", policy=policy) as query_span:
+            with tracer.span("parse") as parse_span:
+                parsed, template, values = self._parameterized(entry, query)
             compiled, cache_hit = self._compiled(
                 entry,
-                query,
+                template,
                 document,
                 use_cache=options.use_cache,
                 tracer=tracer,
@@ -969,20 +998,23 @@ class SecureQueryEngine:
                 self._store_for(document),
                 profile=collector,
                 budget=budget,
+                params=values,
             )
             with tracer.span("evaluate") as evaluate_span:
                 results, project_seconds = self._execute_projected(
                     entry, compiled, document, runtime, budget=budget
                 )
             evaluate_span.set(results=len(results), visits=runtime.visits)
-        timings = dict(compiled.timings)
+        # parse runs per request; the compile stages are the entry's
+        timings = {"parse": parse_span.duration}
+        timings.update(compiled.timings)
         timings["evaluate"] = evaluate_span.duration
         # nested inside evaluate: projecting the results through the
         # view, the first query's accessibility column build included
         timings["project"] = project_seconds
         report = QueryReport(
             policy,
-            compiled.parsed,
+            parsed,
             compiled.rewritten,
             compiled.optimized,
             len(results),
@@ -990,8 +1022,9 @@ class SecureQueryEngine:
             cache_hit=cache_hit,
             timings=timings,
             total_seconds=query_span.duration,
-            profile=self._build_profile(compiled, collector),
+            profile=self._build_profile(compiled, collector, values),
             fingerprint=compiled.fingerprint,
+            values=values,
         )
         return results, report
 
@@ -999,16 +1032,19 @@ class SecureQueryEngine:
         self,
         compiled: CompiledQuery,
         collector: Optional[ProfileCollector],
+        values: tuple,
     ) -> Optional[ExplainProfile]:
         """Assemble the EXPLAIN ANALYZE tree for a traced execution:
         one root per view-target plan, annotated with the collector's
-        stats."""
+        stats and showing the constants ``values`` bound."""
         if collector is None:
             return None
         return ExplainProfile(
-            str(compiled.optimized),
+            str(bind_template(compiled.optimized, values)),
             roots=[
-                ProfileNode("target", target, None, [plan.profile(collector)])
+                ProfileNode(
+                    "target", target, None, [plan.profile(collector, values)]
+                )
                 for target, _, plan in compiled.plans
             ],
             events=collector.events,

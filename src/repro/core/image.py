@@ -4,7 +4,9 @@
 the nodes reached from ``A`` via ``p`` in the DTD graph, along with the
 paths leading to them.  Qualifiers hang off path nodes as sub-graphs
 whose roots carry the special label ``[]`` (or ``[]=c`` for equality
-tests, so that different constants never test as equivalent).
+tests, with ``c`` the constant's ``repr``, so that different constants
+never test as equivalent, nor a parameter ``$x`` as the string
+``"$x"``).
 
 Two implementation choices, both conservative (they can only make the
 approximate containment test *less* willing to claim containment,
@@ -488,7 +490,9 @@ def build_qualifier_image(dtd: DTD, qualifier: Qualifier, start: str):
         sub = _image(dtd, qualifier.path, start)
         if sub is None:
             return None, True
-        root = INode("%s=%s" % (QUAL_LABEL, qualifier.value))
+        # repr, not str: a parameter ``$x`` and the string "$x" are
+        # different constants and must not share a label
+        root = INode("%s=%r" % (QUAL_LABEL, qualifier.value))
         root.children.extend(sub.root.children)
         root.quals.extend(sub.root.quals)
         return root, sub.imprecise

@@ -76,7 +76,10 @@ OptMap = Dict[str, Path]
 
 class Optimizer:
     """Optimizes queries against one document DTD.  Reuse an instance
-    across queries: ``recrw`` precomputations and DP cells are cached.
+    across queries: ``recrw`` precomputations are cached per DTD node.
+    The dynamic program's cells key on the query's sub-expressions, so
+    they live for one public call (:meth:`optimize`,
+    :meth:`optimize_qualifier`), never from one query to the next.
     """
 
     def __init__(self, dtd: DTD):
@@ -91,6 +94,7 @@ class Optimizer:
         """Optimize ``query``.  Relative queries are optimized at the
         document root type (override with ``context``); absolute
         queries at the virtual document node."""
+        self._reset_memo()
         if isinstance(query, Absolute):
             inner = self._opt(query.inner, _DOC)
             combined = self._pruned_union(inner, _DOC)
@@ -101,7 +105,19 @@ class Optimizer:
         return self._pruned_union(self._opt(query, start), start)
 
     def optimize_qualifier(self, condition: Qualifier, context: str) -> Qualifier:
+        self._reset_memo()
         return self._opt_qualifier(condition, context)
+
+    def memo_entries(self) -> int:
+        """Entries the dynamic program's memo holds (at most one
+        call's worth; see the class docstring)."""
+        return len(self._memo) + len(self._qmemo)
+
+    def _reset_memo(self) -> None:
+        # rebinding (not clearing): a concurrent call keeps working,
+        # sharing the new memo, whose cells are correct for both
+        self._memo = {}
+        self._qmemo = {}
 
     # -- graph access with pseudo nodes ----------------------------------------
 

@@ -1,15 +1,22 @@
-"""Engine-level query-plan cache.
+"""Engine-level query-plan cache, keyed on the query's shape.
 
 The paper's views are *virtual*: every request over a security view
 pays parse → rewrite → optimize → compile before a single document
-node is touched.  Those stages depend only on ``(policy, query
-text)`` — not on the document — so a serving engine should pay them
-once per distinct query, not once per request (Mahfoud & Imine make
-the same argument for recursive-view rewriting).
+node is touched.  Rewrite, optimize and compile depend only on the
+policy and the query's *shape* — not on the document, and not on the
+query's constants: the paper already treats a constant as a parameter
+(Section 3.2, ``$wardNo``).  The engine therefore parses each request
+and splits it into a template plus its constants
+(:func:`~repro.xpath.fingerprint.parameterize`), and the cache holds
+one compiled plan per ``(policy, template text, height)``, whose
+operators read the constants from the execution's
+:class:`~repro.xpath.plan.PlanRuntime`.  A new constant of a shape
+already seen is a cache hit (Mahfoud & Imine make the same argument
+for paying a rewriting once and reusing it).
 
 :class:`PlanCache` is a bounded LRU over :class:`CompiledQuery`
-entries.  Each entry carries the full compilation pipeline for one
-query — parsed and rewritten ASTs plus one executable plan
+entries.  Each entry carries the compilation pipeline for one shape —
+the template and its rewritten ASTs plus one executable plan
 (:mod:`repro.xpath.plan`) per view target — together with per-stage
 compile timings.  The cache keeps hit/miss/eviction/invalidation
 counters for observability; the engine wires invalidation into
@@ -39,23 +46,25 @@ from repro.obs.metrics import record as _metric_record
 
 class CompiledQuery:
     """One cached compilation: the pipeline stages for a single
-    ``(policy, query, height)`` combination.
+    ``(policy, template, height)`` combination.
 
+    ``template`` is the query with its constants replaced by slot
+    parameters ``$_0``, ``$_1``, ... and ``template_text`` its text.
     ``plans`` holds one ``(target, is_text, CompiledPlan)`` per view
     node the query reaches, in target order: element targets run
     their optimized document path, text targets the raw rewritten
-    one.  ``rewritten`` is the union of the per-target rewrites,
-    ``optimized`` the union of the paths the plans run.  ``timings``
-    maps stage names (``parse``, ``rewrite``, ``optimize``,
-    ``compile``) to seconds spent building this entry.  An entry is
-    complete when it is cached and immutable afterwards (``hits`` is
-    the cache's own counter)."""
+    one; a plan binds the slots when it runs.  ``rewritten`` is the
+    union of the per-target rewrites, ``optimized`` the union of the
+    paths the plans run, both over the slots.  ``timings`` maps stage
+    names (``rewrite``, ``optimize``, ``compile``) to seconds spent
+    building this entry.  An entry is complete when it is cached and
+    immutable afterwards (``hits`` is the cache's own counter)."""
 
     __slots__ = (
         "policy",
-        "query_text",
+        "template_text",
         "height",
-        "parsed",
+        "template",
         "rewritten",
         "optimized",
         "view",
@@ -68,9 +77,9 @@ class CompiledQuery:
     def __init__(
         self,
         policy: str,
-        query_text: str,
+        template_text: str,
         height: Optional[int],
-        parsed,
+        template,
         rewritten,
         optimized,
         view,
@@ -79,9 +88,9 @@ class CompiledQuery:
         timings: Dict[str, float],
     ):
         self.policy = policy
-        self.query_text = query_text
+        self.template_text = template_text
         self.height = height
-        self.parsed = parsed
+        self.template = template
         self.rewritten = rewritten
         self.optimized = optimized
         self.view = view
@@ -92,12 +101,12 @@ class CompiledQuery:
 
     @property
     def key(self) -> Tuple:
-        return (self.policy, self.query_text, self.height)
+        return (self.policy, self.template_text, self.height)
 
     def __repr__(self):
         return "CompiledQuery(policy=%r, query=%r, targets=%d, hits=%d)" % (
             self.policy,
-            self.query_text,
+            self.template_text,
             len(self.plans),
             self.hits,
         )
@@ -162,7 +171,7 @@ class PlanCacheStats:
 class PlanCache:
     """Bounded LRU cache of :class:`CompiledQuery` entries.
 
-    Keys are ``(policy, query_text, height)`` tuples (the cache
+    Keys are ``(policy, template_text, height)`` tuples (the cache
     itself is key-agnostic — only the leading policy component
     matters, for invalidation).  A
     ``capacity`` of 0 disables caching (every lookup misses, stores

@@ -84,7 +84,10 @@ RwMap = Dict[str, Path]
 class Rewriter:
     """Rewrites queries over one security view.  Precomputations
     (``recProc``) are cached, so reuse one instance per view when
-    rewriting many queries."""
+    rewriting many queries.  The dynamic program's memo keys on the
+    query's sub-expressions, so it lives for one public call
+    (:meth:`rewrite_targets`, :meth:`reach`): a long-lived rewriter
+    holds ``recProc`` per view node, never an entry per past query."""
 
     def __init__(self, view: SecurityView):
         if view.is_recursive():
@@ -115,6 +118,7 @@ class Rewriter:
         for absolute queries), ``rewritten`` is their union — what
         :meth:`rewrite` returns.  ``targets`` may be the memo's own
         mapping: read it, never mutate it."""
+        self._reset_memo()
         if isinstance(query, Absolute):
             inner = self._rw(query.inner, DOCUMENT_KEY)
             combined = union(inner.values())
@@ -128,10 +132,22 @@ class Rewriter:
 
     def reach(self, query: Path, context_key: Optional[str] = None) -> List[str]:
         """View nodes reachable from the context via ``query``."""
+        self._reset_memo()
         if isinstance(query, Absolute):
             return sorted(self._rw(query.inner, DOCUMENT_KEY))
         context = self.view.root_key if context_key is None else context_key
         return sorted(self._rw(query, context))
+
+    def memo_entries(self) -> int:
+        """Entries the dynamic program's memo holds (at most one
+        query's worth; see the class docstring)."""
+        return len(self._memo) + len(self._qmemo)
+
+    def _reset_memo(self) -> None:
+        # rebinding (not clearing) leaves a concurrent call's returned
+        # mappings intact; both calls then share the new, correct memo
+        self._memo = {}
+        self._qmemo = {}
 
     # -- view-graph access with the virtual document node -------------------
 

@@ -4,9 +4,10 @@ Every serving-path cache in :class:`~repro.core.engine.SecureQueryEngine`
 trades memory for latency — the plan cache, the per-document columnar
 :class:`~repro.xmlmodel.store.NodeTable`, the per-(policy, document)
 accessibility columns beside it, and the security canary's oracle
-view trees.  A view-selection policy (and an operator
-sizing a deployment) needs to see that trade: entry counts, byte
-costs, and hit/eviction counters, in one JSON-safe report.
+view trees; the compile memos are counted too.  A view-selection
+policy (and an operator sizing a deployment) needs to see that trade:
+entry counts, byte costs, and hit/eviction counters, in one JSON-safe
+report.
 
 Byte figures are **estimates with stated precision**: fixed-width
 array columns are exact (``itemsize * len``), container overheads use
@@ -43,11 +44,11 @@ XML_NODE_BYTES = 160
 
 
 def _entry_bytes(entry) -> int:
-    """Estimated bytes of one plan-cache entry: the query text, the
+    """Estimated bytes of one plan-cache entry: the template text, the
     three pipeline ASTs, and each per-target plan sized by the path it
     runs — all as node counts times :data:`AST_NODE_BYTES`."""
-    total = sys.getsizeof(entry.query_text)
-    trees = [entry.parsed, entry.rewritten, entry.optimized]
+    total = sys.getsizeof(entry.template_text)
+    trees = [entry.template, entry.rewritten, entry.optimized]
     trees.extend(plan.path for _, _, plan in entry.plans)
     for tree in trees:
         total += tree.size() * AST_NODE_BYTES
@@ -77,8 +78,9 @@ def engine_report(engine) -> Dict[str, object]:
     """The one-stop cache report of a
     :class:`~repro.core.engine.SecureQueryEngine`: plan cache, columnar
     NodeTables, per-policy accessibility columns and the canary's
-    oracle view trees, each with entry counts and byte estimates, plus
-    a ``total_bytes`` roll-up."""
+    oracle view trees, each with entry counts and byte estimates, the
+    entry count of the rewriters' and optimizer's memos, and a
+    ``total_bytes`` roll-up."""
     plan_cache = plan_cache_report(engine.plan_cache)
 
     stores = list(engine._stores.values())
@@ -112,11 +114,23 @@ def engine_report(engine) -> Dict[str, object]:
         "by_policy": dict(sorted(per_policy.items())),
     }
 
+    # the optimizer's and each rewriter's dynamic-program memo: each
+    # lives for one compile call, so this stays one query's worth
+    memos = [engine._optimizer] + [
+        rewriter
+        for policy in list(engine._policies.values())
+        for rewriter in list(policy.rewriters.values())
+    ]
+    compile_memos = {
+        "entries": sum(memo.memo_entries() for memo in memos),
+    }
+
     report = {
         "plan_cache": plan_cache,
         "node_tables": node_tables,
         "accessibility_columns": accessibility_columns,
         "canary_oracle_views": oracle_views,
+        "compile_memos": compile_memos,
     }
     report["total_bytes"] = report_total_bytes(report)
     return report

@@ -23,9 +23,10 @@ from repro.xpath.fingerprint import query_fingerprint
 
 __all__ = ["QueryRecord", "RecordFanout", "record_metrics", "WARM_STAGES"]
 
-#: The stages a plan-cache hit runs; a warm report's compile stages
-#: belong to the request that built the cache entry.
-WARM_STAGES = ("evaluate", "project")
+#: The stages a plan-cache hit runs (every request parses, to find its
+#: shape); a warm report's compile stages belong to the request that
+#: built the cache entry.
+WARM_STAGES = ("parse", "evaluate", "project")
 
 
 class QueryRecord(NamedTuple):
@@ -33,7 +34,10 @@ class QueryRecord(NamedTuple):
 
     ``query`` is the view query as given, ``fingerprint`` its
     constant-masked shape, ``rewritten`` the optimized document
-    query (an AST, rendered only by consumers that need the text).  ``error_code`` is ``""`` on success.  ``stages`` maps the
+    query with the query's constants bound (a
+    :class:`~repro.xpath.fingerprint.BoundQuery`, substituted and
+    rendered only by consumers that need the text).  ``error_code``
+    is ``""`` on success.  ``stages`` maps the
     stages this request ran to seconds; ``engine_seconds`` is the
     engine's query span (0.0 without a report), ``latency_seconds``
     the request's wall time (served: from arrival, admission wait
@@ -110,7 +114,7 @@ class QueryRecord(NamedTuple):
             policy=policy,
             query=text,
             fingerprint=report.fingerprint or query_fingerprint(query),
-            rewritten=report.optimized,
+            rewritten=report.optimized_query,
             cache_hit=report.cache_hit,
             result_count=report.result_count,
             visits=report.visits,

@@ -16,15 +16,23 @@ fingerprints computed in different processes (a serving fleet, an
 offline log aggregator) agree.  Python's own ``hash()`` is
 per-process-salted and deliberately not used.
 
-The engine computes the fingerprint once at plan-compile time and
-stores it on the :class:`~repro.core.plancache.CompiledQuery`, so the
-serving hot path pays a plan-cache dict lookup — never a re-parse.
+The same walk makes the plan cache's key.  :func:`parameterize` splits
+a parsed query into a *template*, with each comparison constant
+replaced by its own positional slot parameter (``$_0``, ``$_1``, ...,
+never the shared ``$_``), and the tuple of constants; the engine
+compiles one plan per template and binds the constants when the plan
+runs (:class:`~repro.xpath.plan.PlanRuntime`), and
+:class:`BoundQuery` substitutes them back for whoever renders the
+compiled queries.  A template's fingerprint is its query's, so the
+engine computes it once at plan-compile time and stores it on the
+:class:`~repro.core.plancache.CompiledQuery`.
 """
 
 from __future__ import annotations
 
+import re
 from hashlib import blake2b
-from typing import Union as TypingUnion
+from typing import List, Optional, Tuple, Union as TypingUnion
 
 from repro.xpath.ast import (
     Absolute,
@@ -51,10 +59,21 @@ from repro.xpath.ast import (
     Wildcard,
 )
 
-__all__ = ["Fingerprint", "query_fingerprint", "fingerprint_shape"]
+__all__ = [
+    "BoundQuery",
+    "Fingerprint",
+    "bind_template",
+    "fingerprint_shape",
+    "parameterize",
+    "query_fingerprint",
+    "slot_index",
+]
 
 #: The placeholder every comparison constant normalizes to.
 _MASK = Param("_")
+
+#: Names of template slot parameters (:func:`parameterize`).
+_SLOT = re.compile(r"_(\d+)")
 
 #: Shape used when a query string cannot be parsed at all (the error
 #: accounting path still wants a stable bucket for it).
@@ -94,53 +113,140 @@ def _digest(shape: str) -> str:
     return blake2b(shape.encode("utf-8"), digest_size=8).hexdigest()
 
 
-def _mask_path(path: Path) -> Path:
+def _map_path(path: Path, replace) -> Path:
+    """``path`` rebuilt with every comparison constant ``c`` replaced by
+    ``replace(c)``, visited in preorder (a comparison's own constant
+    before the constants inside its path)."""
     if isinstance(
         path, (Empty, EpsilonPath, Label, Wildcard, TextStep, Parent)
     ):
         return path
     if isinstance(path, Slash):
-        return Slash(_mask_path(path.left), _mask_path(path.right))
+        left = _map_path(path.left, replace)
+        return Slash(left, _map_path(path.right, replace))
     if isinstance(path, Descendant):
-        return Descendant(_mask_path(path.inner))
+        return Descendant(_map_path(path.inner, replace))
     if isinstance(path, Union):
-        return Union([_mask_path(branch) for branch in path.branches])
+        return Union([_map_path(branch, replace) for branch in path.branches])
     if isinstance(path, Qualified):
-        return Qualified(
-            _mask_path(path.path), _mask_qualifier(path.qualifier)
-        )
+        inner = _map_path(path.path, replace)
+        return Qualified(inner, _map_qualifier(path.qualifier, replace))
     if isinstance(path, Absolute):
-        return Absolute(_mask_path(path.inner))
+        return Absolute(_map_path(path.inner, replace))
     raise TypeError("unknown path node %r" % path)
 
 
-def _mask_qualifier(qualifier: Qualifier) -> Qualifier:
+def _map_qualifier(qualifier: Qualifier, replace) -> Qualifier:
     if isinstance(qualifier, QBool):
         return qualifier
     if isinstance(qualifier, QPath):
-        return QPath(_mask_path(qualifier.path))
+        return QPath(_map_path(qualifier.path, replace))
     if isinstance(qualifier, QEquals):
-        return QEquals(_mask_path(qualifier.path), _MASK)
+        value = replace(qualifier.value)
+        return QEquals(_map_path(qualifier.path, replace), value)
     if isinstance(qualifier, QAttr):
-        return QAttr(qualifier.name, _mask_path(qualifier.path))
+        return QAttr(qualifier.name, _map_path(qualifier.path, replace))
     if isinstance(qualifier, QAttrEquals):
-        return QAttrEquals(qualifier.name, _MASK, _mask_path(qualifier.path))
+        value = replace(qualifier.value)
+        return QAttrEquals(
+            qualifier.name, value, _map_path(qualifier.path, replace)
+        )
     if isinstance(qualifier, QAnd):
-        return QAnd(
-            _mask_qualifier(qualifier.left), _mask_qualifier(qualifier.right)
-        )
+        left = _map_qualifier(qualifier.left, replace)
+        return QAnd(left, _map_qualifier(qualifier.right, replace))
     if isinstance(qualifier, QOr):
-        return QOr(
-            _mask_qualifier(qualifier.left), _mask_qualifier(qualifier.right)
-        )
+        left = _map_qualifier(qualifier.left, replace)
+        return QOr(left, _map_qualifier(qualifier.right, replace))
     if isinstance(qualifier, QNot):
-        return QNot(_mask_qualifier(qualifier.inner))
+        return QNot(_map_qualifier(qualifier.inner, replace))
     raise TypeError("unknown qualifier node %r" % qualifier)
+
+
+def _mask(value) -> Param:
+    return _MASK
 
 
 def fingerprint_shape(path: Path) -> str:
     """The canonical constant-masked serialization of a parsed query."""
-    return str(_mask_path(path))
+    return str(_map_path(path, _mask))
+
+
+def slot_name(index: int) -> str:
+    """The parameter name of template slot ``index`` (``_0``, ``_1``,
+    ...)."""
+    return "_%d" % index
+
+
+def slot_index(value) -> Optional[int]:
+    """The slot a template :class:`Param` stands for, or ``None`` for
+    any other value (a string, or a parameter named otherwise)."""
+    if isinstance(value, Param):
+        match = _SLOT.fullmatch(value.name)
+        if match is not None:
+            return int(match.group(1))
+    return None
+
+
+def parameterize(path: Path) -> Tuple[Path, tuple]:
+    """Split a parsed query into its *template* and the constants it
+    binds: ``(template, values)``.
+
+    The template is ``path`` with the ``k``-th comparison constant (in
+    the preorder of :func:`fingerprint_shape`'s walk) replaced by the
+    slot parameter ``$_k``; ``values[k]`` is that constant.  Every
+    occurrence gets its own slot, so ``a[b = "1"] | a[b = "2"]`` and
+    ``a[b = "1"] | a[b = "1"]`` stay two-slot templates, and two
+    different slots are never equal, so containment can never merge
+    branches that a binding would tell apart.  A parameter the user
+    wrote (``$ward``, or even ``$_0``) is a value like any constant:
+    it occupies a slot, and execution rejects it as unbound.
+
+    The template's :func:`fingerprint_shape` equals the query's."""
+    values: List[object] = []
+
+    def slot(value) -> Param:
+        values.append(value)
+        return Param(slot_name(len(values) - 1))
+
+    template = _map_path(path, slot)
+    return template, tuple(values)
+
+
+def bind_template(template: Path, values: tuple) -> Path:
+    """The concrete query ``template`` stands for under ``values``
+    (:func:`parameterize`'s inverse, up to the AST's own folding)."""
+    if not values:
+        return template
+    return template.substitute(
+        {slot_name(index): value for index, value in enumerate(values)}
+    )
+
+
+class BoundQuery:
+    """A template plus its values, substituted only when first read:
+    ``path`` is the concrete query, ``str()`` its text.  Operator
+    surfaces (reports, records, audit events) hold one of these so a
+    request pays nothing for a rendering no consumer asks for."""
+
+    __slots__ = ("template", "values", "_path")
+
+    def __init__(self, template, values: tuple = ()):
+        self.template = template
+        self.values = values
+        self._path = None
+
+    @property
+    def path(self):
+        path = self._path
+        if path is None:
+            path = self._path = bind_template(self.template, self.values)
+        return path
+
+    def __str__(self) -> str:
+        return str(self.path)
+
+    def __repr__(self):
+        return "BoundQuery(%s)" % self
 
 
 def query_fingerprint(query: TypingUnion[str, Path]) -> Fingerprint:

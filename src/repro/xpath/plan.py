@@ -71,6 +71,7 @@ from repro.xpath.ast import (
     Wildcard,
 )
 from repro.xpath.evaluator import XPathEvaluator, _VirtualDocumentNode
+from repro.xpath.fingerprint import bind_template, slot_index
 
 
 class PlanRuntime:
@@ -90,18 +91,40 @@ class PlanRuntime:
     same batch granularity (plus a strided per-node wall-clock check
     inside the unbounded descendant scans), raising typed
     ``E_DEADLINE``/``E_BUDGET`` errors; left ``None``, the cost is the
-    same single attribute check as an absent profile."""
+    same single attribute check as an absent profile.
 
-    __slots__ = ("store", "visits", "profile", "budget")
+    ``params`` binds a template plan's slots
+    (:func:`~repro.xpath.fingerprint.parameterize`): the constant of
+    slot ``$_k`` is ``params[k]``, read by the equality operators when
+    they run."""
 
-    def __init__(self, store=None, profile=None, budget=None):
+    __slots__ = ("store", "visits", "profile", "budget", "params")
+
+    def __init__(self, store=None, profile=None, budget=None, params=()):
         self.store = store
         self.visits = 0
         self.profile = profile
         self.budget = budget
+        self.params = params
 
     def reset_counters(self) -> None:
         self.visits = 0
+
+    def bound(self, param: Param, slot: Optional[int]):
+        """The constant an equality operator compares with when its
+        value is the parameter ``param`` (template slot ``slot``, or
+        ``None``).  A slot binds to ``params[slot]``; a parameter that
+        stays a parameter (no such slot, or a user-written one bound
+        into the slot) is unbound."""
+        params = self.params
+        if slot is not None and slot < len(params):
+            value = params[slot]
+            if not isinstance(value, Param):
+                return value
+            param = value
+        raise XPathEvaluationError(
+            "unbound parameter $%s during evaluation" % param.name
+        )
 
 
 #: Pseudo-row of the virtual document node in columnar frontiers.
@@ -542,18 +565,17 @@ class ExistsQOp(_QOp):
 
 
 class EqualsQOp(_QOp):
-    __slots__ = ("path", "value")
+    __slots__ = ("path", "value", "slot")
 
     def __init__(self, path: _Op, value):
         self.path = path
         self.value = value
+        self.slot = slot_index(value)
 
     def test_row(self, rt, row):
         value = self.value
         if isinstance(value, Param):
-            raise XPathEvaluationError(
-                "unbound parameter $%s during evaluation" % value.name
-            )
+            value = rt.bound(value, self.slot)
         store = rt.store
         passed = False
         for selected in self.path.run_rows(rt, [row]):
@@ -597,19 +619,18 @@ class AttrQOp(_QOp):
 
 
 class AttrEqualsQOp(_QOp):
-    __slots__ = ("path", "name", "value")
+    __slots__ = ("path", "name", "value", "slot")
 
     def __init__(self, path: _Op, name: str, value):
         self.path = path
         self.name = name
         self.value = value
+        self.slot = slot_index(value)
 
     def test_row(self, rt, row):
         value = self.value
         if isinstance(value, Param):
-            raise XPathEvaluationError(
-                "unbound parameter $%s during evaluation" % value.name
-            )
+            value = rt.bound(value, self.slot)
         name = self.name
         store = rt.store
         nodes = store.nodes
@@ -775,11 +796,14 @@ class CompiledPlan:
             self.operator_count,
         )
 
-    def profile(self, collector: ProfileCollector) -> ProfileNode:
+    def profile(
+        self, collector: ProfileCollector, params: tuple = ()
+    ) -> ProfileNode:
         """The EXPLAIN ANALYZE tree of this plan: its operator tree
         annotated with the stats ``collector`` gathered during
-        execution(s) run with ``PlanRuntime(profile=collector)``."""
-        return build_profile_node(self._op, collector)
+        execution(s) run with ``PlanRuntime(profile=collector)``;
+        equality operators show the constants ``params`` bound."""
+        return build_profile_node(self._op, collector, params)
 
     def execute(
         self,
@@ -825,7 +849,8 @@ class CompiledPlan:
             rt.profile.event("interpreter-fallback")
         _metric_record("plan.interpreter_fallbacks")
         evaluator = XPathEvaluator(budget=rt.budget)
-        results = evaluator.evaluate(self.path, contexts, ordered=True)
+        path = bind_template(self.path, rt.params)
+        results = evaluator.evaluate(path, contexts, ordered=True)
         rt.visits += evaluator.visits
         return results
 
@@ -854,7 +879,16 @@ class CompiledPlan:
 # ---------------------------------------------------------------------------
 
 
-def _describe_op(op):
+def _shown_value(op, params: tuple):
+    """An equality operator's constant as its execution compared it:
+    a template slot shows the value ``params`` bound to it."""
+    slot = op.slot
+    if slot is not None and slot < len(params):
+        return params[slot]
+    return op.value
+
+
+def _describe_op(op, params: tuple = ()):
     """``(name, detail)`` labels of one operator for profile trees."""
     if isinstance(op, LabelOp):
         return ("child", op.name)
@@ -885,11 +919,14 @@ def _describe_op(op):
     if isinstance(op, ExistsQOp):
         return ("q:exists", "")
     if isinstance(op, EqualsQOp):
-        return ("q:equals", "= %r" % (op.value,))
+        return ("q:equals", "= %r" % (_shown_value(op, params),))
     if isinstance(op, AttrQOp):
         return ("q:attr", "@" + op.name)
     if isinstance(op, AttrEqualsQOp):
-        return ("q:attr-equals", "@%s = %r" % (op.name, op.value))
+        return (
+            "q:attr-equals",
+            "@%s = %r" % (op.name, _shown_value(op, params)),
+        )
     if isinstance(op, AndQOp):
         return ("q:and", "")
     if isinstance(op, OrQOp):
@@ -925,14 +962,19 @@ def _op_children(op):
     return ()
 
 
-def build_profile_node(op, collector: ProfileCollector) -> ProfileNode:
+def build_profile_node(
+    op, collector: ProfileCollector, params: tuple = ()
+) -> ProfileNode:
     """Pair one operator subtree with its collected execution stats."""
-    name, detail = _describe_op(op)
+    name, detail = _describe_op(op, params)
     return ProfileNode(
         name,
         detail,
         collector.lookup(op),
-        [build_profile_node(child, collector) for child in _op_children(op)],
+        [
+            build_profile_node(child, collector, params)
+            for child in _op_children(op)
+        ],
     )
 
 

@@ -123,7 +123,18 @@ class TestImages:
             fig9, parse_qualifier('[g = "5"]'), "e"
         )
         assert not imprecise
-        assert root.label == '%s=5' % QUAL_LABEL
+        assert root.label == "%s=%r" % (QUAL_LABEL, "5")
+
+    def test_parameter_and_string_equalities_label_apart(self, fig9):
+        # "$x" and $x are different constants: one label for both let
+        # containment drop a union branch that a binding needs
+        parameter, _ = build_qualifier_image(
+            fig9, parse_qualifier("[g = $x]"), "e"
+        )
+        literal, _ = build_qualifier_image(
+            fig9, parse_qualifier('[g = "$x"]'), "e"
+        )
+        assert parameter.label != literal.label
 
     def test_disjunctive_qualifier_marked_imprecise(self, fig9):
         _, imprecise = build_qualifier_image(

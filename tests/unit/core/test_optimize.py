@@ -91,6 +91,20 @@ class TestUnionPruning:
         result = opt(optimizer, "pair/b | either/c")
         assert result == "(pair/b | either/c)"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'items/item[b = $x] | items/item[b = "$x"]',
+            'items/item[b = "$x"] | items/item[b = $x]',
+        ],
+    )
+    def test_parameter_and_its_spelling_as_a_string_both_kept(
+        self, optimizer, text
+    ):
+        # neither branch contains the other: $x may bind to any value
+        result = optimizer.optimize(parse_xpath(text))
+        assert len(result.branches) == 2
+
 
 class TestRecursiveFallback:
     def test_recursive_region_keeps_descendant(self):

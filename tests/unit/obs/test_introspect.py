@@ -39,12 +39,12 @@ class TestPlanCacheReport:
         engine.query("nurse", '//patient[wardNo = "1"]', document)
         engine.query("nurse", '//patient[wardNo = "2"]', document)
         report = plan_cache_report(engine.plan_cache)
-        # three distinct texts cached, but the two wardNo variants
-        # share one fingerprint
-        assert report["entries"] == 3
+        # three distinct texts, two shapes: the wardNo variants share
+        # one entry (the second is a hit) and one fingerprint
+        assert report["entries"] == 2
         assert report["distinct_fingerprints"] == 2
         assert report["bytes"] > 0
-        assert report["hits"] == 0
+        assert report["hits"] == 1
 
 
 class TestEngineReport:

@@ -66,9 +66,23 @@ class TestMidReplayDrain:
         requests = mixed_workload(repetitions=4, seed=0)
         server = QueryServer(catalog).start()
         drained = {}
+        clients = 8
+        resolved = []
+        mid_replay = threading.Event()
+
+        def count(record):
+            resolved.append(record)
+            if len(resolved) >= 2 * clients:
+                mid_replay.set()
+
+        for engine in catalog.engines():
+            engine.records.subscribe(count)
 
         def drain_soon():
-            threading.Event().wait(0.1)
+            # drain once two rounds of requests have resolved: mid-replay
+            # whatever a request costs, where a fixed delay raced the
+            # whole replay (72 requests at >= 10 ms over 8 clients)
+            mid_replay.wait(10.0)
             drained["report"] = server.drain(deadline_seconds=10.0)
 
         drainer = threading.Thread(target=drain_soon)
@@ -82,7 +96,7 @@ class TestMidReplayDrain:
             )
         ):
             drainer.start()
-            stats = replay(server, requests, clients=8)
+            stats = replay(server, requests, clients=clients)
         drainer.join()
 
         assert drained["report"]["unresolved"] == 0

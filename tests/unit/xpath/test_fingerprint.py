@@ -5,9 +5,13 @@ import pytest
 from repro.xpath.ast import Param
 from repro.xpath.fingerprint import (
     UNPARSED_SHAPE,
+    BoundQuery,
     Fingerprint,
+    bind_template,
     fingerprint_shape,
+    parameterize,
     query_fingerprint,
+    slot_index,
 )
 from repro.xpath.parser import parse_xpath
 
@@ -110,3 +114,87 @@ class TestQueryFingerprint:
     def test_mask_param_builds_on_ast_param(self):
         # the mask is a Param, so masked shapes stay parseable idiom
         assert str(Param("_")) == "$_"
+
+
+class TestTemplates:
+    def test_each_constant_gets_a_positional_slot(self):
+        template, values = parameterize(
+            parse_xpath('//patient[wardNo = "7" and name = "ann"]/bill')
+        )
+        assert str(template) == (
+            "//patient[wardNo = $_0 and name = $_1]/bill"
+        )
+        assert values == ("7", "ann")
+
+    def test_slots_follow_preorder(self):
+        # a comparison's own constant comes before those in its path
+        template, values = parameterize(
+            parse_xpath('//a[b[c = "inner"] = "outer"] | //d[@e = "f"]')
+        )
+        assert values == ("outer", "inner", "f")
+        assert "$_0" in str(template) and "$_2" in str(template)
+
+    def test_equal_constants_still_get_their_own_slots(self):
+        # one shared placeholder (the fingerprint's $_) would let
+        # containment merge branches a binding tells apart
+        for text in (
+            '//a[b = "1"] | //c[b = "1"]',
+            '//a[b = "1"] | //c[b = "2"]',
+        ):
+            template, values = parameterize(parse_xpath(text))
+            assert str(template) == "(//a[b = $_0] | //c[b = $_1])"
+            assert len(values) == 2
+
+    def test_shape_is_byte_identical_to_the_fingerprint(self):
+        for text in (
+            '//patient[wardNo = "7"]/name | //dept[@id = "x"]//bed',
+            "//patient[wardNo = $ward]",
+            '//a[b[c = "1"] = "2" or not(@d = "3")]',
+            "//patient/name",
+        ):
+            parsed = parse_xpath(text)
+            template, _ = parameterize(parsed)
+            assert fingerprint_shape(template) == fingerprint_shape(parsed)
+            assert query_fingerprint(template) == query_fingerprint(parsed)
+
+    def test_user_parameters_are_values(self):
+        template, values = parameterize(
+            parse_xpath('//a[b = $_0] | //a[c = "x"]')
+        )
+        assert str(template) == "(//a[b = $_0] | //a[c = $_1])"
+        assert values == (Param("_0"), "x")
+
+    def test_constant_free_queries_have_no_values(self):
+        parsed = parse_xpath("//patient/name")
+        template, values = parameterize(parsed)
+        assert template == parsed and values == ()
+
+    def test_bind_inverts_parameterize(self):
+        parsed = parse_xpath('//a[b = "1" or not(c = $w)]/d[@e = "2"]')
+        template, values = parameterize(parsed)
+        assert bind_template(template, values) == parsed
+        assert bind_template(template, ()) is template
+
+    def test_slot_index(self):
+        assert slot_index(Param("_12")) == 12
+        assert slot_index(Param("_")) is None
+        assert slot_index(Param("ward")) is None
+        assert slot_index("$_0") is None
+
+    def test_bound_query_substitutes_once_on_first_read(self, monkeypatch):
+        from repro.xpath import fingerprint
+
+        template, values = parameterize(parse_xpath('//a[b = "1"]'))
+        calls = []
+        original = fingerprint.bind_template
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(fingerprint, "bind_template", counted)
+        bound = BoundQuery(template, values)
+        assert calls == []
+        assert str(bound) == '//a[b = "1"]'
+        assert bound.path == parse_xpath('//a[b = "1"]')
+        assert len(calls) == 1

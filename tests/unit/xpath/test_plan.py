@@ -135,3 +135,70 @@ def test_unbound_parameter_raises(document, store):
     for table in (store, None):  # columnar, then the fallback
         with pytest.raises(XPathEvaluationError):
             plan.execute(document, store=table)
+
+
+class TestTemplateSlots:
+    """A plan compiled over a query template
+    (:func:`~repro.xpath.fingerprint.parameterize`) reads each slot's
+    constant from ``PlanRuntime.params`` when it runs."""
+
+    TEXTS = [
+        '//patient[wardNo = "2"]/name',
+        '//patient[wardNo = "1" or name = "x"]/treatment',
+        '(//patient[wardNo = "3"]/name | //patient[wardNo = "3"]/treatment)',
+        '//dept[@id = "d1"]//patient',
+    ]
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_bound_template_matches_the_concrete_plan(
+        self, document, store, text
+    ):
+        from repro.xpath.fingerprint import parameterize
+
+        template, values = parameterize(parse_xpath(text))
+        plan = compile_path(template)
+        bound = plan.execute(
+            document, runtime=PlanRuntime(store, params=values)
+        )
+        concrete = compile_path(parse_xpath(text)).execute(
+            document, store=store
+        )
+        assert [id(node) for node in bound] == [id(n) for n in concrete]
+        # the interpreter fallback binds the same way
+        fallback = plan.execute(document, runtime=PlanRuntime(params=values))
+        assert [id(node) for node in fallback] == [id(n) for n in concrete]
+
+    def test_a_slot_without_a_value_is_unbound(self, document, store):
+        from repro.errors import XPathEvaluationError
+
+        plan = compile_path(parse_xpath("//patient[wardNo = $_0]"))
+        with pytest.raises(XPathEvaluationError, match=r"\$_0"):
+            plan.execute(document, store=store)
+
+    def test_a_parameter_bound_into_a_slot_stays_unbound(
+        self, document, store
+    ):
+        from repro.errors import XPathEvaluationError
+        from repro.xpath.ast import Param
+
+        plan = compile_path(parse_xpath("//patient[wardNo = $_0]"))
+        runtime = PlanRuntime(store, params=(Param("ward"),))
+        with pytest.raises(XPathEvaluationError, match=r"\$ward"):
+            plan.execute(document, runtime=runtime)
+
+    def test_explain_labels_show_the_bound_value(self, document, store):
+        from repro.xpath.fingerprint import parameterize
+
+        template, values = parameterize(
+            parse_xpath('//patient[wardNo = "2"]/name | //dept[@id = "d9"]')
+        )
+        plan = compile_path(template)
+        collector = ProfileCollector()
+        plan.execute(
+            document,
+            runtime=PlanRuntime(store, profile=collector, params=values),
+        )
+        rendered = plan.profile(collector, values).render()
+        assert "q:equals = '2'" in rendered
+        assert "q:attr-equals @id = 'd9'" in rendered
+        assert "$_" not in rendered
